@@ -3,6 +3,9 @@
 # Outputs land under results/: learning curves and stability table for the
 # agent comparison, goal-selection counts for the ORP ablation, and one
 # curve per mastery threshold for the alpha sweep.
+# The CLI trains under the package defaults, not under the acceptance
+# profile (orchestrator.ACCEPTANCE_PROFILE) that the cached runs in
+# results/acceptance/ were made with; scripts/run_acceptance.py runs that.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -10,10 +10,10 @@ so this script exists to front-load the ~30 minutes of training.
 
 import json
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 from acl_dqn.orchestrator import (
+    ACCEPTANCE_PROFILE,
     TrainConfig,
     default_environment,
     run_training,
@@ -24,18 +24,6 @@ from acl_dqn.orchestrator import (
 
 AGENTS = ("dqn", "acl-a", "acl-a-noorp", "acl-c")
 SEEDS = (1, 2, 3, 4, 5)
-
-# Package defaults stay at the reference hyperparameters; this tuned profile
-# (longer exploration, episode-length-independent gradient budget, larger
-# phase budgets) is what the comparison experiments run under.
-ACCEPTANCE_PROFILE = dict(
-    num_epochs=500,
-    epoch_size=256,
-    updates_per_epoch=120,
-    epsilon_end=0.1,
-    epsilon_decay_epochs=300,
-    eval_dialogues=100,
-)
 
 
 def main() -> None:

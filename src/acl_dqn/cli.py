@@ -15,7 +15,7 @@ import numpy as np
 from . import domain, orchestrator
 from .domain import ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
 from .neural import QFunction
-from .orchestrator import AGENT_KINDS, TrainConfig
+from .orchestrator import TrainConfig
 from .user_sim import (
     FAILURE,
     KnowledgeBase,
@@ -69,8 +69,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _config_from_args(args) -> TrainConfig:
-    config = TrainConfig(agent_kind=args.agent, num_epochs=args.epochs,
+def _config_from_args(args, agent: str) -> TrainConfig:
+    config = TrainConfig(agent_kind=agent, num_epochs=args.epochs,
                          eval_every=args.eval_every,
                          eval_dialogues=args.eval_dialogues)
     if getattr(args, "alpha", None) is not None:
@@ -100,7 +100,7 @@ def cmd_gen_kb(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, args.agent)
     corpus, kb = _load_environment(args, args.seed)
     out = _out_dir(args)
     result = orchestrator.run_training(config, args.seed, corpus, kb)
@@ -126,13 +126,8 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     agents = args.agents.split(",")
-    for agent in agents:
-        if agent not in AGENT_KINDS:
-            raise CliError(f"unknown agent {agent!r}; valid: {', '.join(AGENT_KINDS)}")
+    configs = [_config_from_args(args, a) for a in agents]
     seeds = _parse_seeds(args.seeds)
-    configs = [TrainConfig(agent_kind=a, num_epochs=args.epochs,
-                           eval_every=args.eval_every,
-                           eval_dialogues=args.eval_dialogues) for a in agents]
     corpus, kb = _load_environment(args, seeds[0])
     out = _out_dir(args)
     report = orchestrator.run_comparison(configs, seeds, corpus, kb)
@@ -156,9 +151,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep_alpha(args) -> int:
     alphas = _parse_floats(args.alphas)
     seeds = _parse_seeds(args.seeds)
-    base = TrainConfig(agent_kind="acl-c", num_epochs=args.epochs,
-                       eval_every=args.eval_every,
-                       eval_dialogues=args.eval_dialogues)
+    base = _config_from_args(args, "acl-c")
     corpus, kb = _load_environment(args, seeds[0])
     out = _out_dir(args)
     reports = orchestrator.sweep_alpha(base, alphas, seeds, corpus, kb)

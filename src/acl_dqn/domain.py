@@ -147,12 +147,8 @@ class UserGoal:
 
     @property
     def difficulty(self) -> int:
+        """Total slot count n = n_i + n_r."""
         return len(self.inform_slots) + len(self.request_slots)
-
-
-def difficulty_of(goal: UserGoal) -> int:
-    """Total slot count n = n_i + n_r."""
-    return len(goal.inform_slots) + len(goal.request_slots)
 
 
 def make_goal(goal_id: int, inform_slots: Mapping[str, str], request_slots: Iterable[str]) -> UserGoal:
@@ -204,7 +200,7 @@ def partition_corpus(goals: Sequence[UserGoal], sizes: tuple[int, int, int]) -> 
         raise DomainError("each tier size must be >= 1")
     if sum(sizes) != len(goals):
         raise DomainError(f"tier sizes {sizes} do not sum to corpus size {len(goals)}")
-    ordered = sorted(goals, key=lambda g: (difficulty_of(g), g.id))
+    ordered = sorted(goals, key=lambda g: (g.difficulty, g.id))
     n_simple, n_medium, _ = sizes
     simple = tuple(g.id for g in ordered[:n_simple])
     medium = tuple(g.id for g in ordered[n_simple:n_simple + n_medium])
@@ -270,7 +266,7 @@ def infer_sizes(goals: Sequence[UserGoal]) -> tuple[int, int, int]:
     """Tier sizes from the difficulty bands (used when loading files)."""
     counts = {t: 0 for t in TIERS}
     for g in goals:
-        n = difficulty_of(g)
+        n = g.difficulty
         if n <= TIER_BANDS["simple"][1]:
             counts["simple"] += 1
         elif n <= TIER_BANDS["medium"][1]:

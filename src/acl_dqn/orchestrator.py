@@ -12,6 +12,8 @@ from .curriculum import OverRepetitionCounter, PhaseMachine, PhaseTransition
 from .domain import GoalCorpus, generate_corpus, generate_kb_rows
 from .neural import QFunction
 from .replay import ReplayBuffer, STUDENT_CAPACITY, TEACHER_CAPACITY, Transition, rbs_prefill
+# One TD update under two names: perfbench traces each net's updates as its own layer.
+from .replay import train_step as student_train_step, train_step as teacher_train_step
 from .student import (
     N_ACTIONS,
     STATE_DIM,
@@ -19,7 +21,6 @@ from .student import (
     epsilon_policy,
     greedy_policy,
     run_episode,
-    student_train_step,
 )
 from .teacher import (
     GoalRewardTable,
@@ -27,7 +28,6 @@ from .teacher import (
     make_teacher_q,
     teacher_act,
     teacher_reward,
-    teacher_train_step,
 )
 from .user_sim import KnowledgeBase
 
@@ -42,6 +42,20 @@ _SCHEDULE_OF = {
     "acl-b": "B",
     "acl-c": "C",
 }
+
+
+# The package defaults are the reference hyperparameters; the cached
+# comparison in results/acceptance/ was trained under this tuned profile
+# (longer exploration, an episode-length-independent gradient budget,
+# larger phase budgets) on top of them.
+ACCEPTANCE_PROFILE = dict(
+    num_epochs=500,
+    epoch_size=256,
+    updates_per_epoch=120,
+    epsilon_end=0.1,
+    epsilon_decay_epochs=300,
+    eval_dialogues=100,
+)
 
 
 class ConfigError(Exception):

@@ -188,7 +188,8 @@ def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
 
 
 def greedy_policy(q: QFunction) -> Policy:
-    return lambda state, ctx: student_act(q, state, 0.0, np.random.default_rng(0))
+    """Argmax over the Q-values; ties go to the lowest index."""
+    return lambda state, ctx: int(np.argmax(q.forward(state)))
 
 
 def epsilon_policy(q: QFunction, epsilon: float, rng: np.random.Generator) -> Policy:
@@ -197,17 +198,3 @@ def epsilon_policy(q: QFunction, epsilon: float, rng: np.random.Generator) -> Po
 
 def rule_policy() -> Policy:
     return lambda state, ctx: action_index_of(rule_agent_act(ctx))
-
-
-def run_rule_episode(goal: UserGoal, kb: KnowledgeBase,
-                     rng: np.random.Generator) -> EpisodeResult:
-    return run_episode(goal, kb, rule_policy(), rng)
-
-
-def student_train_step(q: QFunction, buffer, rng: np.random.Generator,
-                       gamma: float = 0.9, batch_size: int = 16) -> float | None:
-    """One minibatch TD update; None when the buffer is underfull."""
-    batch = buffer.sample(batch_size, rng)
-    if batch is None:
-        return None
-    return q.td_train_step(batch, gamma)

@@ -113,15 +113,6 @@ def teacher_act(q: QFunction, state: np.ndarray, goal_ids,
     return ids[int(np.argmax(masked))]
 
 
-def teacher_train_step(q: QFunction, buffer, rng: np.random.Generator,
-                       gamma: float = 0.9, batch_size: int = 16) -> float | None:
-    """One minibatch TD update on the teacher buffer; None when underfull."""
-    batch = buffer.sample(batch_size, rng)
-    if batch is None:
-        return None
-    return q.td_train_step(batch, gamma)
-
-
 def make_teacher_q(corpus: GoalCorpus, hidden_dim: int = 80,
                    learning_rate: float = 0.001, clip_norm: float = 1.0,
                    rng: np.random.Generator | None = None) -> QFunction:

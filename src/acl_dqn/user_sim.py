@@ -35,8 +35,8 @@ REVEAL_P_SLOPE = 0.15
 
 
 def reveal_probability(goal: UserGoal) -> float:
-    n = len(goal.inform_slots) + len(goal.request_slots)
-    return max(REVEAL_P_MIN, REVEAL_P_MAX - REVEAL_P_SLOPE * (n - 2))
+    return max(REVEAL_P_MIN, REVEAL_P_MAX - REVEAL_P_SLOPE * (goal.difficulty - 2))
+
 
 ONGOING = "ongoing"
 SUCCESS = "success"
@@ -169,13 +169,6 @@ def session_step(session: SimulatorSession,
         else:
             session.turn += 1
     return user_act, session.status
-
-
-def validate_success(session: SimulatorSession) -> bool:
-    """Independent post-episode check of the success contract."""
-    if session.status != SUCCESS:
-        return True
-    return _booking_valid(session)
 
 
 @dataclass

@@ -19,6 +19,7 @@ import pytest
 
 from acl_dqn.curriculum import MasteryTracker, PhaseMachine, orp_penalty
 from acl_dqn.orchestrator import (
+    ACCEPTANCE_PROFILE,
     TrainConfig,
     default_environment,
     run_training,
@@ -32,17 +33,6 @@ CACHE = REPO / "results" / "acceptance"
 
 AGENTS = ("dqn", "acl-a", "acl-a-noorp", "acl-c")
 SEEDS = (1, 2, 3, 4, 5)
-
-# Must stay in sync with scripts/run_acceptance.py.
-ACCEPTANCE_PROFILE = dict(
-    num_epochs=500,
-    epoch_size=256,
-    updates_per_epoch=120,
-    epsilon_end=0.1,
-    epsilon_decay_epochs=300,
-    eval_dialogues=100,
-)
-
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")

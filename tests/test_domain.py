@@ -14,7 +14,6 @@ from acl_dqn.domain import (
     DomainError,
     GoalCorpus,
     UserGoal,
-    difficulty_of,
     generate_corpus,
     generate_kb_rows,
     inform_act,
@@ -61,9 +60,9 @@ class TestDialogueAct:
 
 class TestUserGoal:
     def test_difficulty_is_component_sum(self):
-        assert difficulty_of(_goal(0, 3, 2)) == 5
-        assert difficulty_of(_goal(0, 0, 1)) == 1
-        assert difficulty_of(_goal(0, 6, 3)) == 9
+        assert _goal(0, 3, 2).difficulty == 5
+        assert _goal(0, 0, 1).difficulty == 1
+        assert _goal(0, 6, 3).difficulty == 9
 
     def test_overlapping_slots_rejected(self):
         with pytest.raises(DomainError):
@@ -116,16 +115,16 @@ class TestPartition:
         if 0 in sizes:
             return
         c = partition_corpus(goals, sizes)
-        oracle = sorted(goals, key=lambda g: (difficulty_of(g), g.id))
+        oracle = sorted(goals, key=lambda g: (g.difficulty, g.id))
         assert list(c.simple) + list(c.medium) + list(c.difficult) == [
             g.id for g in oracle]
 
     def test_partition_respects_difficulty_order(self, corpus):
         by_id = {g.id: g for g in corpus.goals}
-        simple_max = max(difficulty_of(by_id[i]) for i in corpus.simple)
-        medium_min = min(difficulty_of(by_id[i]) for i in corpus.medium)
-        medium_max = max(difficulty_of(by_id[i]) for i in corpus.medium)
-        difficult_min = min(difficulty_of(by_id[i]) for i in corpus.difficult)
+        simple_max = max(by_id[i].difficulty for i in corpus.simple)
+        medium_min = min(by_id[i].difficulty for i in corpus.medium)
+        medium_max = max(by_id[i].difficulty for i in corpus.medium)
+        difficult_min = min(by_id[i].difficulty for i in corpus.difficult)
         assert simple_max <= medium_min
         assert medium_max <= difficult_min
 
@@ -146,7 +145,7 @@ class TestGeneration:
                           ("difficult", corpus.difficult)):
             lo, hi = TIER_BANDS[tier]
             for i in ids:
-                assert lo <= difficulty_of(by_id[i]) <= hi
+                assert lo <= by_id[i].difficulty <= hi
 
     def test_goals_satisfiable_against_kb(self, corpus, kb_rows):
         for g in corpus.goals:
@@ -164,7 +163,7 @@ class TestGeneration:
     def test_sorted_output_has_nondecreasing_difficulty(self):
         c = generate_corpus(7, sizes=(30, 72, 26))
         by_id = {g.id: g for g in c.goals}
-        diffs = [difficulty_of(by_id[i])
+        diffs = [by_id[i].difficulty
                  for i in list(c.simple) + list(c.medium) + list(c.difficult)]
         assert diffs == sorted(diffs)
 

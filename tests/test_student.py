@@ -3,7 +3,7 @@ import pytest
 
 from acl_dqn.domain import ONTOLOGY, ActType, DialogueAct, request_act
 from acl_dqn.neural import QFunction
-from acl_dqn.replay import ReplayBuffer
+from acl_dqn.replay import ReplayBuffer, train_step
 from acl_dqn.student import (
     FAILURE_PENALTY,
     N_ACTIONS,
@@ -18,10 +18,8 @@ from acl_dqn.student import (
     materialize,
     rule_policy,
     run_episode,
-    run_rule_episode,
     step_reward,
     student_act,
-    student_train_step,
 )
 from acl_dqn.user_sim import (
     MAX_TURNS,
@@ -129,8 +127,8 @@ class TestEpsilonSchedule:
 class TestEpisodes:
     def test_rule_episode_matches_direct_simulation(self, corpus, kb):
         goal = corpus.goals[corpus.simple[0]]
-        r1 = run_rule_episode(goal, kb, np.random.default_rng(4))
-        r2 = run_rule_episode(goal, kb, np.random.default_rng(4))
+        r1 = run_episode(goal, kb, rule_policy(), np.random.default_rng(4))
+        r2 = run_episode(goal, kb, rule_policy(), np.random.default_rng(4))
         assert (r1.success, r1.turns, r1.total_reward) == (
             r2.success, r2.turns, r2.total_reward)
 
@@ -160,16 +158,16 @@ class TestTrainStep:
         q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=4, rng=rng)
         buf = ReplayBuffer(100, STATE_DIM)
         before = {k: v.copy() for k, v in q.online.items()}
-        assert student_train_step(q, buf, rng) is None
+        assert train_step(q, buf, rng) is None
         for k, v in q.online.items():
             np.testing.assert_array_equal(v, before[k])
 
     def test_full_buffer_trains(self, corpus, kb, rng):
         q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=4, rng=rng)
         buf = ReplayBuffer(100, STATE_DIM)
-        result = run_rule_episode(corpus.goals[0], kb, rng)
+        result = run_episode(corpus.goals[0], kb, rule_policy(), rng)
         while len(buf) < 16:
-            for t in run_rule_episode(corpus.goals[0], kb, rng).transitions:
+            for t in run_episode(corpus.goals[0], kb, rule_policy(), rng).transitions:
                 buf.push(t)
-        loss = student_train_step(q, buf, rng)
+        loss = train_step(q, buf, rng)
         assert loss is not None and loss >= 0.0

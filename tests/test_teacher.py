@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acl_dqn.neural import Minibatch, QFunction
-from acl_dqn.replay import TEACHER_CAPACITY, ReplayBuffer, Transition
+from acl_dqn.replay import TEACHER_CAPACITY, ReplayBuffer, Transition, train_step
 from acl_dqn.teacher import (
     TEACHER_STATE_DIM,
     GoalRewardTable,
@@ -11,7 +11,6 @@ from acl_dqn.teacher import (
     make_teacher_q,
     teacher_act,
     teacher_reward,
-    teacher_train_step,
 )
 
 
@@ -141,7 +140,7 @@ class TestTeacherTraining:
     def test_underfull_buffer_skips(self, rng, corpus):
         q = make_teacher_q(corpus, hidden_dim=6, rng=rng)
         buf = ReplayBuffer(TEACHER_CAPACITY, TEACHER_STATE_DIM)
-        assert teacher_train_step(q, buf, rng) is None
+        assert train_step(q, buf, rng) is None
 
     def test_gamma_zero_targets_equal_stored_rewards(self, rng, corpus):
         q = make_teacher_q(corpus, hidden_dim=6, rng=rng)
@@ -165,7 +164,7 @@ class TestTeacherTraining:
                                 float(i), rng.normal(size=TEACHER_STATE_DIM),
                                 False))
         before = {k: v.copy() for k, v in q.online.items()}
-        teacher_train_step(q, buf, rng)
+        train_step(q, buf, rng)
         for k, v in q.online.items():
             np.testing.assert_array_equal(v, before[k])
 

@@ -26,7 +26,6 @@ from acl_dqn.user_sim import (
     rule_agent_act,
     session_reset,
     session_step,
-    validate_success,
 )
 
 
@@ -139,7 +138,7 @@ class TestSession:
         user_act, status = session_step(session, DialogueAct("system", ActType.BOOK))
         assert status == SUCCESS
         assert user_act.act_type is ActType.THANKS
-        assert validate_success(session)
+        assert session.filled_requests[ONTOLOGY[0]] == designated_row(kb, goal)[ONTOLOGY[0]]
 
     def test_premature_booking_fails_terminally(self, kb, rng):
         goal = make_goal(0, {}, [ONTOLOGY[0]])
