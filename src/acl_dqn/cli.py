@@ -14,7 +14,7 @@ import numpy as np
 
 from . import domain, orchestrator
 from .domain import ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
-from .neural import QFunction
+from .neural import NeuralError, QFunction
 from .orchestrator import TrainConfig
 from .user_sim import (
     FAILURE,
@@ -43,7 +43,10 @@ def _parse_seeds(text: str) -> list[int]:
     """Either a comma list ('1,2,3') or an inclusive range ('1..5')."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        seeds = list(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise CliError(f"--seeds range {text!r} is empty")
+        return seeds
     return [int(p) for p in text.split(",")]
 
 
@@ -332,7 +335,7 @@ def main(argv=None) -> int:
     except (CliError, orchestrator.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (domain.DomainError, OSError, ValueError) as exc:
+    except (domain.DomainError, NeuralError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -159,30 +159,29 @@ def make_goal(goal_id: int, inform_slots: Mapping[str, str], request_slots: Iter
 
 @dataclass(frozen=True)
 class GoalCorpus:
+    """Goals in id order: a goal's id is its position and its teacher output index."""
+
     goals: tuple[UserGoal, ...]
     simple: tuple[int, ...] = field(default=())
     medium: tuple[int, ...] = field(default=())
     difficult: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        ids = [g.id for g in self.goals]
-        if len(set(ids)) != len(ids):
-            raise DomainError("duplicate goal id")
+        for i, g in enumerate(self.goals):
+            if g.id != i:
+                raise DomainError(f"goal at position {i} has id {g.id}, expected {i}")
         covered = list(self.simple) + list(self.medium) + list(self.difficult)
-        if sorted(covered) != sorted(ids):
+        if sorted(covered) != list(range(len(self.goals))):
             raise DomainError("partition must cover all goals exactly once")
 
     def __len__(self) -> int:
         return len(self.goals)
 
     def goal(self, goal_id: int) -> UserGoal:
-        return self._by_id()[goal_id]
-
-    def _by_id(self) -> dict[int, UserGoal]:
-        return {g.id: g for g in self.goals}
+        return self.goals[goal_id]
 
     def tier_ids(self, tier: str) -> tuple[int, ...]:
-        return {"simple": self.simple, "medium": self.medium, "difficult": self.difficult}[tier]
+        return getattr(self, tier)
 
     def tier_of(self, goal_id: int) -> str:
         for tier in TIERS:
@@ -205,7 +204,7 @@ def partition_corpus(goals: Sequence[UserGoal], sizes: tuple[int, int, int]) -> 
     simple = tuple(g.id for g in ordered[:n_simple])
     medium = tuple(g.id for g in ordered[n_simple:n_simple + n_medium])
     difficult = tuple(g.id for g in ordered[n_simple + n_medium:])
-    return GoalCorpus(tuple(goals), simple, medium, difficult)
+    return GoalCorpus(tuple(sorted(goals, key=lambda g: g.id)), simple, medium, difficult)
 
 
 def generate_kb_rows(seed: int, n_rows: int = 200,
@@ -264,16 +263,10 @@ def generate_corpus(seed: int, sizes: tuple[int, int, int] = (30, 72, 26),
 
 def infer_sizes(goals: Sequence[UserGoal]) -> tuple[int, int, int]:
     """Tier sizes from the difficulty bands (used when loading files)."""
-    counts = {t: 0 for t in TIERS}
-    for g in goals:
-        n = g.difficulty
-        if n <= TIER_BANDS["simple"][1]:
-            counts["simple"] += 1
-        elif n <= TIER_BANDS["medium"][1]:
-            counts["medium"] += 1
-        else:
-            counts["difficult"] += 1
-    return counts["simple"], counts["medium"], counts["difficult"]
+    simple_max, medium_max = TIER_BANDS["simple"][1], TIER_BANDS["medium"][1]
+    n_simple = sum(g.difficulty <= simple_max for g in goals)
+    n_medium = sum(simple_max < g.difficulty <= medium_max for g in goals)
+    return n_simple, n_medium, len(goals) - n_simple - n_medium
 
 
 def save_corpus(corpus: GoalCorpus, path) -> None:
@@ -290,7 +283,6 @@ def save_corpus(corpus: GoalCorpus, path) -> None:
 def load_corpus(path, sizes: tuple[int, int, int] | None = None) -> GoalCorpus:
     """Load a line-delimited corpus; partition by sizes or difficulty bands."""
     goals: list[UserGoal] = []
-    seen: set[int] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -305,9 +297,10 @@ def load_corpus(path, sizes: tuple[int, int, int] | None = None) -> GoalCorpus:
                 requests = list(record["request_slots"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"missing or malformed field: {exc}", lineno) from exc
-            if goal_id in seen:
+            if 0 <= goal_id < len(goals):
                 raise CorpusFormatError(f"duplicate goal id {goal_id}", lineno)
-            seen.add(goal_id)
+            if goal_id != len(goals):
+                raise CorpusFormatError(f"goal id {goal_id}, expected {len(goals)}", lineno)
             try:
                 goals.append(make_goal(goal_id, informs, requests))
             except DomainError as exc:
@@ -316,10 +309,9 @@ def load_corpus(path, sizes: tuple[int, int, int] | None = None) -> GoalCorpus:
         return GoalCorpus(())
     if sizes is None:
         sizes = infer_sizes(goals)
-        sizes = tuple(max(s, 0) for s in sizes)  # type: ignore[assignment]
         if 0 in sizes:
             raise CorpusFormatError("cannot infer a non-empty three-way partition")
-    return partition_corpus(goals, sizes)  # type: ignore[arg-type]
+    return partition_corpus(goals, sizes)
 
 
 def save_kb_rows(rows: Sequence[Mapping[str, str]], path) -> None:

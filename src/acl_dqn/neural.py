@@ -162,6 +162,8 @@ class QFunction:
             if magic != "qfn-v1":
                 raise NeuralError(f"unrecognized checkpoint header {magic!r}")
             head = fh.readline().split()
+            if len(head) < 5:
+                raise NeuralError(f"checkpoint dims line has {len(head)} fields, expected 5")
             input_dim, hidden_dim, output_dim = (int(x) for x in head[:3])
             lr, clip = float(head[3]), float(head[4])
             q = cls(input_dim, output_dim, hidden_dim, lr, clip,

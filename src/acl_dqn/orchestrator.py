@@ -77,10 +77,9 @@ class TrainConfig:
     clip_norm: float = 1.0
     batch_size: int = 16
     rbs_dialogues: int = 100
-    updates_per_turn: int = 1
     # When set, the student takes this many minibatch steps per epoch after
-    # the episode instead of updates_per_turn steps per collected transition,
-    # decoupling gradient work from episode length.
+    # the episode instead of one step per collected transition, decoupling
+    # gradient work from episode length.
     updates_per_epoch: int | None = None
     epsilon_start: float = 0.3
     epsilon_end: float = 0.01
@@ -209,9 +208,8 @@ def run_training(config: TrainConfig, seed: int,
         def train_cb(transition):
             d_student.push(transition)
             if config.updates_per_epoch is None:
-                for _ in range(config.updates_per_turn):
-                    student_train_step(student_q, d_student, student_rng,
-                                       config.gamma, config.batch_size)
+                student_train_step(student_q, d_student, student_rng,
+                                   config.gamma, config.batch_size)
 
         goal = corpus.goal(goal_id)
         result = run_episode(goal, kb, epsilon_policy(student_q, eps, student_rng),

@@ -168,8 +168,9 @@ def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
     ctx.turn = session.turn
     transitions: list[Transition] = []
     total = 0.0
+    # ctx does not change between turns: a turn's next_state is the next turn's state.
+    state = featurize(ctx)
     while True:
-        state = featurize(ctx)
         action = policy(state, ctx)
         system_act = materialize(action, ctx)
         ctx.observe_system(system_act)
@@ -185,6 +186,7 @@ def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
             on_transition(t)
         if status != ONGOING:
             return EpisodeResult(status == SUCCESS, session.turn, total, transitions)
+        state = next_state
 
 
 def greedy_policy(q: QFunction) -> Policy:

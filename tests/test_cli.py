@@ -112,6 +112,13 @@ class TestEval:
                      "--out", str(tmp_path)])
         assert code == 1
 
+    def test_bad_checkpoint_header_exits_1(self, tmp_path, capsys):
+        checkpoint = tmp_path / "bad.qfn"
+        checkpoint.write_text("not-a-checkpoint\n")
+        code = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: unrecognized checkpoint header")
+
 
 class TestCompare:
     def test_writes_one_curve_per_agent(self, tmp_path, capsys):
@@ -140,6 +147,30 @@ class TestCompare:
                      "--out", str(tmp_path), *FAST])
         assert code == 2
         assert "unknown agent" in capsys.readouterr().err
+
+    def test_empty_seed_range_exits_2(self, tmp_path, capsys):
+        code = main(["compare", "--agents", "dqn", "--seeds", "5..1",
+                     "--out", str(tmp_path), *FAST])
+        assert code == 2
+        assert "error: --seeds range '5..1' is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rewrite, message", [
+        (lambda rs: [dict(r, id=r["id"] + 1000) for r in rs],
+         "line 1: goal id 1000, expected 0"),
+        (lambda rs: rs[::-1], "line 1: goal id 127, expected 0"),
+    ], ids=["shifted", "reversed"])
+    def test_corpus_with_ids_off_position_exits_1(self, tmp_path, capsys,
+                                                  rewrite, message):
+        main(["gen-goals", "--seed", "1", "--out", str(tmp_path)])
+        lines = (tmp_path / "goals.jsonl").read_text().splitlines()
+        records = rewrite([json.loads(line) for line in lines])
+        goals = tmp_path / "rewritten.jsonl"
+        goals.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        code = main(["compare", "--agents", "dqn", "--seeds", "1",
+                     "--goals", str(goals), "--out", str(tmp_path / "cmp"), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSweepAlpha:

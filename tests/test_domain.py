@@ -133,6 +133,26 @@ class TestPartition:
         with pytest.raises(DomainError):
             GoalCorpus(goals, simple=(0,), medium=(), difficult=())
 
+    def test_partition_stores_goals_in_id_order(self):
+        goals = [_goal(i, 2, 1) for i in (3, 1, 0, 2)]
+        c = partition_corpus(goals, (2, 1, 1))
+        assert [g.id for g in c.goals] == [0, 1, 2, 3]
+        assert all(c.goal(i).id == i for i in range(4))
+
+    @pytest.mark.parametrize("ids, position", [((1, 0, 2), 0), ((0, 2, 3), 1),
+                                               ((0, 1, 1), 2)])
+    def test_goal_out_of_position_rejected(self, ids, position):
+        goals = tuple(_goal(i, 1, 1) for i in ids)
+        with pytest.raises(DomainError, match=f"position {position} has id {ids[position]}"):
+            GoalCorpus(goals, simple=(0,), medium=(1,), difficult=(2,))
+
+    def test_tier_of_agrees_with_tier_membership(self, corpus):
+        for tier in ("simple", "medium", "difficult"):
+            for goal_id in corpus.tier_ids(tier):
+                assert corpus.tier_of(goal_id) == tier
+        with pytest.raises(DomainError):
+            corpus.tier_of(len(corpus))
+
 
 class TestGeneration:
     def test_deterministic_in_seed(self):
@@ -193,6 +213,16 @@ class TestCorpusIO:
         record = json.dumps({"id": 0, "inform_slots": {}, "request_slots": ["city"]})
         path.write_text(record + "\n" + record + "\n")
         with pytest.raises(CorpusFormatError, match="line 2.*duplicate goal id"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("ids, line, expected", [((0, 2), 2, 1), ((1, 0), 1, 0)])
+    def test_sparse_or_out_of_order_id_names_line(self, tmp_path, ids, line, expected):
+        path = tmp_path / "goals.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": i, "inform_slots": {}, "request_slots": ["city"]}) + "\n"
+            for i in ids))
+        with pytest.raises(CorpusFormatError,
+                           match=f"line {line}: goal id {ids[line - 1]}, expected {expected}"):
             load_corpus(path)
 
     def test_malformed_json_names_line(self, tmp_path):

@@ -187,6 +187,12 @@ class TestCheckpoint:
         with pytest.raises(NeuralError, match="unrecognized checkpoint"):
             QFunction.load(path)
 
+    def test_short_dims_line_rejected(self, tmp_path):
+        path = tmp_path / "net.qfn"
+        path.write_text("qfn-v1\n4 8 3\n")
+        with pytest.raises(NeuralError, match="dims line"):
+            QFunction.load(path)
+
     def test_truncated_file_rejected(self, rng, tmp_path):
         net = _random_net(rng)
         path = tmp_path / "net.qfn"
