@@ -32,26 +32,34 @@ class CliError(Exception):
     """Bad flag values; exits with status 2."""
 
 
+def _numbers(kind, flag: str, text: str, parts: list[str]) -> list:
+    """Each part converted by kind; a part it rejects is a bad flag value."""
+    try:
+        return [kind(p) for p in parts]
+    except ValueError:
+        raise CliError(f"{flag} expects {kind.__name__} values, got {text!r}") from None
+
+
 def _parse_sizes(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError("--sizes expects three comma-separated integers")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
+    return tuple(_numbers(int, "--sizes", text, parts))  # type: ignore[return-value]
 
 
 def _parse_seeds(text: str) -> list[int]:
     """Either a comma list ('1,2,3') or an inclusive range ('1..5')."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
+        lo, hi = _numbers(int, "--seeds", text, text.split("..", 1))
+        seeds = list(range(lo, hi + 1))
         if not seeds:
             raise CliError(f"--seeds range {text!r} is empty")
         return seeds
-    return [int(p) for p in text.split(",")]
+    return _numbers(int, "--seeds", text, text.split(","))
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",")]
+    return _numbers(float, "--alphas", text, text.split(","))
 
 
 def _load_environment(args, seed: int):

@@ -24,11 +24,11 @@ class CurriculumError(Exception):
     pass
 
 
-def orp_penalty(og: int, l_max: float = L_MAX, k: float = ORP_K) -> float:
+def orp_penalty(og: int) -> float:
     """Saturating penalty -L * og / (og + K); 0 at og=0, asymptote -L."""
     if og < 0:
         raise CurriculumError("sample count must be non-negative")
-    return -l_max * og / (og + k)
+    return -L_MAX * og / (og + ORP_K)
 
 
 class OverRepetitionCounter:
@@ -99,7 +99,7 @@ class PhaseMachine:
     """Monotone phase state machine shared by the three schedules."""
 
     def __init__(self, schedule: str, corpus: GoalCorpus, epoch_size: int,
-                 alpha: float = 0.5, window_size: int = 5):
+                 alpha: float = 0.5):
         if schedule not in SCHEDULES:
             raise CurriculumError(f"unknown schedule {schedule!r}")
         self.schedule = schedule
@@ -108,20 +108,19 @@ class PhaseMachine:
         self.episodes_in_phase = 0
         sizes = tuple(len(corpus.tier_ids(t)) for t in TIERS)
         self.budgets = dict(zip(TIERS[:2], schedule_b_budgets(sizes, epoch_size)))
-        self.mastery = MasteryTracker(alpha=alpha, window_size=window_size)
-        self.transitions: list[PhaseTransition] = []
+        self.mastery = MasteryTracker(alpha=alpha)
 
     def active_goal_ids(self) -> tuple[int, ...]:
         if self.phase == PHASE_ALL:
             return self.corpus.all_ids()
         return self.corpus.tier_ids(self.phase)
 
-    def _advance(self, epoch: int, trigger: str) -> None:
+    def _advance(self, epoch: int, trigger: str) -> PhaseTransition:
         old = self.phase
         self.phase = TIERS[TIERS.index(self.phase) + 1]
         self.episodes_in_phase = 0
         self.mastery.reset()
-        self.transitions.append(PhaseTransition(epoch, old, self.phase, trigger))
+        return PhaseTransition(epoch, old, self.phase, trigger)
 
     def on_episode(self, epoch: int, success: bool) -> PhaseTransition | None:
         """Advance decision after one completed episode; None if staying."""
@@ -133,9 +132,7 @@ class PhaseMachine:
         if self.phase == TIERS[-1]:
             return None
         if self.schedule == "C" and self.mastery.mastered():
-            self._advance(epoch, "mastery")
-            return self.transitions[-1]
+            return self._advance(epoch, "mastery")
         if self.episodes_in_phase >= self.budgets[self.phase]:
-            self._advance(epoch, "budget")
-            return self.transitions[-1]
+            return self._advance(epoch, "budget")
         return None

@@ -207,32 +207,25 @@ def partition_corpus(goals: Sequence[UserGoal], sizes: tuple[int, int, int]) -> 
     return GoalCorpus(tuple(sorted(goals, key=lambda g: g.id)), simple, medium, difficult)
 
 
-def generate_kb_rows(seed: int, n_rows: int = 200,
-                     ontology: Sequence[str] = ONTOLOGY) -> tuple[dict[str, str], ...]:
+def generate_kb_rows(seed: int, n_rows: int = 200) -> tuple[dict[str, str], ...]:
     """Synthetic movie/showtime table; deterministic in seed."""
     rng = np.random.default_rng([seed, 101])
     rows = []
     for _ in range(n_rows):
-        rows.append({s: VALUE_POOLS[s][int(rng.integers(len(VALUE_POOLS[s])))] for s in ontology})
+        rows.append({s: VALUE_POOLS[s][int(rng.integers(len(VALUE_POOLS[s])))] for s in ONTOLOGY})
     return tuple(rows)
 
 
-def _tier_plan(sizes: tuple[int, int, int], ontology: Sequence[str],
-               rng: np.random.Generator) -> list[int]:
+def _tier_plan(sizes: tuple[int, int, int], rng: np.random.Generator) -> list[int]:
     """Per-goal difficulty list realizing the tier bands, tier by tier."""
-    max_n = len(ontology)
     difficulties: list[int] = []
     for tier, size in zip(TIERS, sizes):
         lo, hi = TIER_BANDS[tier]
-        hi = min(hi, max_n)
-        if lo > hi:
-            raise DomainError(f"ontology too small for tier {tier!r}")
         difficulties.extend(int(rng.integers(lo, hi + 1)) for _ in range(size))
     return difficulties
 
 
 def generate_corpus(seed: int, sizes: tuple[int, int, int] = (30, 72, 26),
-                    ontology: Sequence[str] = ONTOLOGY,
                     kb_rows: Sequence[Mapping[str, str]] | None = None) -> GoalCorpus:
     """Deterministic synthetic goal corpus, satisfiable against the KB.
 
@@ -243,12 +236,12 @@ def generate_corpus(seed: int, sizes: tuple[int, int, int] = (30, 72, 26),
     if kb_rows is None:
         kb_rows = generate_kb_rows(seed)
     rng = np.random.default_rng([seed, 202])
-    difficulties = _tier_plan(sizes, ontology, rng)
+    difficulties = _tier_plan(sizes, rng)
     goals = []
     for goal_id, n in enumerate(difficulties):
         row = kb_rows[int(rng.integers(len(kb_rows)))]
-        slots = list(rng.choice(len(ontology), size=n, replace=False))
-        chosen = [ontology[i] for i in sorted(slots)]
+        slots = list(rng.choice(len(ONTOLOGY), size=n, replace=False))
+        chosen = [ONTOLOGY[i] for i in sorted(slots)]
         # Constraint count grows faster than request count, so harder goals
         # hide more constraints and demand more slot discovery.
         n_r = 1 + n // 3
@@ -280,8 +273,8 @@ def save_corpus(corpus: GoalCorpus, path) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def load_corpus(path, sizes: tuple[int, int, int] | None = None) -> GoalCorpus:
-    """Load a line-delimited corpus; partition by sizes or difficulty bands."""
+def load_corpus(path) -> GoalCorpus:
+    """Load a line-delimited corpus; partition by the difficulty bands."""
     goals: list[UserGoal] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -307,10 +300,9 @@ def load_corpus(path, sizes: tuple[int, int, int] | None = None) -> GoalCorpus:
                 raise CorpusFormatError(str(exc), lineno) from exc
     if not goals:
         return GoalCorpus(())
-    if sizes is None:
-        sizes = infer_sizes(goals)
-        if 0 in sizes:
-            raise CorpusFormatError("cannot infer a non-empty three-way partition")
+    sizes = infer_sizes(goals)
+    if 0 in sizes:
+        raise CorpusFormatError("cannot infer a non-empty three-way partition")
     return partition_corpus(goals, sizes)
 
 
@@ -330,8 +322,13 @@ def load_kb_rows(path) -> tuple[dict[str, str], ...]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid record: {exc.msg}", lineno) from exc
+            if not isinstance(record, dict):
+                raise CorpusFormatError("record is not a JSON object", lineno)
             for slot in record:
                 if slot not in ONTOLOGY:
                     raise CorpusFormatError(f"unknown slot {slot!r}", lineno)
+            for slot in ONTOLOGY:
+                if slot not in record:
+                    raise CorpusFormatError(f"missing slot {slot!r}", lineno)
             rows.append({s: str(v) for s, v in record.items()})
     return tuple(rows)

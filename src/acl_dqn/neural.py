@@ -34,10 +34,8 @@ class QFunction:
     """W2 . tanh(W1 s + b1) + b2, with online and target parameter sets."""
 
     def __init__(self, input_dim: int, output_dim: int, hidden_dim: int = 80,
-                 learning_rate: float = 0.001, clip_norm: float = 1.0,
-                 rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng()
+                 learning_rate: float = 0.001, clip_norm: float = 1.0, *,
+                 rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.output_dim = output_dim

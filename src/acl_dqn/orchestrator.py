@@ -11,7 +11,7 @@ import numpy as np
 from .curriculum import OverRepetitionCounter, PhaseMachine, PhaseTransition
 from .domain import GoalCorpus, generate_corpus, generate_kb_rows
 from .neural import QFunction
-from .replay import ReplayBuffer, STUDENT_CAPACITY, TEACHER_CAPACITY, Transition, rbs_prefill
+from .replay import ReplayBuffer, STUDENT_CAPACITY, TEACHER_CAPACITY, Transition
 # One TD update under two names: perfbench traces each net's updates as its own layer.
 from .replay import train_step as student_train_step, train_step as teacher_train_step
 from .student import (
@@ -20,6 +20,7 @@ from .student import (
     epsilon_at,
     epsilon_policy,
     greedy_policy,
+    rbs_prefill,
     run_episode,
 )
 from .teacher import (
@@ -67,21 +68,13 @@ class TrainConfig:
     agent_kind: str = "dqn"
     num_epochs: int = 500
     epoch_size: int | None = None  # schedule B/C budgets; defaults to num_epochs
-    gamma: float = 0.9
     alpha: float = 0.5
-    mastery_window: int = 5
     eval_every: int = 5
     eval_dialogues: int = 50
-    hidden_dim: int = 80
-    learning_rate: float = 0.001
-    clip_norm: float = 1.0
-    batch_size: int = 16
-    rbs_dialogues: int = 100
     # When set, the student takes this many minibatch steps per epoch after
     # the episode instead of one step per collected transition, decoupling
     # gradient work from episode length.
     updates_per_epoch: int | None = None
-    epsilon_start: float = 0.3
     epsilon_end: float = 0.01
     epsilon_decay_epochs: int = 200
 
@@ -93,8 +86,6 @@ class TrainConfig:
             raise ConfigError("num_epochs must be >= 1")
         if self.eval_every < 1 or self.eval_dialogues < 1:
             raise ConfigError("eval cadence and dialogue count must be >= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
 
     @property
     def schedule(self) -> str:
@@ -172,19 +163,16 @@ def run_training(config: TrainConfig, seed: int,
     teacher_rng = np.random.default_rng([seed, 4])
     prefill_rng = np.random.default_rng([seed, 5])
 
-    student_q = QFunction(STATE_DIM, N_ACTIONS, config.hidden_dim,
-                          config.learning_rate, config.clip_norm, init_rng)
-    teacher_q = make_teacher_q(corpus, config.hidden_dim, config.learning_rate,
-                               config.clip_norm, init_rng)
+    student_q = QFunction(STATE_DIM, N_ACTIONS, rng=init_rng)
+    teacher_q = make_teacher_q(corpus, init_rng)
     d_student = ReplayBuffer(STUDENT_CAPACITY, STATE_DIM)
     d_teacher = ReplayBuffer(TEACHER_CAPACITY, teacher_q.input_dim)
 
-    rbs_prefill(d_student, corpus, kb, prefill_rng, config.rbs_dialogues)
+    rbs_prefill(d_student, corpus, kb, prefill_rng)
     log.info("warm start done: %d transitions in the student buffer", len(d_student))
 
     epoch_size = config.epoch_size or config.num_epochs
-    machine = PhaseMachine(config.schedule, corpus, epoch_size,
-                           alpha=config.alpha, window_size=config.mastery_window)
+    machine = PhaseMachine(config.schedule, corpus, epoch_size, alpha=config.alpha)
     counter = OverRepetitionCounter(machine.active_goal_ids())
     table = GoalRewardTable()
     state_builder = TeacherStateBuilder(n_goals=len(corpus))
@@ -194,8 +182,8 @@ def run_training(config: TrainConfig, seed: int,
     for epoch in range(1, config.num_epochs + 1):
         student_q.sync_target()
         teacher_q.sync_target()
-        eps = epsilon_at(epoch - 1, config.epsilon_start, config.epsilon_end,
-                         config.epsilon_decay_epochs)
+        eps = epsilon_at(epoch - 1, end=config.epsilon_end,
+                         decay_epochs=config.epsilon_decay_epochs)
 
         active = machine.active_goal_ids()
         if config.uses_teacher:
@@ -208,16 +196,14 @@ def run_training(config: TrainConfig, seed: int,
         def train_cb(transition):
             d_student.push(transition)
             if config.updates_per_epoch is None:
-                student_train_step(student_q, d_student, student_rng,
-                                   config.gamma, config.batch_size)
+                student_train_step(student_q, d_student, student_rng)
 
         goal = corpus.goal(goal_id)
         result = run_episode(goal, kb, epsilon_policy(student_q, eps, student_rng),
                              sim_rng, on_transition=train_cb)
         if config.updates_per_epoch is not None:
             for _ in range(config.updates_per_epoch):
-                student_train_step(student_q, d_student, student_rng,
-                                   config.gamma, config.batch_size)
+                student_train_step(student_q, d_student, student_rng)
 
         x_now = result.total_reward
         r, x_prev = teacher_reward(r_or, x_now, table, goal_id)
@@ -230,8 +216,7 @@ def run_training(config: TrainConfig, seed: int,
         if config.uses_teacher:
             d_teacher.push(Transition(teacher_state, goal_id, r,
                                       next_teacher_state, False))
-            teacher_train_step(teacher_q, d_teacher, teacher_rng,
-                               config.gamma, config.batch_size)
+            teacher_train_step(teacher_q, d_teacher, teacher_rng)
         teacher_state = next_teacher_state
 
         moved = machine.on_episode(epoch, result.success)

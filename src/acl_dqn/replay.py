@@ -1,5 +1,4 @@
-"""Bounded FIFO experience stores, the TD update that samples them, and the
-rule-agent warm start."""
+"""Bounded FIFO experience stores and the TD update that samples them."""
 
 from __future__ import annotations
 
@@ -12,6 +11,8 @@ from .neural import Minibatch, QFunction
 
 STUDENT_CAPACITY = 5000
 TEACHER_CAPACITY = 2000
+GAMMA = 0.9
+BATCH_SIZE = 16
 
 
 class ReplayError(Exception):
@@ -61,39 +62,9 @@ class ReplayBuffer:
         )
 
 
-def train_step(q: QFunction, buffer: ReplayBuffer, rng: np.random.Generator,
-               gamma: float = 0.9, batch_size: int = 16) -> float | None:
+def train_step(q: QFunction, buffer: ReplayBuffer, rng: np.random.Generator) -> float | None:
     """One minibatch TD update from buffer; None when it is underfull."""
-    batch = buffer.sample(batch_size, rng)
+    batch = buffer.sample(BATCH_SIZE, rng)
     if batch is None:
         return None
-    return q.td_train_step(batch, gamma)
-
-
-def rbs_prefill(buffer: ReplayBuffer, corpus, kb, rng: np.random.Generator,
-                n_dialogues: int = 100, max_retries: int = 20) -> int:
-    """Replay Buffer Spiking: prefill with rule-agent dialogues.
-
-    Runs n_dialogues episodes on uniformly drawn goals and pushes every
-    student transition.  If no success-terminal transition landed in the
-    buffer, up to max_retries extra episodes are run on fresh goals until
-    one does.  Returns the number of dialogues actually played.
-    """
-    from .student import rule_policy, run_episode  # deferred: replay is below student
-
-    if n_dialogues == 0:
-        return 0
-    goals = corpus.goals
-    policy = rule_policy()
-    played = 0
-    any_success = False
-    while played < n_dialogues + (0 if any_success else max_retries):
-        goal = goals[int(rng.integers(len(goals)))]
-        result = run_episode(goal, kb, policy, rng)
-        for t in result.transitions:
-            buffer.push(t)
-        any_success = any_success or result.success
-        played += 1
-    if not any_success:
-        raise ReplayError("warm start produced no successful dialogue")
-    return played
+    return q.td_train_step(batch, GAMMA)

@@ -1,4 +1,5 @@
-"""The student dialogue agent: featurization, action set, rewards, episodes."""
+"""The student dialogue agent: featurization, action set, rewards, episodes,
+and the rule-agent warm start."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .domain import ONTOLOGY, ActType, DialogueAct, UserGoal, inform_act, request_act
 from .neural import QFunction
-from .replay import Transition
+from .replay import ReplayBuffer, ReplayError, Transition
 from .user_sim import (
     DialogueContext,
     KnowledgeBase,
@@ -25,6 +26,11 @@ from .user_sim import (
 TURN_PENALTY = -1.0
 SUCCESS_BONUS = 2.0 * MAX_TURNS
 FAILURE_PENALTY = -float(MAX_TURNS)
+
+# Replay Buffer Spiking: rule-agent dialogues played before training, and
+# the extra ones allowed when none of them succeeds.
+RBS_DIALOGUES = 100
+RBS_MAX_RETRIES = 20
 
 
 def build_action_set() -> tuple[tuple[str, str | None], ...]:
@@ -200,3 +206,28 @@ def epsilon_policy(q: QFunction, epsilon: float, rng: np.random.Generator) -> Po
 
 def rule_policy() -> Policy:
     return lambda state, ctx: action_index_of(rule_agent_act(ctx))
+
+
+def rbs_prefill(buffer: ReplayBuffer, corpus, kb: KnowledgeBase,
+                rng: np.random.Generator) -> int:
+    """Replay Buffer Spiking: prefill with rule-agent dialogues.
+
+    Runs RBS_DIALOGUES episodes on uniformly drawn goals and pushes every
+    student transition.  If no success-terminal transition landed in the
+    buffer, up to RBS_MAX_RETRIES extra episodes are run on fresh goals
+    until one does.  Returns the number of dialogues actually played.
+    """
+    goals = corpus.goals
+    policy = rule_policy()
+    played = 0
+    any_success = False
+    while played < RBS_DIALOGUES + (0 if any_success else RBS_MAX_RETRIES):
+        goal = goals[int(rng.integers(len(goals)))]
+        result = run_episode(goal, kb, policy, rng)
+        for t in result.transitions:
+            buffer.push(t)
+        any_success = any_success or result.success
+        played += 1
+    if not any_success:
+        raise ReplayError("warm start produced no successful dialogue")
+    return played

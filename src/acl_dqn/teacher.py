@@ -31,12 +31,11 @@ class TeacherError(Exception):
 class GoalRewardTable:
     """Last episode total reward per goal; never-sampled goals read as -40."""
 
-    def __init__(self, default: float = FAILURE_PENALTY):
-        self.default = default
+    def __init__(self):
         self._x: dict[int, float] = {}
 
     def get(self, goal_id: int) -> float:
-        return self._x.get(goal_id, self.default)
+        return self._x.get(goal_id, FAILURE_PENALTY)
 
     def put(self, goal_id: int, x_now: float) -> None:
         self._x[goal_id] = x_now
@@ -113,8 +112,5 @@ def teacher_act(q: QFunction, state: np.ndarray, goal_ids,
     return ids[int(np.argmax(masked))]
 
 
-def make_teacher_q(corpus: GoalCorpus, hidden_dim: int = 80,
-                   learning_rate: float = 0.001, clip_norm: float = 1.0,
-                   rng: np.random.Generator | None = None) -> QFunction:
-    return QFunction(TEACHER_STATE_DIM, len(corpus), hidden_dim,
-                     learning_rate, clip_norm, rng)
+def make_teacher_q(corpus: GoalCorpus, rng: np.random.Generator) -> QFunction:
+    return QFunction(TEACHER_STATE_DIM, len(corpus), rng=rng)

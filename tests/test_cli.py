@@ -36,6 +36,11 @@ class TestGeneration:
         assert main(["gen-goals", "--sizes", "4,6", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_gen_goals_non_numeric_sizes_exits_2(self, tmp_path, capsys):
+        assert main(["gen-goals", "--sizes", "a,b,c", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: --sizes expects int values, got 'a,b,c'\n"
+
     def test_gen_kb_writes_rows(self, tmp_path):
         assert main(["gen-kb", "--rows", "50", "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "kb.jsonl").read_text().splitlines()) == 50
@@ -87,6 +92,19 @@ class TestTrain:
         out = _train(tmp_path, "--goals", str(tmp_path / "goals.jsonl"),
                      "--kb", str(tmp_path / "kb.jsonl"))
         assert (out / "metrics.csv").exists()
+
+    def test_kb_missing_slot_exits_1(self, tmp_path, capsys):
+        main(["gen-kb", "--seed", "1", "--out", str(tmp_path)])
+        rows = [json.loads(line) for line in
+                (tmp_path / "kb.jsonl").read_text().splitlines()]
+        kb = tmp_path / "short_kb.jsonl"
+        kb.write_text("".join(
+            json.dumps({s: v for s, v in r.items() if s != "price"}) + "\n"
+            for r in rows))
+        capsys.readouterr()
+        code = main(["train", "--kb", str(kb), "--out", str(tmp_path / "run"), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 1: missing slot 'price'\n"
 
     def test_missing_goals_file_exits_1(self, tmp_path, capsys):
         code = main(["train", "--goals", str(tmp_path / "nope.jsonl"),
@@ -154,6 +172,14 @@ class TestCompare:
         assert code == 2
         assert "error: --seeds range '5..1' is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["x", "1..x", "1,2.5"])
+    def test_non_numeric_seeds_exits_2(self, tmp_path, capsys, seeds):
+        code = main(["compare", "--agents", "dqn", "--seeds", seeds,
+                     "--out", str(tmp_path), *FAST])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: --seeds expects int values, got {seeds!r}\n"
+
     @pytest.mark.parametrize("rewrite, message", [
         (lambda rs: [dict(r, id=r["id"] + 1000) for r in rs],
          "line 1: goal id 1000, expected 0"),
@@ -181,6 +207,13 @@ class TestSweepAlpha:
         assert code == 0
         assert (out / "curve_alpha_0.3.csv").exists()
         assert (out / "curve_alpha_0.7.csv").exists()
+
+    def test_non_numeric_alphas_exits_2(self, tmp_path, capsys):
+        code = main(["sweep-alpha", "--alphas", "0.5,x", "--seeds", "1",
+                     "--out", str(tmp_path), *FAST])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: --alphas expects float values, got '0.5,x'\n"
 
 
 class TestChat:

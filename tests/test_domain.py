@@ -189,16 +189,10 @@ class TestGeneration:
 
 
 class TestCorpusIO:
-    def test_round_trip(self, corpus, tmp_path):
-        path = tmp_path / "goals.jsonl"
-        save_corpus(corpus, path)
-        assert load_corpus(path, sizes=(30, 72, 26)) == corpus
-
     def test_round_trip_with_inferred_sizes(self, corpus, tmp_path):
         path = tmp_path / "goals.jsonl"
         save_corpus(corpus, path)
-        loaded = load_corpus(path)
-        assert loaded.goals == corpus.goals
+        assert load_corpus(path) == corpus
 
     def test_file_has_expected_fields(self, corpus, tmp_path):
         path = tmp_path / "goals.jsonl"
@@ -245,4 +239,18 @@ class TestCorpusIO:
         path = tmp_path / "kb.jsonl"
         path.write_text(json.dumps({"color": "red"}) + "\n")
         with pytest.raises(CorpusFormatError, match="line 1"):
+            load_kb_rows(path)
+
+    def test_kb_missing_slot_names_slot_and_line(self, kb_rows, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        short = {s: v for s, v in kb_rows[1].items() if s != "price"}
+        path.write_text(json.dumps(kb_rows[0]) + "\n" + json.dumps(short) + "\n")
+        with pytest.raises(CorpusFormatError, match="line 2: missing slot 'price'"):
+            load_kb_rows(path)
+
+    @pytest.mark.parametrize("record", ["5", "[]", '"movie_name"'])
+    def test_kb_non_object_record_names_line(self, tmp_path, record):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(record + "\n")
+        with pytest.raises(CorpusFormatError, match="line 1: record is not a JSON object"):
             load_kb_rows(path)

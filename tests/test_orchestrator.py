@@ -1,10 +1,13 @@
+import argparse
 import dataclasses
 
 import numpy as np
 import pytest
 
+from acl_dqn.cli import _config_from_args
 from acl_dqn.curriculum import orp_penalty
 from acl_dqn.orchestrator import (
+    ACCEPTANCE_PROFILE,
     AGENT_KINDS,
     ComparisonReport,
     ConfigError,
@@ -21,8 +24,7 @@ from acl_dqn.orchestrator import (
     write_teacher_log_csv,
 )
 
-SMALL = TrainConfig(num_epochs=30, eval_every=5, eval_dialogues=5,
-                    rbs_dialogues=20, hidden_dim=8)
+SMALL = TrainConfig(num_epochs=30, eval_every=5, eval_dialogues=5)
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +46,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(num_epochs=0).validate()
 
-    def test_bad_gamma_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(gamma=1.5).validate()
+    def test_every_field_is_set_by_a_caller(self):
+        """A value that neither the acceptance profile nor a CLI flag sets is a constant."""
+        args = argparse.Namespace(epochs=7, eval_every=3, eval_dialogues=9, alpha=0.65)
+        from_cli = _config_from_args(args, "acl-c")
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        set_by_cli = {name for name in fields
+                      if getattr(from_cli, name) != getattr(TrainConfig(), name)}
+        assert fields - set(ACCEPTANCE_PROFILE) - set_by_cli == set()
 
     def test_schedule_and_flags_per_agent(self):
         table = {

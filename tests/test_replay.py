@@ -7,9 +7,8 @@ from acl_dqn.replay import (
     ReplayBuffer,
     ReplayError,
     Transition,
-    rbs_prefill,
 )
-from acl_dqn.student import STATE_DIM
+from acl_dqn.student import STATE_DIM, rbs_prefill
 
 
 def _transition(tag, dim=3, terminal=False, reward=0.0):
@@ -82,24 +81,17 @@ class TestReplayBuffer:
 class TestRbsPrefill:
     def test_prefill_contains_a_success_terminal(self, corpus, kb):
         buf = ReplayBuffer(STUDENT_CAPACITY, STATE_DIM)
-        played = rbs_prefill(buf, corpus, kb, np.random.default_rng(2),
-                             n_dialogues=100)
+        played = rbs_prefill(buf, corpus, kb, np.random.default_rng(2))
         assert played >= 100
         assert len(buf) > 0
         assert any(t.terminal and t.reward > 0 for t in buf.items)
-
-    def test_prefill_zero_dialogues_is_a_noop(self, corpus, kb):
-        buf = ReplayBuffer(STUDENT_CAPACITY, STATE_DIM)
-        assert rbs_prefill(buf, corpus, kb, np.random.default_rng(2),
-                           n_dialogues=0) == 0
-        assert len(buf) == 0
 
     def test_prefill_is_deterministic_in_rng(self, corpus, kb):
         lens = []
         firsts = []
         for _ in range(2):
             buf = ReplayBuffer(STUDENT_CAPACITY, STATE_DIM)
-            rbs_prefill(buf, corpus, kb, np.random.default_rng(7), n_dialogues=20)
+            rbs_prefill(buf, corpus, kb, np.random.default_rng(7))
             lens.append(len(buf))
             firsts.append(buf.items[0].state.copy())
         assert lens[0] == lens[1]

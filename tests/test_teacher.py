@@ -138,12 +138,12 @@ class TestTeacherTraining:
         assert len(buf) == 2000
 
     def test_underfull_buffer_skips(self, rng, corpus):
-        q = make_teacher_q(corpus, hidden_dim=6, rng=rng)
+        q = QFunction(TEACHER_STATE_DIM, len(corpus), hidden_dim=6, rng=rng)
         buf = ReplayBuffer(TEACHER_CAPACITY, TEACHER_STATE_DIM)
         assert train_step(q, buf, rng) is None
 
     def test_gamma_zero_targets_equal_stored_rewards(self, rng, corpus):
-        q = make_teacher_q(corpus, hidden_dim=6, rng=rng)
+        q = QFunction(TEACHER_STATE_DIM, len(corpus), hidden_dim=6, rng=rng)
         batch = Minibatch(
             states=rng.normal(size=(4, TEACHER_STATE_DIM)),
             actions=np.array([0, 1, 2, 3]),
@@ -157,7 +157,8 @@ class TestTeacherTraining:
         assert loss == pytest.approx(expected, abs=1e-6)
 
     def test_lr_zero_leaves_parameters_bit_identical(self, rng, corpus):
-        q = make_teacher_q(corpus, hidden_dim=6, learning_rate=0.0, rng=rng)
+        q = QFunction(TEACHER_STATE_DIM, len(corpus), hidden_dim=6,
+                      learning_rate=0.0, rng=rng)
         buf = ReplayBuffer(TEACHER_CAPACITY, TEACHER_STATE_DIM)
         for i in range(16):
             buf.push(Transition(rng.normal(size=TEACHER_STATE_DIM), i % 3,
@@ -169,6 +170,6 @@ class TestTeacherTraining:
             np.testing.assert_array_equal(v, before[k])
 
     def test_output_head_matches_corpus_size(self, corpus, rng):
-        q = make_teacher_q(corpus, hidden_dim=6, rng=rng)
+        q = make_teacher_q(corpus, rng)
         assert q.output_dim == len(corpus) == 128
         assert q.input_dim == TEACHER_STATE_DIM
