@@ -65,10 +65,14 @@ def _parse_floats(text: str) -> list[float]:
 def _load_environment(args, seed: int):
     if args.kb:
         kb = KnowledgeBase(domain.load_kb_rows(args.kb))
+        if len(kb) == 0:
+            raise domain.DomainError(f"{args.kb} holds no rows")
     else:
         kb = KnowledgeBase(domain.generate_kb_rows(seed))
     if args.goals:
         corpus = domain.load_corpus(args.goals)
+        if len(corpus) == 0:
+            raise domain.DomainError(f"{args.goals} holds no goals")
     else:
         corpus = domain.generate_corpus(seed, kb_rows=kb.rows)
     return corpus, kb
@@ -126,6 +130,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.eval_dialogues < 1:
+        raise CliError("--eval-dialogues must be >= 1")
     corpus, kb = _load_environment(args, args.seed)
     q = QFunction.load(args.checkpoint)
     rng = np.random.default_rng([args.seed, 6])

@@ -293,13 +293,6 @@ class ComparisonReport:
     def final_success(self, agent_kind: str) -> np.ndarray:
         return np.array([r.metrics.eval_rows[-1][1] for r in self.by_agent()[agent_kind]])
 
-    def success_at(self, agent_kind: str, epoch: int) -> np.ndarray:
-        out = []
-        for run in self.by_agent()[agent_kind]:
-            row = next(r for r in run.metrics.eval_rows if r[0] == epoch)
-            out.append(row[1])
-        return np.array(out)
-
 
 def run_comparison(configs, seeds,
                    corpus: GoalCorpus | None = None,

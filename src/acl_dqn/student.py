@@ -17,7 +17,6 @@ from .user_sim import (
     MAX_TURNS,
     ONGOING,
     SUCCESS,
-    rule_agent_act,
     session_reset,
     session_step,
 )
@@ -90,8 +89,7 @@ def featurize(ctx: DialogueContext) -> np.ndarray:
     turn = min(ctx.turn, MAX_TURNS)
     vec[base] = turn / MAX_TURNS
     vec[base + 1 + (turn - 1)] = 1.0
-    count, _ = ctx.kb_state()
-    vec[base + 1 + MAX_TURNS] = min(count / len(ctx.kb), 1.0)
+    vec[base + 1 + MAX_TURNS] = min(ctx.kb_count / len(ctx.kb), 1.0)
     return vec
 
 
@@ -105,23 +103,10 @@ def materialize(action_index: int, ctx: DialogueContext) -> DialogueAct:
     if kind == "request":
         return request_act("system", slot)
     if kind == "inform":
-        _, row = ctx.kb_state()
-        if row is None:
+        if ctx.kb_row is None:
             return DialogueAct("system", ActType.NOT_SURE)
-        return inform_act("system", **{slot: row[slot]})
+        return inform_act("system", **{slot: ctx.kb_row[slot]})
     return DialogueAct("system", ActType(kind))
-
-
-def action_index_of(act: DialogueAct) -> int:
-    """Map a system act back to its index (rule-agent transitions)."""
-    if act.act_type is ActType.REQUEST:
-        return SYSTEM_ACTIONS.index(("request", act.slots[0]))
-    if act.act_type is ActType.INFORM:
-        return SYSTEM_ACTIONS.index(("inform", act.slots[0]))
-    if act.act_type is ActType.NOT_SURE:
-        # the degraded inform; attribute it to the inform of the first slot
-        return SYSTEM_ACTIONS.index(("inform", ONTOLOGY[0]))
-    return SYSTEM_ACTIONS.index((act.act_type.value, None))
 
 
 def student_act(q: QFunction, state: np.ndarray, epsilon: float,
@@ -158,7 +143,6 @@ class EpisodeResult:
     success: bool
     turns: int
     total_reward: float
-    transitions: list[Transition]
 
 
 Policy = Callable[[np.ndarray, DialogueContext], int]
@@ -167,12 +151,15 @@ Policy = Callable[[np.ndarray, DialogueContext], int]
 def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
                 rng: np.random.Generator,
                 on_transition: Callable[[Transition], None] | None = None) -> EpisodeResult:
-    """Play one dialogue under the given policy, collecting transitions."""
+    """Play one dialogue under the given policy.
+
+    Each turn's transition goes to on_transition, and is built only when
+    one is given.
+    """
     session, user_act = session_reset(goal, kb, rng)
     ctx = DialogueContext(kb=kb)
     ctx.observe_user(user_act)
     ctx.turn = session.turn
-    transitions: list[Transition] = []
     total = 0.0
     # ctx does not change between turns: a turn's next_state is the next turn's state.
     state = featurize(ctx)
@@ -185,13 +172,11 @@ def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
         ctx.turn = session.turn
         reward = step_reward(status)
         next_state = featurize(ctx)
-        t = Transition(state, action, reward, next_state, status != ONGOING)
-        transitions.append(t)
         total += reward
         if on_transition is not None:
-            on_transition(t)
+            on_transition(Transition(state, action, reward, next_state, status != ONGOING))
         if status != ONGOING:
-            return EpisodeResult(status == SUCCESS, session.turn, total, transitions)
+            return EpisodeResult(status == SUCCESS, session.turn, total)
         state = next_state
 
 
@@ -204,8 +189,26 @@ def epsilon_policy(q: QFunction, epsilon: float, rng: np.random.Generator) -> Po
     return lambda state, ctx: student_act(q, state, epsilon, rng)
 
 
+# The hand-written warm-start policy only ever asks about this slot prefix;
+# constraints on the remaining slots go unlearned, which is what keeps it
+# "naive but occasionally successful".
+RULE_AGENT_SLOTS: tuple[str, ...] = ONTOLOGY[:2]
+
+
 def rule_policy() -> Policy:
-    return lambda state, ctx: action_index_of(rule_agent_act(ctx))
+    """Fixed warm-start policy: gather constraints, answer, book once."""
+    def act(state: np.ndarray, ctx: DialogueContext) -> int:
+        askable = [s for s in RULE_AGENT_SLOTS
+                   if s not in ctx.known_constraints
+                   and s not in ctx.requested_by_system
+                   and s not in ctx.open_requests
+                   and s not in ctx.answered_requests]
+        if askable and ctx.kb_count > 2:
+            return SYSTEM_ACTIONS.index(("request", askable[0]))
+        if ctx.open_requests:
+            return SYSTEM_ACTIONS.index(("inform", ctx.open_requests[0]))
+        return SYSTEM_ACTIONS.index(("book", None))
+    return act
 
 
 def rbs_prefill(buffer: ReplayBuffer, corpus, kb: KnowledgeBase,
@@ -223,9 +226,7 @@ def rbs_prefill(buffer: ReplayBuffer, corpus, kb: KnowledgeBase,
     any_success = False
     while played < RBS_DIALOGUES + (0 if any_success else RBS_MAX_RETRIES):
         goal = goals[int(rng.integers(len(goals)))]
-        result = run_episode(goal, kb, policy, rng)
-        for t in result.transitions:
-            buffer.push(t)
+        result = run_episode(goal, kb, policy, rng, on_transition=buffer.push)
         any_success = any_success or result.success
         played += 1
     if not any_success:

@@ -16,7 +16,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .domain import (
-    ONTOLOGY,
     ActType,
     DialogueAct,
     UserGoal,
@@ -176,8 +175,9 @@ class DialogueContext:
     """The system side's running view of one dialogue.
 
     Tracks constraints the user has stated, the user's open and answered
-    request slots, and the last act from each side.  Shared by the rule
-    agent and the student featurizer.
+    request slots, the last act from each side, and the KB match of the
+    known constraints (refreshed only when the user informs).  Shared by the
+    rule agent and the student featurizer.
     """
 
     kb: KnowledgeBase
@@ -188,12 +188,18 @@ class DialogueContext:
     last_user_act: DialogueAct | None = None
     last_system_act: DialogueAct | None = None
     turn: int = 1
+    kb_count: int = field(init=False)
+    kb_row: dict[str, str] | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.kb_count, self.kb_row = kb_query(self.kb, self.known_constraints)
 
     def observe_user(self, act: DialogueAct) -> None:
         self.last_user_act = act
         if act.act_type is ActType.INFORM:
             for slot, value in act.payload:
                 self.known_constraints[slot] = value
+            self.kb_count, self.kb_row = kb_query(self.kb, self.known_constraints)
         elif act.act_type is ActType.REQUEST:
             for slot in act.slots:
                 # a re-asked slot re-opens even if it was answered before
@@ -210,30 +216,3 @@ class DialogueContext:
                 if slot in self.open_requests:
                     self.open_requests.remove(slot)
                     self.answered_requests[slot] = value
-
-    def kb_state(self) -> tuple[int, dict[str, str] | None]:
-        return kb_query(self.kb, self.known_constraints)
-
-
-# The hand-written warm-start policy only ever asks about this slot prefix;
-# constraints on the remaining slots go unlearned, which is what keeps it
-# "naive but occasionally successful".
-RULE_AGENT_SLOTS: tuple[str, ...] = ONTOLOGY[:2]
-
-
-def rule_agent_act(ctx: DialogueContext) -> DialogueAct:
-    """Fixed warm-start policy: gather constraints, answer, book once."""
-    count, row = ctx.kb_state()
-    askable = [s for s in RULE_AGENT_SLOTS
-               if s not in ctx.known_constraints
-               and s not in ctx.requested_by_system
-               and s not in ctx.open_requests
-               and s not in ctx.answered_requests]
-    if askable and count > 2:
-        return request_act("system", askable[0])
-    if ctx.open_requests:
-        slot = ctx.open_requests[0]
-        if row is not None:
-            return inform_act("system", **{slot: row[slot]})
-        return DialogueAct("system", ActType.NOT_SURE)
-    return DialogueAct("system", ActType.BOOK)

@@ -112,6 +112,13 @@ class TestTrain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_empty_kb_file_exits_1(self, tmp_path, capsys):
+        kb = tmp_path / "empty_kb.jsonl"
+        kb.write_text("")
+        code = main(["train", "--kb", str(kb), "--out", str(tmp_path / "run"), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {kb} holds no rows\n"
+
 
 class TestEval:
     def test_eval_prints_metrics_and_leaves_checkpoint_untouched(
@@ -129,6 +136,29 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(tmp_path / "no.qfn"),
                      "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_eval_dialogues_below_one_exits_2(self, tmp_path, capsys, count):
+        checkpoint = tmp_path / "student.qfn"
+        TestChat._net().save(checkpoint)
+        code = main(["eval", "--checkpoint", str(checkpoint),
+                     "--eval-dialogues", count, "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --eval-dialogues must be >= 1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "chat"])
+    def test_empty_goals_file_exits_1(self, tmp_path, capsys, command):
+        checkpoint = tmp_path / "student.qfn"
+        TestChat._net().save(checkpoint)
+        goals = tmp_path / "empty_goals.jsonl"
+        goals.write_text("")
+        code = main([command, "--checkpoint", str(checkpoint), "--goals", str(goals),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {goals} holds no goals\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bad_checkpoint_header_exits_1(self, tmp_path, capsys):
         checkpoint = tmp_path / "bad.qfn"
@@ -217,7 +247,8 @@ class TestSweepAlpha:
 
 
 class TestChat:
-    def _net(self):
+    @staticmethod
+    def _net():
         return QFunction(STATE_DIM, N_ACTIONS, hidden_dim=8,
                          rng=np.random.default_rng(0))
 

@@ -31,7 +31,9 @@ def test_manifest_records_the_acceptance_profile():
 
 # acl-c seed 5 passes its mastery gate at epoch 28, so its prefix also
 # covers a phase change and the ORP counter reset that follows it.
-@pytest.mark.parametrize("agent, seed, epochs", [("acl-c", 5, 30), ("dqn", 2, 25)])
+# acl-a-noorp is the one agent whose teacher runs without the ORP penalty.
+@pytest.mark.parametrize("agent, seed, epochs", [("acl-c", 5, 30), ("dqn", 2, 25),
+                                                 ("acl-a-noorp", 4, 25)])
 def test_fresh_prefix_matches_cached_run(agent, seed, epochs, tmp_path):
     config = TrainConfig(agent_kind=agent, **{**ACCEPTANCE_PROFILE,
                                               "num_epochs": epochs,

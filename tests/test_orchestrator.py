@@ -188,11 +188,13 @@ class TestComparisonAndSweep:
         assert (tmp_path / "c.csv").read_text().splitlines()[0] == \
             "epoch,mean_success,var_success,mean_reward,mean_turns"
 
-    def test_success_at_and_final_success(self, corpus, kb):
+    def test_final_success_is_each_runs_last_eval_row(self, corpus, kb):
         report = run_comparison([SMALL], [1, 2], corpus, kb)
-        at30 = report.success_at("dqn", 30)
-        assert at30.shape == (2,)
-        np.testing.assert_array_equal(at30, report.final_success("dqn"))
+        final = report.final_success("dqn")
+        assert final.shape == (2,)
+        for run, success in zip(report.runs, final):
+            assert run.metrics.eval_rows[-1][0] == 30
+            assert run.metrics.eval_rows[-1][1] == success
 
     def test_sweep_requires_acl_c(self):
         with pytest.raises(ConfigError):

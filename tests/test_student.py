@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acl_dqn.domain import ONTOLOGY, ActType, DialogueAct, request_act
+from acl_dqn.domain import ONTOLOGY, ActType, inform_act, request_act
 from acl_dqn.neural import QFunction
 from acl_dqn.replay import ReplayBuffer, train_step
 from acl_dqn.student import (
@@ -10,7 +10,6 @@ from acl_dqn.student import (
     STATE_DIM,
     SUCCESS_BONUS,
     SYSTEM_ACTIONS,
-    action_index_of,
     epsilon_at,
     epsilon_policy,
     featurize,
@@ -35,17 +34,19 @@ class TestActionSet:
         assert STATE_DIM == 112
         assert len(SYSTEM_ACTIONS) == len(set(SYSTEM_ACTIONS))
 
-    def test_materialize_round_trips_through_action_index(self, kb):
+    def test_materialize_gives_each_index_its_act_type_and_slot(self, kb):
         ctx = DialogueContext(kb=kb)
-        for index in range(N_ACTIONS):
+        for index, (kind, slot) in enumerate(SYSTEM_ACTIONS):
             act = materialize(index, ctx)
-            if act.act_type is ActType.NOT_SURE:
-                continue
-            assert action_index_of(act) == index
+            assert act.actor == "system"
+            assert act.act_type is ActType(kind)
+            assert act.slots == (() if slot is None else (slot,))
+            if kind == "inform":
+                assert act.payload == ((slot, kb.rows[0][slot]),)
 
     def test_inform_without_matching_row_degrades_to_not_sure(self, kb):
         ctx = DialogueContext(kb=kb)
-        ctx.known_constraints["city"] = "nowhere"
+        ctx.observe_user(inform_act("user", city="nowhere"))
         inform_index = SYSTEM_ACTIONS.index(("inform", ONTOLOGY[0]))
         act = materialize(inform_index, ctx)
         assert act.act_type is ActType.NOT_SURE
@@ -103,12 +104,15 @@ class TestRewards:
         checked = 0
         while checked < 1000:
             goal = corpus.goals[int(rng.integers(len(corpus)))]
-            result = run_episode(goal, kb, policies[checked % 2], rng)
+            seen = []
+            result = run_episode(goal, kb, policies[checked % 2], rng,
+                                 on_transition=seen.append)
             bonus = 80.0 if result.success else -40.0
             assert result.total_reward == -result.turns + bonus
-            assert len(result.transitions) == result.turns
-            assert result.transitions[-1].terminal
-            assert not any(t.terminal for t in result.transitions[:-1])
+            assert len(seen) == result.turns
+            assert seen[-1].terminal
+            assert not any(t.terminal for t in seen[:-1])
+            assert sum(t.reward for t in seen) == result.total_reward
             checked += 1
 
 
@@ -135,15 +139,19 @@ class TestEpisodes:
     def test_on_transition_callback_sees_every_transition(self, corpus, kb):
         seen = []
         result = run_rule_episode_with_callback(corpus, kb, seen)
-        assert len(seen) == len(result.transitions)
+        assert len(seen) == result.turns
+        assert seen[-1].terminal and not any(t.terminal for t in seen[:-1])
 
     def test_greedy_policy_is_deterministic(self, corpus, kb, rng):
         q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=8, rng=rng)
         goal = corpus.goals[corpus.simple[0]]
-        r1 = run_episode(goal, kb, greedy_policy(q), np.random.default_rng(6))
-        r2 = run_episode(goal, kb, greedy_policy(q), np.random.default_rng(6))
+        t1, t2 = [], []
+        r1 = run_episode(goal, kb, greedy_policy(q), np.random.default_rng(6),
+                         on_transition=t1.append)
+        r2 = run_episode(goal, kb, greedy_policy(q), np.random.default_rng(6),
+                         on_transition=t2.append)
         assert r1.turns == r2.turns
-        assert [t.action for t in r1.transitions] == [t.action for t in r2.transitions]
+        assert [t.action for t in t1] == [t.action for t in t2]
 
 
 def run_rule_episode_with_callback(corpus, kb, seen):
@@ -165,9 +173,7 @@ class TestTrainStep:
     def test_full_buffer_trains(self, corpus, kb, rng):
         q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=4, rng=rng)
         buf = ReplayBuffer(100, STATE_DIM)
-        result = run_episode(corpus.goals[0], kb, rule_policy(), rng)
         while len(buf) < 16:
-            for t in run_episode(corpus.goals[0], kb, rule_policy(), rng).transitions:
-                buf.push(t)
+            run_episode(corpus.goals[0], kb, rule_policy(), rng, on_transition=buf.push)
         loss = train_step(q, buf, rng)
         assert loss is not None and loss >= 0.0

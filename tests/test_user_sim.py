@@ -23,21 +23,10 @@ from acl_dqn.user_sim import (
     designated_row,
     kb_query,
     reveal_probability,
-    rule_agent_act,
     session_reset,
     session_step,
 )
-
-
-def _run_rule_agent(goal, kb, rng):
-    session, user_act = session_reset(goal, kb, rng)
-    ctx = DialogueContext(kb=kb)
-    while session.status == ONGOING:
-        ctx.observe_user(user_act)
-        system_act = rule_agent_act(ctx)
-        ctx.observe_system(system_act)
-        user_act, _ = session_step(session, system_act)
-    return session
+from acl_dqn.student import rule_policy, run_episode
 
 
 def _run_scripted_oracle(goal, kb, rng):
@@ -199,14 +188,35 @@ class TestDialogueContext:
         assert ctx.open_requests == [ONTOLOGY[0]]
         assert ctx.answered_requests == {}
 
-    def test_kb_state_tracks_user_constraints(self, kb, kb_rows):
+    def test_kb_match_tracks_user_constraints(self, kb, kb_rows):
         ctx = DialogueContext(kb=kb)
+        assert (ctx.kb_count, ctx.kb_row) == (len(kb_rows), kb_rows[0])
         value = kb_rows[0][ONTOLOGY[0]]
         ctx.observe_user(inform_act("user", **{ONTOLOGY[0]: value}))
-        count, first = ctx.kb_state()
         expected = [r for r in kb_rows if r[ONTOLOGY[0]] == value]
-        assert count == len(expected)
-        assert first == expected[0]
+        assert ctx.kb_count == len(expected)
+        assert ctx.kb_row == expected[0]
+
+    def test_reinformed_slot_and_unmatched_value_refresh_kb_match(self, kb, kb_rows):
+        slot = ONTOLOGY[0]
+        first, other = kb_rows[0][slot], next(
+            r[slot] for r in kb_rows if r[slot] != kb_rows[0][slot])
+        ctx = DialogueContext(kb=kb)
+        ctx.observe_user(inform_act("user", **{slot: first}))
+        ctx.observe_user(inform_act("user", **{slot: other}))
+        assert ctx.known_constraints == {slot: other}
+        assert (ctx.kb_count, ctx.kb_row) == kb_query(kb, {slot: other})
+        assert ctx.kb_row[slot] == other
+        ctx.observe_user(inform_act("user", **{slot: "no such value"}))
+        assert (ctx.kb_count, ctx.kb_row) == (0, None)
+
+    def test_non_inform_acts_keep_kb_match(self, kb):
+        ctx = DialogueContext(kb=kb)
+        ctx.observe_user(inform_act("user", **{ONTOLOGY[0]: kb.rows[3][ONTOLOGY[0]]}))
+        before = (ctx.kb_count, ctx.kb_row)
+        ctx.observe_user(request_act("user", ONTOLOGY[1]))
+        ctx.observe_system(inform_act("system", **{ONTOLOGY[1]: "x"}))
+        assert (ctx.kb_count, ctx.kb_row) == before
 
 
 class TestRuleAgent:
@@ -215,9 +225,9 @@ class TestRuleAgent:
         n, wins = 0, 0
         for _ in range(10):
             for goal_id in corpus.simple:
-                session = _run_rule_agent(corpus.goals[goal_id], kb, rng)
+                result = run_episode(corpus.goals[goal_id], kb, rule_policy(), rng)
                 n += 1
-                wins += session.status == SUCCESS
+                wins += result.success
         rate = wins / n
         assert 0.2 <= rate <= 0.9, rate
 
@@ -226,7 +236,7 @@ class TestRuleAgent:
         for ids in (corpus.simple, corpus.medium, corpus.difficult):
             rng = np.random.default_rng(5)
             wins = sum(
-                _run_rule_agent(corpus.goals[i], kb, rng).status == SUCCESS
+                run_episode(corpus.goals[i], kb, rule_policy(), rng).success
                 for _ in range(5) for i in ids)
             rates.append(wins / (5 * len(ids)))
         assert rates[0] >= rates[1] >= rates[2]
@@ -234,6 +244,5 @@ class TestRuleAgent:
     def test_episodes_terminate_within_cap(self, corpus, kb):
         rng = np.random.default_rng(9)
         for goal in corpus.goals:
-            session = _run_rule_agent(goal, kb, rng)
-            assert session.status in (SUCCESS, FAILURE)
-            assert session.turn <= MAX_TURNS
+            result = run_episode(goal, kb, rule_policy(), rng)
+            assert 1 <= result.turns <= MAX_TURNS
