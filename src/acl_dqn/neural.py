@@ -7,11 +7,14 @@ both the student and the teacher.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+# Gradients are built output layer first; their norm is summed in this order.
+GRAD_ORDER = ("w2", "b2", "w1", "b1")
 
 
 class NeuralError(Exception):
@@ -31,7 +34,12 @@ class Minibatch:
 
 
 class QFunction:
-    """W2 . tanh(W1 s + b1) + b2, with online and target parameter sets."""
+    """W2 . tanh(W1 s + b1) + b2, with online and target parameter sets.
+
+    Each parameter set, the two Adam moments and the training step's
+    gradient live in one flat float64 array laid out in PARAM_NAMES order;
+    ``online`` and ``target`` are dicts of reshaped views into theirs.
+    """
 
     def __init__(self, input_dim: int, output_dim: int, hidden_dim: int = 80,
                  learning_rate: float = 0.001, clip_norm: float = 1.0, *,
@@ -41,18 +49,38 @@ class QFunction:
         self.output_dim = output_dim
         self.learning_rate = learning_rate
         self.clip_norm = clip_norm
+        self._shapes = {
+            "w1": (hidden_dim, input_dim),
+            "b1": (hidden_dim,),
+            "w2": (output_dim, hidden_dim),
+            "b2": (output_dim,),
+        }
+        size = sum(int(np.prod(shape)) for shape in self._shapes.values())
+        self.online_flat = np.zeros(size)
+        self.online = self._views(self.online_flat)
         s1 = 1.0 / np.sqrt(input_dim)
         s2 = 1.0 / np.sqrt(hidden_dim)
-        self.online = {
-            "w1": rng.uniform(-s1, s1, size=(hidden_dim, input_dim)),
-            "b1": np.zeros(hidden_dim),
-            "w2": rng.uniform(-s2, s2, size=(output_dim, hidden_dim)),
-            "b2": np.zeros(output_dim),
-        }
-        self.target = {k: v.copy() for k, v in self.online.items()}
-        self._adam_m = {k: np.zeros_like(v) for k, v in self.online.items()}
-        self._adam_v = {k: np.zeros_like(v) for k, v in self.online.items()}
+        self.online["w1"][...] = rng.uniform(-s1, s1, size=(hidden_dim, input_dim))
+        self.online["w2"][...] = rng.uniform(-s2, s2, size=(output_dim, hidden_dim))
+        self.target_flat = self.online_flat.copy()
+        self.target = self._views(self.target_flat)
+        self._adam_m = np.zeros(size)
+        self._adam_v = np.zeros(size)
         self._adam_t = 0
+        self._scratch = np.empty(size)
+        self._grad = np.empty(size)
+        views = self._views(self._grad)
+        self._grad_views = {name: views[name] for name in GRAD_ORDER}
+
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        out = {}
+        offset = 0
+        for name in PARAM_NAMES:
+            shape = self._shapes[name]
+            size = int(np.prod(shape))
+            out[name] = flat[offset:offset + size].reshape(shape)
+            offset += size
+        return out
 
     def forward(self, states: np.ndarray, use_target: bool = False) -> np.ndarray:
         """Action values; accepts one state vector or a [B, input_dim] batch."""
@@ -70,11 +98,17 @@ class QFunction:
     def td_loss_and_grads(self, batch: Minibatch,
                           gamma: float) -> tuple[float, dict[str, np.ndarray]]:
         """Mean-squared TD loss and its unclipped gradients w.r.t. the online
-        parameters.
+        parameters, in fresh arrays.
 
         Targets bootstrap from the target copy and are masked on terminal
         transitions: y = r + gamma * max_a' Q_target(s') * (1 - terminal).
         """
+        grads = {name: np.empty(self._shapes[name]) for name in GRAD_ORDER}
+        return self._td_backprop(batch, gamma, grads), grads
+
+    def _td_backprop(self, batch: Minibatch, gamma: float,
+                     grads: dict[str, np.ndarray]) -> float:
+        """The TD loss, with its gradients written into ``grads``."""
         if len(batch) == 0:
             raise NeuralError("empty minibatch")
         if not 0.0 <= gamma <= 1.0:
@@ -88,6 +122,7 @@ class QFunction:
         terminal = np.asarray(batch.terminal, dtype=bool)
         actions = np.asarray(batch.actions, dtype=int)
         n = len(batch)
+        rows = np.arange(n)
 
         q_next = self.forward(s2, use_target=True)
         y = rewards + gamma * q_next.max(axis=1) * (~terminal)
@@ -95,53 +130,53 @@ class QFunction:
         p = self.online
         h = np.tanh(s @ p["w1"].T + p["b1"])
         q = h @ p["w2"].T + p["b2"]
-        q_sel = q[np.arange(n), actions]
-        err = q_sel - y
+        err = q[rows, actions] - y
         loss = float(np.mean(err * err))
 
         dq = np.zeros_like(q)
-        dq[np.arange(n), actions] = 2.0 * err / n
-        grads = {
-            "w2": dq.T @ h,
-            "b2": dq.sum(axis=0),
-        }
-        dh = dq @ p["w2"]
-        dpre = dh * (1.0 - h * h)
-        grads["w1"] = dpre.T @ s
-        grads["b1"] = dpre.sum(axis=0)
-        return loss, grads
+        dq[rows, actions] = 2.0 * err / n
+        np.matmul(dq.T, h, out=grads["w2"])
+        np.sum(dq, axis=0, out=grads["b2"])
+        dpre = dq @ p["w2"]
+        dpre *= 1.0 - h * h
+        np.matmul(dpre.T, s, out=grads["w1"])
+        np.sum(dpre, axis=0, out=grads["b1"])
+        return loss
 
     def td_train_step(self, batch: Minibatch, gamma: float) -> float:
         """One clipped Adam step on the mean-squared TD loss; returns pre-step loss."""
-        loss, grads = self.td_loss_and_grads(batch, gamma)
-        clip_gradients(grads, self.clip_norm)
-        p = self.online
+        loss = self._td_backprop(batch, gamma, self._grad_views)
+        if not math.isfinite(loss):
+            raise NeuralError(f"non-finite TD loss {loss!r}")
+        clip_gradients(self._grad_views, self.clip_norm)
         self._adam_t += 1
         b1c = 1.0 - 0.9 ** self._adam_t
         b2c = 1.0 - 0.999 ** self._adam_t
-        for name in PARAM_NAMES:
-            g = grads[name]
-            m = self._adam_m[name]
-            v = self._adam_v[name]
-            m *= 0.9
-            m += 0.1 * g
-            v *= 0.999
-            v += 0.001 * g * g
-            p[name] -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
+        g, m, v, tmp = self._grad, self._adam_m, self._adam_v, self._scratch
+        m *= 0.9
+        m += np.multiply(0.1, g, out=tmp)
+        v *= 0.999
+        np.multiply(0.001, g, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        # The step is lr * (m / b1c) / (sqrt(v / b2c) + 1e-8); g is free now.
+        np.divide(v, b2c, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += 1e-8
+        np.divide(m, b1c, out=g)
+        np.multiply(self.learning_rate, g, out=g)
+        g /= tmp
+        self.online_flat -= g
         return loss
 
     def sync_target(self) -> None:
-        for k, v in self.online.items():
-            self.target[k] = v.copy()
+        self.target_flat[...] = self.online_flat
 
     def param_scalar(self) -> float:
         """RMS norm of all online parameters."""
         sq = 0.0
-        count = 0
         for v in self.online.values():
             sq += float(np.sum(v * v))
-            count += v.size
-        return float(np.sqrt(sq / count))
+        return float(np.sqrt(sq / self.online_flat.size))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -166,18 +201,12 @@ class QFunction:
             lr, clip = float(head[3]), float(head[4])
             q = cls(input_dim, output_dim, hidden_dim, lr, clip,
                     rng=np.random.default_rng(0))
-            shapes = {
-                "w1": (hidden_dim, input_dim),
-                "b1": (hidden_dim,),
-                "w2": (output_dim, hidden_dim),
-                "b2": (output_dim,),
-            }
             for params in (q.online, q.target):
                 for name in PARAM_NAMES:
                     values = np.array([float(x) for x in fh.readline().split()])
-                    if values.size != int(np.prod(shapes[name])):
+                    if values.size != params[name].size:
                         raise NeuralError(f"truncated checkpoint at {name}")
-                    params[name] = values.reshape(shapes[name])
+                    params[name][...] = values.reshape(params[name].shape)
         return q
 
 

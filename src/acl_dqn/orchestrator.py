@@ -10,7 +10,7 @@ import numpy as np
 
 from .curriculum import OverRepetitionCounter, PhaseMachine, PhaseTransition
 from .domain import GoalCorpus, generate_corpus, generate_kb_rows
-from .neural import QFunction
+from .neural import NeuralError, QFunction
 from .replay import ReplayBuffer, STUDENT_CAPACITY, TEACHER_CAPACITY, Transition
 # One TD update under two names: perfbench traces each net's updates as its own layer.
 from .replay import train_step as student_train_step, train_step as teacher_train_step
@@ -147,6 +147,11 @@ def evaluate_policy(q: QFunction, corpus: GoalCorpus, kb: KnowledgeBase,
     return successes / n_dialogues, rewards / n_dialogues, turns / n_dialogues
 
 
+def _check_finite(q: QFunction, net: str, epoch: int) -> None:
+    if not np.isfinite(q.online_flat).all():
+        raise NeuralError(f"{net} parameters became non-finite in epoch {epoch}")
+
+
 def run_training(config: TrainConfig, seed: int,
                  corpus: GoalCorpus | None = None,
                  kb: KnowledgeBase | None = None) -> RunResult:
@@ -204,6 +209,7 @@ def run_training(config: TrainConfig, seed: int,
         if config.updates_per_epoch is not None:
             for _ in range(config.updates_per_epoch):
                 student_train_step(student_q, d_student, student_rng)
+        _check_finite(student_q, "student", epoch)
 
         x_now = result.total_reward
         r, x_prev = teacher_reward(r_or, x_now, table, goal_id)
@@ -217,6 +223,7 @@ def run_training(config: TrainConfig, seed: int,
             d_teacher.push(Transition(teacher_state, goal_id, r,
                                       next_teacher_state, False))
             teacher_train_step(teacher_q, d_teacher, teacher_rng)
+            _check_finite(teacher_q, "teacher", epoch)
         teacher_state = next_teacher_state
 
         moved = machine.on_episode(epoch, result.success)

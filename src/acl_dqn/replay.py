@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,14 +12,16 @@ STUDENT_CAPACITY = 5000
 TEACHER_CAPACITY = 2000
 GAMMA = 0.9
 BATCH_SIZE = 16
+# The ring grows by this many rows at a time up to its capacity, so a
+# buffer that never fills never holds the memory of a full one.
+GROW_ROWS = 512
 
 
 class ReplayError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     state: np.ndarray
     action: int
     reward: float
@@ -29,37 +30,81 @@ class Transition:
 
 
 class ReplayBuffer:
-    """FIFO store with uniform with-replacement sampling."""
+    """FIFO store with uniform with-replacement sampling.
+
+    Transitions live in a ring of per-field arrays. Until the ring is full
+    row i is the i-th oldest transition; after that each push overwrites
+    the oldest row, at ``head``. A row's state is the next state of the row
+    before it, except at the rows in ``first_states``: a dialogue's first
+    transition, and the oldest row once its predecessor is gone.
+    """
 
     def __init__(self, capacity: int, dim: int):
         if capacity < 1:
             raise ReplayError("capacity must be >= 1")
         self.capacity = capacity
         self.dim = dim
-        self.items: deque[Transition] = deque(maxlen=capacity)
+        self.next_states = np.empty((0, dim))
+        self.actions = np.empty(0, dtype=int)
+        self.rewards = np.empty(0)
+        self.terminal = np.empty(0, dtype=bool)
+        self.first_states: dict[int, np.ndarray] = {}
+        self.head = 0
+        self._size = 0
+        self._last_next_state = None
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self._size
+
+    def _grow(self) -> None:
+        rows = min(self.capacity, len(self.rewards) + GROW_ROWS)
+        # In place: the arrays never hand out views, and a resize does not
+        # hold the old and the new block at once as a copy would.
+        self.next_states.resize((rows, self.dim), refcheck=False)
+        for column in (self.actions, self.rewards, self.terminal):
+            column.resize(rows, refcheck=False)
 
     def push(self, t: Transition) -> None:
+        """Store t; a state that is the previous push's next-state object is
+        stored once."""
         if len(t.state) != self.dim or len(t.next_state) != self.dim:
             raise ReplayError(
                 f"transition dim {len(t.state)} != buffer dim {self.dim}")
-        self.items.append(t)
+        if self._size < self.capacity:
+            row = self._size
+            if row == len(self.rewards):
+                self._grow()
+            self._size += 1
+        else:
+            row = self.head
+            self.head = (row + 1) % self.capacity
+            self.first_states.pop(row, None)
+            if self.head not in self.first_states:
+                self.first_states[self.head] = self.next_states[row].copy()
+        if t.state is not self._last_next_state:
+            self.first_states[row] = np.array(t.state, dtype=float)
+        self._last_next_state = t.next_state
+        self.next_states[row] = t.next_state
+        self.actions[row] = t.action
+        self.rewards[row] = t.reward
+        self.terminal[row] = t.terminal
+
+    def rows(self, ages: np.ndarray) -> Minibatch:
+        """Copies of the transitions at the given ages (0 is the oldest)."""
+        idx = (ages + self.head) % self.capacity if self.head else ages
+        states = self.next_states[idx - 1]
+        first = self.first_states
+        for k, row in enumerate(idx.tolist()):
+            if row in first:
+                states[k] = first[row]
+        return Minibatch(states, self.actions[idx], self.rewards[idx],
+                         self.next_states[idx], self.terminal[idx])
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Minibatch | None:
         """None when underfull: the caller skips training this step."""
-        if len(self.items) < batch_size:
+        if self._size < batch_size:
             return None
-        idx = rng.integers(0, len(self.items), size=batch_size)
-        picks = [self.items[int(i)] for i in idx]
-        return Minibatch(
-            states=np.stack([t.state for t in picks]),
-            actions=np.array([t.action for t in picks], dtype=int),
-            rewards=np.array([t.reward for t in picks], dtype=float),
-            next_states=np.stack([t.next_state for t in picks]),
-            terminal=np.array([t.terminal for t in picks], dtype=bool),
-        )
+        return self.rows(rng.integers(0, self._size, size=batch_size))
 
 
 def train_step(q: QFunction, buffer: ReplayBuffer, rng: np.random.Generator) -> float | None:

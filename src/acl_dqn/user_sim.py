@@ -56,6 +56,8 @@ class KnowledgeBase:
 
 def kb_query(kb: KnowledgeBase, constraints: Mapping[str, str]) -> tuple[int, dict[str, str] | None]:
     """Count rows matching all constraints; first match in stable order."""
+    if not constraints:
+        return len(kb.rows), (kb.rows[0] if kb.rows else None)
     count = 0
     first = None
     for row in kb.rows:

@@ -167,7 +167,93 @@ class TestTdTargets:
             net.td_train_step(batch, 0.9)
 
 
+    def test_nan_parameter_makes_the_step_raise(self, rng):
+        net = _random_net(rng)
+        net.online["w2"][0, 0] = np.nan
+        before = net.online_flat.copy()
+        with pytest.raises(NeuralError, match="non-finite TD loss"):
+            net.td_train_step(_random_batch(rng, net), 0.9)
+        np.testing.assert_array_equal(net.online_flat, before)
+
+
+def _per_array_step(net, params, adam_m, adam_v, t, batch, gamma):
+    """The TD step as separate per-array updates: the flat step's oracle."""
+    loss, grads = net.td_loss_and_grads(batch, gamma)
+    clip_gradients(grads, net.clip_norm)
+    b1c = 1.0 - 0.9 ** t
+    b2c = 1.0 - 0.999 ** t
+    for name in PARAM_NAMES:
+        g, m, v = grads[name], adam_m[name], adam_v[name]
+        m *= 0.9
+        m += 0.1 * g
+        v *= 0.999
+        v += 0.001 * g * g
+        params[name] -= net.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
+    return loss
+
+
+class TestFlatLayout:
+    def test_views_tile_the_flat_buffer_in_param_order(self, rng):
+        net = _random_net(rng)
+        joined = np.concatenate([net.online[name].reshape(-1) for name in PARAM_NAMES])
+        np.testing.assert_array_equal(joined, net.online_flat)
+        for name in PARAM_NAMES:
+            assert np.shares_memory(net.online[name], net.online_flat)
+            assert np.shares_memory(net.target[name], net.target_flat)
+
+    def test_writing_through_a_view_reaches_the_flat_buffer(self, rng):
+        net = _random_net(rng)
+        offset = net.online["w1"].size + net.online["b1"].size + net.hidden_dim
+        net.online["w2"][1, 0] = 7.5
+        assert net.online_flat[offset] == 7.5
+        s = rng.normal(size=(2, net.input_dim))
+        h = np.tanh(s @ net.online["w1"].T + net.online["b1"])
+        np.testing.assert_allclose(net.forward(s)[:, 1],
+                                   h @ net.online["w2"][1] + net.online["b2"][1])
+
+    def test_sync_target_copies_rather_than_aliases(self, rng):
+        net = _random_net(rng)
+        net.td_train_step(_random_batch(rng, net), 0.9)
+        net.sync_target()
+        synced = net.target_flat.copy()
+        np.testing.assert_array_equal(synced, net.online_flat)
+        assert not np.shares_memory(net.target_flat, net.online_flat)
+        net.td_train_step(_random_batch(rng, net), 0.9)
+        net.online["b2"][0] += 1.0
+        np.testing.assert_array_equal(net.target_flat, synced)
+
+    def test_flat_step_matches_per_array_updates_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for trial in range(20):
+            net = _random_net(rng)
+            if trial % 2:
+                net.clip_norm = 1e-3  # every step clips
+            params = {k: v.copy() for k, v in net.online.items()}
+            adam_m = {k: np.zeros_like(v) for k, v in params.items()}
+            adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+            for t in range(1, 6):
+                batch = _random_batch(rng, net)
+                expected = _per_array_step(net, params, adam_m, adam_v, t, batch, 0.9)
+                assert net.td_train_step(batch, 0.9) == expected
+                for name in PARAM_NAMES:
+                    np.testing.assert_array_equal(net.online[name], params[name])
+
+
 class TestCheckpoint:
+    def test_round_trip_is_bit_identical(self, rng, tmp_path):
+        net = _random_net(rng)
+        net.td_train_step(_random_batch(rng, net), 0.9)
+        net.sync_target()
+        net.td_train_step(_random_batch(rng, net), 0.9)
+        path = tmp_path / "net.qfn"
+        net.save(path)
+        loaded = QFunction.load(path)
+        assert loaded.online_flat.tobytes() == net.online_flat.tobytes()
+        assert loaded.target_flat.tobytes() == net.target_flat.tobytes()
+        for name in PARAM_NAMES:
+            assert np.shares_memory(loaded.online[name], loaded.online_flat)
+            assert np.shares_memory(loaded.target[name], loaded.target_flat)
+
     def test_round_trip_is_exact(self, rng, tmp_path):
         net = _random_net(rng)
         net.td_train_step(_random_batch(rng, net), 0.9)

@@ -4,8 +4,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from acl_dqn import orchestrator
 from acl_dqn.cli import _config_from_args
 from acl_dqn.curriculum import orp_penalty
+from acl_dqn.neural import NeuralError
 from acl_dqn.orchestrator import (
     ACCEPTANCE_PROFILE,
     AGENT_KINDS,
@@ -128,6 +130,16 @@ class TestRunTraining:
         b = run_training(SMALL, 3, corpus, kb)
         assert a.metrics.eval_rows == b.metrics.eval_rows
         assert a.metrics.teacher_log == b.metrics.teacher_log
+
+    def test_poisoned_student_parameters_stop_the_run(self, corpus, kb, monkeypatch):
+        def poisoned_step(q, buffer, rng):
+            q.online["b1"][0] = np.nan
+            return None
+
+        monkeypatch.setattr(orchestrator, "student_train_step", poisoned_step)
+        with pytest.raises(NeuralError, match="student") as err:
+            run_training(SMALL, 1, corpus, kb)
+        assert "epoch 1" in str(err.value)
 
     def test_different_seeds_differ(self, corpus, kb):
         a = run_training(SMALL, 3, corpus, kb)

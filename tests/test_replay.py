@@ -1,7 +1,10 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from acl_dqn.replay import (
+    GROW_ROWS,
     STUDENT_CAPACITY,
     TEACHER_CAPACITY,
     ReplayBuffer,
@@ -28,7 +31,8 @@ class TestReplayBuffer:
             buf.push(_transition(tag))
             oracle.append(tag)
             oracle = oracle[-4:]
-            assert [int(t.state[0]) for t in buf.items] == oracle
+            in_age_order = buf.rows(np.arange(len(buf)))
+            assert [int(s[0]) for s in in_age_order.states] == oracle
 
     def test_underfull_sample_returns_none(self, rng):
         buf = ReplayBuffer(capacity=10, dim=3)
@@ -73,6 +77,79 @@ class TestReplayBuffer:
         with pytest.raises(ReplayError):
             buf.push(_transition(0, dim=4))
 
+    def test_wrong_dim_next_state_rejected(self):
+        buf = ReplayBuffer(capacity=10, dim=3)
+        with pytest.raises(ReplayError):
+            buf.push(Transition(np.zeros(3), 0, 0.0, np.zeros(4), False))
+        assert len(buf) == 0
+
+    @pytest.mark.parametrize("capacity", [1, 2, 7, GROW_ROWS, GROW_ROWS + 3,
+                                          2 * GROW_ROWS + 5])
+    def test_sample_matches_deque_oracle_through_growth_and_eviction(self, capacity):
+        """Same rng, same rows as the deque the ring replaced, at every size.
+
+        Transitions come in dialogues whose states chain as run_episode's
+        do (a turn's state is the previous turn's next-state object), with
+        an unchained transition now and then.
+        """
+        dim = 3
+        buf = ReplayBuffer(capacity=capacity, dim=dim)
+        oracle: deque[Transition] = deque(maxlen=capacity)
+        data_rng = np.random.default_rng(11)
+        checkpoints = {1, 2, 15, 16, GROW_ROWS - 1, GROW_ROWS, GROW_ROWS + 1,
+                       capacity - 1, capacity, capacity + 1, 2 * capacity + 3,
+                       3 * capacity + 16}
+        state = data_rng.normal(size=dim)
+        for pushed in range(1, 3 * capacity + 17):
+            if data_rng.random() < 0.2:
+                state = data_rng.normal(size=dim)
+            t = Transition(state, int(data_rng.integers(5)), float(data_rng.normal()),
+                           data_rng.normal(size=dim), bool(data_rng.random() < 0.3))
+            buf.push(t)
+            oracle.append(t)
+            state = t.next_state
+            if pushed not in checkpoints:
+                continue
+            assert len(buf) == len(oracle)
+            held = buf.rows(np.arange(len(buf)))
+            np.testing.assert_array_equal(held.states, np.stack([o.state for o in oracle]))
+            np.testing.assert_array_equal(held.next_states,
+                                          np.stack([o.next_state for o in oracle]))
+            batch = buf.sample(16, np.random.default_rng(pushed))
+            if len(oracle) < 16:
+                assert batch is None
+                continue
+            idx = np.random.default_rng(pushed).integers(0, len(oracle), size=16)
+            picks = [oracle[int(i)] for i in idx]
+            np.testing.assert_array_equal(batch.states, np.stack([p.state for p in picks]))
+            np.testing.assert_array_equal(batch.next_states,
+                                          np.stack([p.next_state for p in picks]))
+            assert batch.actions.tolist() == [p.action for p in picks]
+            assert batch.rewards.tolist() == [p.reward for p in picks]
+            assert batch.terminal.tolist() == [p.terminal for p in picks]
+
+    def test_chained_states_are_stored_once(self):
+        buf = ReplayBuffer(capacity=10, dim=3)
+        state = np.zeros(3)
+        for tag in range(6):
+            next_state = np.full(3, tag + 1.0)
+            buf.push(Transition(state, 0, 0.0, next_state, False))
+            state = next_state
+        assert list(buf.first_states) == [0]
+        buf.push(_transition(7))
+        assert list(buf.first_states) == [0, 6]
+
+    def test_ring_grows_in_chunks_up_to_capacity(self):
+        capacity = GROW_ROWS + 10
+        buf = ReplayBuffer(capacity=capacity, dim=2)
+        assert len(buf.rewards) == 0
+        buf.push(_transition(0, dim=2))
+        assert len(buf.rewards) == GROW_ROWS
+        for tag in range(1, 3 * capacity):
+            buf.push(_transition(tag, dim=2))
+        assert buf.next_states.shape == (capacity, 2)
+        assert len(buf) == capacity
+
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ReplayError):
             ReplayBuffer(capacity=0, dim=3)
@@ -84,7 +161,8 @@ class TestRbsPrefill:
         played = rbs_prefill(buf, corpus, kb, np.random.default_rng(2))
         assert played >= 100
         assert len(buf) > 0
-        assert any(t.terminal and t.reward > 0 for t in buf.items)
+        held = buf.rows(np.arange(len(buf)))
+        assert np.any(held.terminal & (held.rewards > 0))
 
     def test_prefill_is_deterministic_in_rng(self, corpus, kb):
         lens = []
@@ -93,6 +171,6 @@ class TestRbsPrefill:
             buf = ReplayBuffer(STUDENT_CAPACITY, STATE_DIM)
             rbs_prefill(buf, corpus, kb, np.random.default_rng(7))
             lens.append(len(buf))
-            firsts.append(buf.items[0].state.copy())
+            firsts.append(buf.rows(np.arange(1)).states[0])
         assert lens[0] == lens[1]
         np.testing.assert_array_equal(firsts[0], firsts[1])

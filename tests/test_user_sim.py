@@ -55,6 +55,11 @@ class TestKbQuery:
     def test_no_match_returns_zero_and_none(self, kb):
         assert kb_query(kb, {"city": "nowhere"}) == (0, None)
 
+    def test_empty_kb_matches_nothing(self):
+        empty = KnowledgeBase(())
+        assert kb_query(empty, {}) == (0, None)
+        assert kb_query(empty, {"city": "seattle"}) == (0, None)
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_brute_force_oracle(self, data):
