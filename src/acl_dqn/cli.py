@@ -217,13 +217,13 @@ def _menu_user_act(stdin, stdout) -> DialogueAct | None:
         stdout.write(f"slot ({', '.join(ONTOLOGY)}): ")
         stdout.flush()
         slot = stdin.readline().strip()
-        return request_act("user", slot)
+        return request_act(slot)
     if choice == "inform":
         stdout.write("slot=value: ")
         stdout.flush()
         slot, _, value = stdin.readline().strip().partition("=")
-        return inform_act("user", **{slot: value})
-    return DialogueAct("user", ActType(choice))
+        return inform_act(**{slot: value})
+    return DialogueAct(ActType(choice))
 
 
 def run_chat_session(q: QFunction, goal, kb: KnowledgeBase, rng,
@@ -283,55 +283,57 @@ def build_parser() -> argparse.ArgumentParser:
         description="Curriculum-taught DQN dialogue policy training")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_env_flags(p):
-        p.add_argument("--goals", default=None, help="goal corpus file")
-        p.add_argument("--kb", default=None, help="knowledge base file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--eval-every", type=int, default=5)
-        p.add_argument("--eval-dialogues", type=int, default=50)
+    # Flags several subcommands share; each subcommand takes only those it reads.
+    shared = {
+        "--goals": dict(default=None, help="goal corpus file"),
+        "--kb": dict(default=None, help="knowledge base file"),
+        "--out": dict(default=".", help="output directory"),
+        "--seed": dict(type=int, default=1),
+        "--eval-every": dict(type=int, default=5),
+        "--eval-dialogues": dict(type=int, default=50),
+        "--epochs": dict(type=int, default=500),
+        "--checkpoint": dict(required=True),
+    }
+
+    def add_flags(p, *names):
+        for name in names:
+            p.add_argument(name, **shared[name])
 
     p = sub.add_parser("gen-goals", help="generate a synthetic goal corpus")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--sizes", default="30,72,26")
-    p.add_argument("--out", default=".")
+    add_flags(p, "--seed", "--out")
     p.set_defaults(func=cmd_gen_goals)
 
     p = sub.add_parser("gen-kb", help="generate the synthetic knowledge base")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--rows", type=int, default=200)
-    p.add_argument("--out", default=".")
+    add_flags(p, "--seed", "--out")
     p.set_defaults(func=cmd_gen_kb)
 
     p = sub.add_parser("train", help="train one agent")
     p.add_argument("--agent", default="dqn")
-    p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--alpha", type=float, default=None)
-    add_env_flags(p)
+    add_flags(p, "--epochs", "--goals", "--kb", "--out", "--seed", "--eval-every",
+              "--eval-dialogues")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    add_env_flags(p)
+    add_flags(p, "--checkpoint", "--goals", "--kb", "--seed", "--eval-dialogues")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("compare", help="run the multi-agent comparison")
     p.add_argument("--agents", default="dqn,acl-a,acl-b,acl-c")
     p.add_argument("--seeds", default="1..5")
-    p.add_argument("--epochs", type=int, default=500)
-    add_env_flags(p)
+    add_flags(p, "--epochs", "--goals", "--kb", "--out", "--eval-every", "--eval-dialogues")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("sweep-alpha", help="mastery threshold sweep (acl-c)")
     p.add_argument("--alphas", default="0.3,0.4,0.5,0.6,0.7,0.8")
     p.add_argument("--seeds", default="1..3")
-    p.add_argument("--epochs", type=int, default=500)
-    add_env_flags(p)
+    add_flags(p, "--epochs", "--goals", "--kb", "--out", "--eval-every", "--eval-dialogues")
     p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("chat", help="talk to a trained agent at act level")
-    p.add_argument("--checkpoint", required=True)
-    add_env_flags(p)
+    add_flags(p, "--checkpoint", "--goals", "--kb", "--out", "--seed")
     p.set_defaults(func=cmd_chat)
 
     return parser

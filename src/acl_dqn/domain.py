@@ -25,6 +25,8 @@ ONTOLOGY: tuple[str, ...] = (
     "genre",
     "rating",
 )
+SLOT_INDEX: dict[str, int] = {slot: i for i, slot in enumerate(ONTOLOGY)}
+N_SLOTS = len(ONTOLOGY)
 
 UNK = "UNK"
 
@@ -85,15 +87,12 @@ class ActType(str, Enum):
 class DialogueAct:
     """A typed act with a slot-value payload; UNK marks requested slots."""
 
-    actor: str  # "user" or "system"
     act_type: ActType
     payload: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if self.actor not in ("user", "system"):
-            raise DomainError(f"unknown actor {self.actor!r}")
         for slot, value in self.payload:
-            if slot not in ONTOLOGY:
+            if slot not in SLOT_INDEX:
                 raise DomainError(f"slot {slot!r} not in ontology")
             if self.act_type is ActType.REQUEST and value != UNK:
                 raise DomainError("request acts carry only UNK-valued slots")
@@ -105,16 +104,18 @@ class DialogueAct:
         return tuple(s for s, _ in self.payload)
 
 
-def request_act(actor: str, *slots: str) -> DialogueAct:
-    return DialogueAct(actor, ActType.REQUEST, tuple((s, UNK) for s in slots))
+def _slot_order(slot: str) -> int:
+    """Ontology position; an unknown slot sorts last, so the type's own check names it."""
+    return SLOT_INDEX.get(slot, N_SLOTS)
 
 
-def inform_act(actor: str, **values: str) -> DialogueAct:
-    for slot in values:
-        if slot not in ONTOLOGY:
-            raise DomainError(f"unknown slot {slot!r}")
-    payload = tuple(sorted(values.items(), key=lambda kv: ONTOLOGY.index(kv[0])))
-    return DialogueAct(actor, ActType.INFORM, payload)
+def request_act(*slots: str) -> DialogueAct:
+    return DialogueAct(ActType.REQUEST, tuple((s, UNK) for s in slots))
+
+
+def inform_act(**values: str) -> DialogueAct:
+    payload = tuple(sorted(values.items(), key=lambda kv: _slot_order(kv[0])))
+    return DialogueAct(ActType.INFORM, payload)
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,12 @@ class UserGoal:
             raise DomainError("request_slots must be non-empty")
         if len(set(self.request_slots)) != len(self.request_slots):
             raise DomainError("duplicate request slot")
-        for s in informed | set(self.request_slots):
-            if s not in ONTOLOGY:
+        for s in [s for s, _ in self.inform_slots] + list(self.request_slots):
+            if s not in SLOT_INDEX:
                 raise DomainError(f"slot {s!r} not in ontology")
+        for s, v in self.inform_slots:
+            if v == UNK:
+                raise DomainError(f"inform slot {s!r} holds the reserved value {UNK!r}")
         if informed & set(self.request_slots):
             raise DomainError("inform and request slots must be disjoint")
 
@@ -152,8 +156,8 @@ class UserGoal:
 
 
 def make_goal(goal_id: int, inform_slots: Mapping[str, str], request_slots: Iterable[str]) -> UserGoal:
-    informs = tuple(sorted(inform_slots.items(), key=lambda kv: ONTOLOGY.index(kv[0])))
-    requests = tuple(sorted(request_slots, key=ONTOLOGY.index))
+    informs = tuple(sorted(inform_slots.items(), key=lambda kv: _slot_order(kv[0])))
+    requests = tuple(sorted(request_slots, key=_slot_order))
     return UserGoal(goal_id, informs, requests)
 
 
@@ -286,8 +290,9 @@ def load_corpus(path) -> GoalCorpus:
                 raise CorpusFormatError(f"invalid record: {exc.msg}", lineno) from exc
             try:
                 goal_id = int(record["id"])
-                informs = dict(record["inform_slots"])
-                requests = list(record["request_slots"])
+                # values read as load_kb_rows reads them, so they can match a row
+                informs = {s: str(v) for s, v in dict(record["inform_slots"]).items()}
+                requests = [str(s) for s in record["request_slots"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"missing or malformed field: {exc}", lineno) from exc
             if 0 <= goal_id < len(goals):
@@ -325,10 +330,12 @@ def load_kb_rows(path) -> tuple[dict[str, str], ...]:
             if not isinstance(record, dict):
                 raise CorpusFormatError("record is not a JSON object", lineno)
             for slot in record:
-                if slot not in ONTOLOGY:
+                if slot not in SLOT_INDEX:
                     raise CorpusFormatError(f"unknown slot {slot!r}", lineno)
             for slot in ONTOLOGY:
                 if slot not in record:
                     raise CorpusFormatError(f"missing slot {slot!r}", lineno)
+                if str(record[slot]) == UNK:
+                    raise CorpusFormatError(f"slot {slot!r} holds the reserved value {UNK!r}", lineno)
             rows.append({s: str(v) for s, v in record.items()})
     return tuple(rows)

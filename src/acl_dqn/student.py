@@ -8,7 +8,8 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import ONTOLOGY, ActType, DialogueAct, UserGoal, inform_act, request_act
+from .domain import (N_SLOTS, ONTOLOGY, SLOT_INDEX, ActType, DialogueAct, UserGoal,
+                     inform_act, request_act)
 from .neural import QFunction
 from .replay import ReplayBuffer, ReplayError, Transition
 from .user_sim import (
@@ -32,55 +33,46 @@ RBS_DIALOGUES = 100
 RBS_MAX_RETRIES = 20
 
 
-def build_action_set() -> tuple[tuple[str, str | None], ...]:
-    """Fixed-order system actions; index = Q-output index."""
-    actions: list[tuple[str, str | None]] = []
-    for slot in ONTOLOGY:
-        actions.append(("request", slot))
-    for slot in ONTOLOGY:
-        actions.append(("inform", slot))
-    actions.append(("confirm_question", None))
-    actions.append(("confirm_answer", None))
-    actions.append(("book", None))
-    actions.append(("closing", None))
-    actions.append(("greeting", None))
-    return tuple(actions)
-
-
-SYSTEM_ACTIONS = build_action_set()
+# Fixed-order system actions (act type, slot or None); index = Q-output index.
+SYSTEM_ACTIONS: tuple[tuple[ActType, str | None], ...] = (
+    *((ActType.REQUEST, slot) for slot in ONTOLOGY),
+    *((ActType.INFORM, slot) for slot in ONTOLOGY),
+    *((act_type, None) for act_type in (ActType.CONFIRM_QUESTION, ActType.CONFIRM_ANSWER,
+                                        ActType.BOOK, ActType.CLOSING, ActType.GREETING)),
+)
+ACTION_INDEX = {action: i for i, action in enumerate(SYSTEM_ACTIONS)}
 N_ACTIONS = len(SYSTEM_ACTIONS)
-_ACT_TYPES = [t.value for t in ActType]
 
 # Feature layout: user act block (11 + 9), system act block (11 + 9),
 # per-slot belief flags (constraint known / request open / request answered)
 # plus three belief summaries (any open, all answered, open fraction),
-# turn scalar + one-hot over 40 buckets, KB count scalar.
-N_SLOTS = len(ONTOLOGY)
-STATE_DIM = (len(_ACT_TYPES) + N_SLOTS) * 2 + 3 * N_SLOTS + 3 + 1 + MAX_TURNS + 1
+# turn scalar + one-hot over 40 buckets, KB count scalar.  Act types take
+# their ActType member position, slots their ontology position.
+_ACT_POSITION = {act_type: i for i, act_type in enumerate(ActType)}
+_ACT_BLOCK = len(ActType) + N_SLOTS
+STATE_DIM = 2 * _ACT_BLOCK + 3 * N_SLOTS + 3 + 1 + MAX_TURNS + 1
 
 
 def _act_block(vec: np.ndarray, offset: int, act: DialogueAct | None) -> None:
     if act is None:
         return
-    vec[offset + _ACT_TYPES.index(act.act_type.value)] = 1.0
+    vec[offset + _ACT_POSITION[act.act_type]] = 1.0
     for slot in act.slots:
-        vec[offset + len(_ACT_TYPES) + ONTOLOGY.index(slot)] = 1.0
+        vec[offset + len(ActType) + SLOT_INDEX[slot]] = 1.0
 
 
 def featurize(ctx: DialogueContext) -> np.ndarray:
     """Deterministic fixed-dimension state vector, entries in [0, 1]."""
     vec = np.zeros(STATE_DIM)
-    block = len(_ACT_TYPES) + N_SLOTS
     _act_block(vec, 0, ctx.last_user_act)
-    _act_block(vec, block, ctx.last_system_act)
-    base = 2 * block
-    for i, slot in enumerate(ONTOLOGY):
-        if slot in ctx.known_constraints:
-            vec[base + i] = 1.0
-        if slot in ctx.open_requests:
-            vec[base + N_SLOTS + i] = 1.0
-        if slot in ctx.answered_requests:
-            vec[base + 2 * N_SLOTS + i] = 1.0
+    _act_block(vec, _ACT_BLOCK, ctx.last_system_act)
+    base = 2 * _ACT_BLOCK
+    for slot in ctx.known_constraints:
+        vec[base + SLOT_INDEX[slot]] = 1.0
+    for slot in ctx.open_requests:
+        vec[base + N_SLOTS + SLOT_INDEX[slot]] = 1.0
+    for slot in ctx.answered_requests:
+        vec[base + 2 * N_SLOTS + SLOT_INDEX[slot]] = 1.0
     base += 3 * N_SLOTS
     vec[base] = 1.0 if ctx.open_requests else 0.0
     vec[base + 1] = 1.0 if not ctx.open_requests and ctx.answered_requests else 0.0
@@ -99,14 +91,14 @@ def materialize(action_index: int, ctx: DialogueContext) -> DialogueAct:
     inform(slot) draws its value from the first KB row matching the known
     constraints; with no matching row it degrades to not_sure.
     """
-    kind, slot = SYSTEM_ACTIONS[action_index]
-    if kind == "request":
-        return request_act("system", slot)
-    if kind == "inform":
+    act_type, slot = SYSTEM_ACTIONS[action_index]
+    if act_type is ActType.REQUEST:
+        return request_act(slot)
+    if act_type is ActType.INFORM:
         if ctx.kb_row is None:
-            return DialogueAct("system", ActType.NOT_SURE)
-        return inform_act("system", **{slot: ctx.kb_row[slot]})
-    return DialogueAct("system", ActType(kind))
+            return DialogueAct(ActType.NOT_SURE)
+        return inform_act(**{slot: ctx.kb_row[slot]})
+    return DialogueAct(act_type)
 
 
 def student_act(q: QFunction, state: np.ndarray, epsilon: float,
@@ -204,10 +196,10 @@ def rule_policy() -> Policy:
                    and s not in ctx.open_requests
                    and s not in ctx.answered_requests]
         if askable and ctx.kb_count > 2:
-            return SYSTEM_ACTIONS.index(("request", askable[0]))
+            return ACTION_INDEX[ActType.REQUEST, askable[0]]
         if ctx.open_requests:
-            return SYSTEM_ACTIONS.index(("inform", ctx.open_requests[0]))
-        return SYSTEM_ACTIONS.index(("book", None))
+            return ACTION_INDEX[ActType.INFORM, ctx.open_requests[0]]
+        return ACTION_INDEX[ActType.BOOK, None]
     return act
 
 

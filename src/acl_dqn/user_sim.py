@@ -81,7 +81,6 @@ class SimulatorSession:
     agenda: list[DialogueAct] = field(default_factory=list)
     turn: int = 0
     filled_requests: dict[str, str] = field(default_factory=dict)
-    revealed: set[str] = field(default_factory=set)
     status: str = ONGOING
 
 
@@ -95,13 +94,11 @@ def session_reset(goal: UserGoal, kb: KnowledgeBase,
     """
     session = SimulatorSession(goal=goal, kb=kb)
     for slot in reversed(goal.request_slots):
-        session.agenda.append(request_act("user", slot))
+        session.agenda.append(request_act(slot))
     p_reveal = reveal_probability(goal)
-    revealed = [s for s, _ in goal.inform_slots if rng.random() < p_reveal]
-    informs = {s: goal.inform_dict[s] for s in revealed}
-    session.revealed.update(revealed)
+    informs = {s: v for s, v in goal.inform_slots if rng.random() < p_reveal}
     if informs:
-        session.agenda.append(inform_act("user", **informs))
+        session.agenda.append(inform_act(**informs))
     session.turn = 1
     first = session.agenda.pop()
     return session, first
@@ -139,30 +136,29 @@ def session_step(session: SimulatorSession,
     if system_act.act_type is ActType.REQUEST:
         known = {s: goal.inform_dict[s] for s in system_act.slots if s in goal.inform_dict}
         if known:
-            session.revealed.update(known)
-            user_act = inform_act("user", **known)
+            user_act = inform_act(**known)
         else:
             # Can't answer; pursue own agenda instead of stalling.
-            user_act = _pop_agenda(session) or DialogueAct("user", ActType.NOT_SURE)
+            user_act = _pop_agenda(session) or DialogueAct(ActType.NOT_SURE)
     elif system_act.act_type is ActType.INFORM:
         for slot, value in system_act.payload:
             if slot in goal.request_slots:
                 session.filled_requests[slot] = value
-        user_act = _pop_agenda(session) or DialogueAct("user", ActType.CONFIRM_ANSWER)
+        user_act = _pop_agenda(session) or DialogueAct(ActType.CONFIRM_ANSWER)
     elif system_act.act_type is ActType.BOOK:
         if _booking_valid(session):
             session.status = SUCCESS
-            user_act = DialogueAct("user", ActType.THANKS)
+            user_act = DialogueAct(ActType.THANKS)
         else:
             # A booking that contradicts the goal or leaves questions
             # unanswered ends the dialogue: the user walks away.
             session.status = FAILURE
-            user_act = DialogueAct("user", ActType.DENY)
+            user_act = DialogueAct(ActType.DENY)
     elif system_act.act_type is ActType.CLOSING:
         session.status = FAILURE
-        user_act = DialogueAct("user", ActType.CLOSING)
+        user_act = DialogueAct(ActType.CLOSING)
     else:
-        user_act = _pop_agenda(session) or DialogueAct("user", ActType.NOT_SURE)
+        user_act = _pop_agenda(session) or DialogueAct(ActType.NOT_SURE)
 
     if session.status == ONGOING:
         if session.turn >= MAX_TURNS:
@@ -185,7 +181,7 @@ class DialogueContext:
     kb: KnowledgeBase
     known_constraints: dict[str, str] = field(default_factory=dict)
     open_requests: list[str] = field(default_factory=list)
-    answered_requests: dict[str, str] = field(default_factory=dict)
+    answered_requests: set[str] = field(default_factory=set)
     requested_by_system: set[str] = field(default_factory=set)
     last_user_act: DialogueAct | None = None
     last_system_act: DialogueAct | None = None
@@ -205,7 +201,7 @@ class DialogueContext:
         elif act.act_type is ActType.REQUEST:
             for slot in act.slots:
                 # a re-asked slot re-opens even if it was answered before
-                self.answered_requests.pop(slot, None)
+                self.answered_requests.discard(slot)
                 if slot not in self.open_requests:
                     self.open_requests.append(slot)
 
@@ -214,7 +210,7 @@ class DialogueContext:
         if act.act_type is ActType.REQUEST:
             self.requested_by_system.update(act.slots)
         elif act.act_type is ActType.INFORM:
-            for slot, value in act.payload:
+            for slot in act.slots:
                 if slot in self.open_requests:
                     self.open_requests.remove(slot)
-                    self.answered_requests[slot] = value
+                    self.answered_requests.add(slot)

@@ -2,9 +2,10 @@
 
 Criteria 2-5 evaluate the full comparison experiment: dqn, acl-a,
 acl-a-noorp, and acl-c on the default synthetic corpus, 5 seeds x 500
-epochs.  Those runs take ~30 minutes, so the suite reads the cached logs
-produced by scripts/run_acceptance.py when results/acceptance/ exists and
-silently re-runs the experiment itself when it does not.
+epochs.  Those runs take ~12.5 minutes on a 2-core Xeon host (the figure
+README.md gives for scripts/run_acceptance.py), so the suite reads the
+cached logs produced by scripts/run_acceptance.py when results/acceptance/
+exists and silently re-runs the experiment itself when it does not.
 
 Each criterion prints a PASS/FAIL line (visible with pytest -s) in
 addition to its asserts.

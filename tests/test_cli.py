@@ -112,6 +112,18 @@ class TestTrain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("informs, requested", [({"town": "x"}, "date"),
+                                                    ({"city": "x"}, "town"),
+                                                    ({"town": "x"}, "venue")],
+                             ids=["inform", "request", "both"])
+    def test_goal_with_unknown_slot_names_line(self, tmp_path, capsys, informs, requested):
+        goals = tmp_path / "goals.jsonl"
+        goals.write_text(json.dumps(
+            {"id": 0, "inform_slots": informs, "request_slots": [requested]}) + "\n")
+        code = main(["train", "--goals", str(goals), "--out", str(tmp_path / "run"), *FAST])
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 1: slot 'town' not in ontology\n"
+
     def test_empty_kb_file_exits_1(self, tmp_path, capsys):
         kb = tmp_path / "empty_kb.jsonl"
         kb.write_text("")
@@ -127,14 +139,13 @@ class TestEval:
         checkpoint = out / "student.qfn"
         before = checkpoint.read_bytes()
         code = main(["eval", "--checkpoint", str(checkpoint), "--seed", "1",
-                     "--eval-dialogues", "10", "--out", str(tmp_path)])
+                     "--eval-dialogues", "10"])
         assert code == 0
         assert "success=" in capsys.readouterr().out
         assert checkpoint.read_bytes() == before
 
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
-        code = main(["eval", "--checkpoint", str(tmp_path / "no.qfn"),
-                     "--out", str(tmp_path)])
+        code = main(["eval", "--checkpoint", str(tmp_path / "no.qfn")])
         assert code == 1
 
     @pytest.mark.parametrize("count", ["0", "-3"])
@@ -142,7 +153,7 @@ class TestEval:
         checkpoint = tmp_path / "student.qfn"
         TestChat._net().save(checkpoint)
         code = main(["eval", "--checkpoint", str(checkpoint),
-                     "--eval-dialogues", count, "--out", str(tmp_path)])
+                     "--eval-dialogues", count])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err == "error: --eval-dialogues must be >= 1\n"
@@ -154,8 +165,8 @@ class TestEval:
         TestChat._net().save(checkpoint)
         goals = tmp_path / "empty_goals.jsonl"
         goals.write_text("")
-        code = main([command, "--checkpoint", str(checkpoint), "--goals", str(goals),
-                     "--out", str(tmp_path / "out")])
+        out = ["--out", str(tmp_path / "out")] if command == "chat" else []
+        code = main([command, "--checkpoint", str(checkpoint), "--goals", str(goals), *out])
         assert code == 1
         assert capsys.readouterr().err == f"error: {goals} holds no goals\n"
         assert not (tmp_path / "out").exists()
@@ -163,9 +174,14 @@ class TestEval:
     def test_bad_checkpoint_header_exits_1(self, tmp_path, capsys):
         checkpoint = tmp_path / "bad.qfn"
         checkpoint.write_text("not-a-checkpoint\n")
-        code = main(["eval", "--checkpoint", str(checkpoint), "--out", str(tmp_path)])
+        code = main(["eval", "--checkpoint", str(checkpoint)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: unrecognized checkpoint header")
+
+    def test_flag_eval_does_not_read_exits_2(self, tmp_path):
+        checkpoint = tmp_path / "student.qfn"
+        TestChat._net().save(checkpoint)
+        assert main(["eval", "--checkpoint", str(checkpoint), "--eval-every", "3"]) == 2
 
 
 class TestCompare:
@@ -292,13 +308,13 @@ class TestChat:
 
 class TestRendering:
     def test_request_and_inform_templates(self):
-        assert render_act(request_act("system", "city")) == "May I ask: what city?"
-        assert "city=boston" in render_act(inform_act("system", city="boston"))
+        assert render_act(request_act("city")) == "May I ask: what city?"
+        assert "city=boston" in render_act(inform_act(city="boston"))
 
     def test_every_act_type_renders(self):
         for act_type in (ActType.THANKS, ActType.CLOSING, ActType.GREETING,
                          ActType.NOT_SURE, ActType.BOOK):
-            text = render_act(DialogueAct("system", act_type))
+            text = render_act(DialogueAct(act_type))
             assert isinstance(text, str) and text
 
 

@@ -38,24 +38,20 @@ class TestDialogueAct:
         assert len(ActType) == 11
 
     def test_request_acts_carry_only_unk(self):
-        act = request_act("user", "city")
+        act = request_act("city")
         assert act.payload == (("city", "UNK"),)
         with pytest.raises(DomainError):
-            DialogueAct("user", ActType.REQUEST, (("city", "boston"),))
+            DialogueAct(ActType.REQUEST, (("city", "boston"),))
 
     def test_inform_acts_carry_only_concrete_values(self):
-        act = inform_act("system", city="boston")
+        act = inform_act(city="boston")
         assert act.payload == (("city", "boston"),)
         with pytest.raises(DomainError):
-            DialogueAct("system", ActType.INFORM, (("city", "UNK"),))
-
-    def test_unknown_actor_rejected(self):
-        with pytest.raises(DomainError):
-            DialogueAct("observer", ActType.GREETING)
+            DialogueAct(ActType.INFORM, (("city", "UNK"),))
 
     def test_slot_must_be_in_ontology(self):
         with pytest.raises(DomainError):
-            inform_act("user", color="red")
+            inform_act(color="red")
 
 
 class TestUserGoal:
@@ -225,6 +221,27 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="line 1"):
             load_corpus(path)
 
+    def test_reserved_goal_value_names_slot_and_line(self, tmp_path):
+        path = tmp_path / "goals.jsonl"
+        path.write_text(json.dumps(
+            {"id": 0, "inform_slots": {"city": "UNK"}, "request_slots": ["date"]}) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match="line 1: inform slot 'city' holds the reserved value 'UNK'"):
+            load_corpus(path)
+
+    def test_numeric_goal_values_read_as_kb_values(self, corpus, tmp_path):
+        path = tmp_path / "goals.jsonl"
+        save_corpus(corpus, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        numeric = 0
+        for record in records:
+            if "num_tickets" in record["inform_slots"]:
+                record["inform_slots"]["num_tickets"] = int(record["inform_slots"]["num_tickets"])
+                numeric += 1
+        assert numeric > 0
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert load_corpus(path) == corpus
+
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         path = tmp_path / "goals.jsonl"
         path.write_text("")
@@ -246,6 +263,14 @@ class TestCorpusIO:
         short = {s: v for s, v in kb_rows[1].items() if s != "price"}
         path.write_text(json.dumps(kb_rows[0]) + "\n" + json.dumps(short) + "\n")
         with pytest.raises(CorpusFormatError, match="line 2: missing slot 'price'"):
+            load_kb_rows(path)
+
+    def test_kb_reserved_value_names_slot_and_line(self, kb_rows, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(json.dumps(kb_rows[0]) + "\n"
+                        + json.dumps({**kb_rows[1], "city": "UNK"}) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match="line 2: slot 'city' holds the reserved value 'UNK'"):
             load_kb_rows(path)
 
     @pytest.mark.parametrize("record", ["5", "[]", '"movie_name"'])

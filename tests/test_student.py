@@ -5,6 +5,7 @@ from acl_dqn.domain import ONTOLOGY, ActType, inform_act, request_act
 from acl_dqn.neural import QFunction
 from acl_dqn.replay import ReplayBuffer, train_step
 from acl_dqn.student import (
+    ACTION_INDEX,
     FAILURE_PENALTY,
     N_ACTIONS,
     STATE_DIM,
@@ -36,18 +37,18 @@ class TestActionSet:
 
     def test_materialize_gives_each_index_its_act_type_and_slot(self, kb):
         ctx = DialogueContext(kb=kb)
-        for index, (kind, slot) in enumerate(SYSTEM_ACTIONS):
+        for index, (act_type, slot) in enumerate(SYSTEM_ACTIONS):
+            assert ACTION_INDEX[act_type, slot] == index
             act = materialize(index, ctx)
-            assert act.actor == "system"
-            assert act.act_type is ActType(kind)
+            assert act.act_type is act_type
             assert act.slots == (() if slot is None else (slot,))
-            if kind == "inform":
+            if act_type is ActType.INFORM:
                 assert act.payload == ((slot, kb.rows[0][slot]),)
 
     def test_inform_without_matching_row_degrades_to_not_sure(self, kb):
         ctx = DialogueContext(kb=kb)
-        ctx.observe_user(inform_act("user", city="nowhere"))
-        inform_index = SYSTEM_ACTIONS.index(("inform", ONTOLOGY[0]))
+        ctx.observe_user(inform_act(city="nowhere"))
+        inform_index = ACTION_INDEX[ActType.INFORM, ONTOLOGY[0]]
         act = materialize(inform_index, ctx)
         assert act.act_type is ActType.NOT_SURE
 
@@ -55,7 +56,7 @@ class TestActionSet:
 class TestFeaturize:
     def test_shape_range_and_determinism(self, kb):
         ctx = DialogueContext(kb=kb)
-        ctx.observe_user(request_act("user", ONTOLOGY[0]))
+        ctx.observe_user(request_act(ONTOLOGY[0]))
         v1 = featurize(ctx)
         v2 = featurize(ctx)
         assert v1.shape == (STATE_DIM,)
@@ -65,8 +66,63 @@ class TestFeaturize:
     def test_distinct_contexts_yield_distinct_states(self, kb):
         a = DialogueContext(kb=kb)
         b = DialogueContext(kb=kb)
-        b.observe_user(request_act("user", ONTOLOGY[2]))
+        b.observe_user(request_act(ONTOLOGY[2]))
         assert not np.array_equal(featurize(a), featurize(b))
+
+    @staticmethod
+    def _reference(ctx):
+        """The feature vector spelled out slot by slot, act blocks by ActType position."""
+        act_types = list(ActType)
+        n_slots = len(ONTOLOGY)
+        block = len(act_types) + n_slots
+        vec = np.zeros(STATE_DIM)
+        for offset, act in ((0, ctx.last_user_act), (block, ctx.last_system_act)):
+            if act is not None:
+                vec[offset + act_types.index(act.act_type)] = 1.0
+                for slot in act.slots:
+                    vec[offset + len(act_types) + ONTOLOGY.index(slot)] = 1.0
+        base = 2 * block
+        for i, slot in enumerate(ONTOLOGY):
+            if slot in ctx.known_constraints:
+                vec[base + i] = 1.0
+            if slot in ctx.open_requests:
+                vec[base + n_slots + i] = 1.0
+            if slot in ctx.answered_requests:
+                vec[base + 2 * n_slots + i] = 1.0
+        base += 3 * n_slots
+        vec[base] = 1.0 if ctx.open_requests else 0.0
+        vec[base + 1] = 1.0 if not ctx.open_requests and ctx.answered_requests else 0.0
+        vec[base + 2] = len(ctx.open_requests) / n_slots
+        base += 3
+        turn = min(ctx.turn, MAX_TURNS)
+        vec[base] = turn / MAX_TURNS
+        vec[base + turn] = 1.0
+        vec[base + 1 + MAX_TURNS] = min(ctx.kb_count / len(ctx.kb), 1.0)
+        return vec
+
+    def test_matches_per_slot_reference_on_every_dialogue_state(self, corpus, kb):
+        """Each state of rule-agent and epsilon=0.5 dialogues, terminal ones included."""
+        rng = np.random.default_rng(21)
+        q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=8, rng=rng)
+        seen = {"ctx": None, "states": 0}
+
+        def checked(policy):
+            def act(state, ctx):
+                seen["ctx"] = ctx
+                np.testing.assert_array_equal(state, self._reference(ctx))
+                seen["states"] += 1
+                return policy(state, ctx)
+            return act
+
+        def check_next(transition):
+            np.testing.assert_array_equal(transition.next_state, self._reference(seen["ctx"]))
+
+        for policy in (rule_policy(), epsilon_policy(q, 0.5, rng)):
+            for tier in ("simple", "medium", "difficult"):
+                for goal_id in corpus.tier_ids(tier)[:2]:
+                    run_episode(corpus.goal(goal_id), kb, checked(policy), rng,
+                                on_transition=check_next)
+        assert seen["states"] >= 12
 
 
 class TestStudentAct:

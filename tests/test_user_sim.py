@@ -36,13 +36,13 @@ def _run_scripted_oracle(goal, kb, rng):
     for slot, _ in goal.inform_slots:
         if session.status != ONGOING:
             break
-        user_act, _ = session_step(session, request_act("system", slot))
+        user_act, _ = session_step(session, request_act(slot))
     for slot in goal.request_slots:
         if session.status != ONGOING:
             break
-        user_act, _ = session_step(session, inform_act("system", **{slot: row[slot]}))
+        user_act, _ = session_step(session, inform_act(**{slot: row[slot]}))
     if session.status == ONGOING:
-        session_step(session, DialogueAct("system", ActType.BOOK))
+        session_step(session, DialogueAct(ActType.BOOK))
     return session
 
 
@@ -99,37 +99,35 @@ class TestSession:
         s2, a2 = session_reset(goal, kb, np.random.default_rng(3))
         assert a1 == a2
         assert s1.agenda == s2.agenda
-        assert s1.revealed == s2.revealed
 
     def test_request_known_slot_is_answered(self, kb, rng):
         goal = make_goal(0, designated_row(kb, make_goal(0, {}, [ONTOLOGY[0]]))
                          and {ONTOLOGY[0]: kb.rows[0][ONTOLOGY[0]]},
                          [ONTOLOGY[1]])
         session, _ = session_reset(goal, kb, rng)
-        user_act, status = session_step(session, request_act("system", ONTOLOGY[0]))
-        assert user_act == inform_act("user", **{ONTOLOGY[0]: kb.rows[0][ONTOLOGY[0]]})
+        user_act, status = session_step(session, request_act(ONTOLOGY[0]))
+        assert user_act == inform_act(**{ONTOLOGY[0]: kb.rows[0][ONTOLOGY[0]]})
         assert status == ONGOING
-        assert ONTOLOGY[0] in session.revealed
 
     def test_request_unknown_slot_yields_agenda_or_not_sure(self, kb, rng):
         goal = make_goal(0, {}, [ONTOLOGY[1]])
         session, first = session_reset(goal, kb, rng)
-        assert first == request_act("user", ONTOLOGY[1])
-        user_act, _ = session_step(session, request_act("system", ONTOLOGY[5]))
+        assert first == request_act(ONTOLOGY[1])
+        user_act, _ = session_step(session, request_act(ONTOLOGY[5]))
         assert user_act.act_type is ActType.NOT_SURE
 
     def test_inform_fills_matching_request_slot(self, kb, rng):
         goal = make_goal(0, {}, [ONTOLOGY[0]])
         session, _ = session_reset(goal, kb, rng)
-        session_step(session, inform_act("system", **{ONTOLOGY[0]: "whatever"}))
+        session_step(session, inform_act(**{ONTOLOGY[0]: "whatever"}))
         assert session.filled_requests == {ONTOLOGY[0]: "whatever"}
 
     def test_valid_booking_succeeds_with_thanks(self, kb, rng):
         goal = make_goal(0, {}, [ONTOLOGY[0]])
         row = designated_row(kb, goal)
         session, _ = session_reset(goal, kb, rng)
-        session_step(session, inform_act("system", **{ONTOLOGY[0]: row[ONTOLOGY[0]]}))
-        user_act, status = session_step(session, DialogueAct("system", ActType.BOOK))
+        session_step(session, inform_act(**{ONTOLOGY[0]: row[ONTOLOGY[0]]}))
+        user_act, status = session_step(session, DialogueAct(ActType.BOOK))
         assert status == SUCCESS
         assert user_act.act_type is ActType.THANKS
         assert session.filled_requests[ONTOLOGY[0]] == designated_row(kb, goal)[ONTOLOGY[0]]
@@ -137,7 +135,7 @@ class TestSession:
     def test_premature_booking_fails_terminally(self, kb, rng):
         goal = make_goal(0, {}, [ONTOLOGY[0]])
         session, _ = session_reset(goal, kb, rng)
-        user_act, status = session_step(session, DialogueAct("system", ActType.BOOK))
+        user_act, status = session_step(session, DialogueAct(ActType.BOOK))
         assert status == FAILURE
         assert user_act.act_type is ActType.DENY
 
@@ -146,14 +144,14 @@ class TestSession:
         row = designated_row(kb, goal)
         wrong = next(v for v in VALUE_POOLS[ONTOLOGY[0]] if v != row[ONTOLOGY[0]])
         session, _ = session_reset(goal, kb, rng)
-        session_step(session, inform_act("system", **{ONTOLOGY[0]: wrong}))
-        _, status = session_step(session, DialogueAct("system", ActType.BOOK))
+        session_step(session, inform_act(**{ONTOLOGY[0]: wrong}))
+        _, status = session_step(session, DialogueAct(ActType.BOOK))
         assert status == FAILURE
 
     def test_closing_act_fails_the_dialogue(self, kb, rng):
         goal = make_goal(0, {}, [ONTOLOGY[0]])
         session, _ = session_reset(goal, kb, rng)
-        _, status = session_step(session, DialogueAct("system", ActType.CLOSING))
+        _, status = session_step(session, DialogueAct(ActType.CLOSING))
         assert status == FAILURE
 
     def test_turn_cap_at_forty(self, kb, rng):
@@ -162,7 +160,7 @@ class TestSession:
         status = ONGOING
         steps = 0
         while status == ONGOING:
-            _, status = session_step(session, DialogueAct("system", ActType.GREETING))
+            _, status = session_step(session, DialogueAct(ActType.GREETING))
             steps += 1
         assert status == FAILURE
         assert steps == MAX_TURNS
@@ -171,9 +169,9 @@ class TestSession:
     def test_stepping_a_terminal_session_raises(self, kb, rng):
         goal = make_goal(0, {}, [ONTOLOGY[0]])
         session, _ = session_reset(goal, kb, rng)
-        session_step(session, DialogueAct("system", ActType.BOOK))
+        session_step(session, DialogueAct(ActType.BOOK))
         with pytest.raises(SessionError):
-            session_step(session, DialogueAct("system", ActType.GREETING))
+            session_step(session, DialogueAct(ActType.GREETING))
 
     def test_scripted_oracle_succeeds_on_every_goal(self, corpus, kb):
         rng = np.random.default_rng(11)
@@ -186,18 +184,18 @@ class TestSession:
 class TestDialogueContext:
     def test_reasked_slot_reopens(self, kb):
         ctx = DialogueContext(kb=kb)
-        ctx.observe_user(request_act("user", ONTOLOGY[0]))
-        ctx.observe_system(inform_act("system", **{ONTOLOGY[0]: "x"}))
-        assert ctx.answered_requests == {ONTOLOGY[0]: "x"}
-        ctx.observe_user(request_act("user", ONTOLOGY[0]))
+        ctx.observe_user(request_act(ONTOLOGY[0]))
+        ctx.observe_system(inform_act(**{ONTOLOGY[0]: "x"}))
+        assert ctx.answered_requests == {ONTOLOGY[0]}
+        ctx.observe_user(request_act(ONTOLOGY[0]))
         assert ctx.open_requests == [ONTOLOGY[0]]
-        assert ctx.answered_requests == {}
+        assert ctx.answered_requests == set()
 
     def test_kb_match_tracks_user_constraints(self, kb, kb_rows):
         ctx = DialogueContext(kb=kb)
         assert (ctx.kb_count, ctx.kb_row) == (len(kb_rows), kb_rows[0])
         value = kb_rows[0][ONTOLOGY[0]]
-        ctx.observe_user(inform_act("user", **{ONTOLOGY[0]: value}))
+        ctx.observe_user(inform_act(**{ONTOLOGY[0]: value}))
         expected = [r for r in kb_rows if r[ONTOLOGY[0]] == value]
         assert ctx.kb_count == len(expected)
         assert ctx.kb_row == expected[0]
@@ -207,20 +205,20 @@ class TestDialogueContext:
         first, other = kb_rows[0][slot], next(
             r[slot] for r in kb_rows if r[slot] != kb_rows[0][slot])
         ctx = DialogueContext(kb=kb)
-        ctx.observe_user(inform_act("user", **{slot: first}))
-        ctx.observe_user(inform_act("user", **{slot: other}))
+        ctx.observe_user(inform_act(**{slot: first}))
+        ctx.observe_user(inform_act(**{slot: other}))
         assert ctx.known_constraints == {slot: other}
         assert (ctx.kb_count, ctx.kb_row) == kb_query(kb, {slot: other})
         assert ctx.kb_row[slot] == other
-        ctx.observe_user(inform_act("user", **{slot: "no such value"}))
+        ctx.observe_user(inform_act(**{slot: "no such value"}))
         assert (ctx.kb_count, ctx.kb_row) == (0, None)
 
     def test_non_inform_acts_keep_kb_match(self, kb):
         ctx = DialogueContext(kb=kb)
-        ctx.observe_user(inform_act("user", **{ONTOLOGY[0]: kb.rows[3][ONTOLOGY[0]]}))
+        ctx.observe_user(inform_act(**{ONTOLOGY[0]: kb.rows[3][ONTOLOGY[0]]}))
         before = (ctx.kb_count, ctx.kb_row)
-        ctx.observe_user(request_act("user", ONTOLOGY[1]))
-        ctx.observe_system(inform_act("system", **{ONTOLOGY[1]: "x"}))
+        ctx.observe_user(request_act(ONTOLOGY[1]))
+        ctx.observe_system(inform_act(**{ONTOLOGY[1]: "x"}))
         assert (ctx.kb_count, ctx.kb_row) == before
 
 
