@@ -204,24 +204,38 @@ def render_act(act: DialogueAct) -> str:
 
 
 def _menu_user_act(stdin, stdout) -> DialogueAct | None:
-    """Guided act entry; None means the human ends the dialogue."""
-    stdout.write("your act [request/inform/confirm_answer/deny/thanks/quit]: ")
-    stdout.flush()
-    line = stdin.readline()
-    if not line:
-        return None
-    choice = line.strip().lower()
-    if choice in ("quit", "q", ""):
-        return None
+    """Guided act entry; None means the human ends the dialogue.
+
+    Input that names no act, slot or value is reported and asked for again.
+    """
+    while True:
+        stdout.write("your act [request/inform/confirm_answer/deny/thanks/quit]: ")
+        stdout.flush()
+        line = stdin.readline()
+        if not line:
+            return None
+        choice = line.strip().lower()
+        if choice in ("quit", "q", ""):
+            return None
+        try:
+            return _read_act(choice, stdin, stdout)
+        except (ValueError, domain.DomainError) as exc:
+            stdout.write(f"not understood: {exc}; try again\n")
+
+
+def _read_act(choice: str, stdin, stdout) -> DialogueAct:
+    """The act a menu choice names, reading its slot or slot=value line."""
     if choice == "request":
         stdout.write(f"slot ({', '.join(ONTOLOGY)}): ")
         stdout.flush()
-        slot = stdin.readline().strip()
-        return request_act(slot)
+        return request_act(stdin.readline().strip())
     if choice == "inform":
         stdout.write("slot=value: ")
         stdout.flush()
-        slot, _, value = stdin.readline().strip().partition("=")
+        line = stdin.readline().strip()
+        slot, eq, value = line.partition("=")
+        if not eq or not value:
+            raise domain.DomainError(f"expected slot=value, got {line!r}")
         return inform_act(**{slot: value})
     return DialogueAct(ActType(choice))
 
@@ -259,7 +273,7 @@ def run_chat_session(q: QFunction, goal, kb: KnowledgeBase, rng,
         stdout.write("score this dialogue 1-10: ")
         stdout.flush()
         line = stdin.readline().strip()
-        score = int(line) if line.isdigit() else None
+        score = int(line) if line.isdecimal() and 1 <= int(line) <= 10 else None
     stdout.write(f"dialogue {'succeeded' if success else 'failed'}\n")
     return {"goal_id": goal.id, "success": success, "score": score,
             "transcript": transcript}

@@ -95,9 +95,9 @@ class DialogueAct:
             if slot not in SLOT_INDEX:
                 raise DomainError(f"slot {slot!r} not in ontology")
             if self.act_type is ActType.REQUEST and value != UNK:
-                raise DomainError("request acts carry only UNK-valued slots")
+                raise DomainError(f"request slot {slot!r} carries {value!r}, not {UNK!r}")
             if self.act_type is ActType.INFORM and value == UNK:
-                raise DomainError("inform acts carry only concrete values")
+                raise DomainError(f"inform slot {slot!r} carries {UNK!r}, not a value")
 
     @property
     def slots(self) -> tuple[str, ...]:

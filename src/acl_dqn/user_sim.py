@@ -48,7 +48,23 @@ class SessionError(Exception):
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """The KB rows in a fixed order, with a row index for ``kb_query``.
+
+    The index maps each ``(slot, value)`` pair to a bitmask of the rows that
+    hold it (bit i is ``rows[i]``).  It is built from the rows once, at
+    construction, so the rows are read-only afterwards: editing a row dict
+    would leave the index answering for the old contents.
+    """
+
     rows: tuple[dict[str, str], ...]
+    index: dict[tuple[str, str], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index: dict[tuple[str, str], int] = {}
+        for i, row in enumerate(self.rows):
+            for pair in row.items():
+                index[pair] = index.get(pair, 0) | (1 << i)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -56,16 +72,12 @@ class KnowledgeBase:
 
 def kb_query(kb: KnowledgeBase, constraints: Mapping[str, str]) -> tuple[int, dict[str, str] | None]:
     """Count rows matching all constraints; first match in stable order."""
-    if not constraints:
-        return len(kb.rows), (kb.rows[0] if kb.rows else None)
-    count = 0
-    first = None
-    for row in kb.rows:
-        if all(row.get(s) == v for s, v in constraints.items()):
-            if first is None:
-                first = row
-            count += 1
-    return count, first
+    mask = (1 << len(kb.rows)) - 1
+    for pair in constraints.items():
+        mask &= kb.index.get(pair, 0)
+    if not mask:
+        return 0, None
+    return mask.bit_count(), kb.rows[(mask & -mask).bit_length() - 1]
 
 
 def designated_row(kb: KnowledgeBase, goal: UserGoal) -> dict[str, str] | None:

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from acl_dqn import cli
 from acl_dqn.cli import main, render_act, run_chat_session
 from acl_dqn.domain import ActType, DialogueAct, inform_act, request_act
 from acl_dqn.neural import QFunction
 from acl_dqn.student import N_ACTIONS, STATE_DIM
+from acl_dqn.user_sim import designated_row
 
 FAST = ["--epochs", "12", "--eval-every", "4", "--eval-dialogues", "4"]
 
@@ -289,6 +291,45 @@ class TestChat:
             stdin=stdin, stdout=io.StringIO())
         acts = [turn[1] for turn in record["transcript"] if turn[0] == "user"]
         assert "thanks" in acts
+
+    def test_mistyped_input_is_asked_again(self, corpus, kb):
+        stdout = io.StringIO()
+        record = run_chat_session(
+            self._net(), corpus.goals[0], kb, np.random.default_rng(1),
+            stdin=io.StringIO("hello\nrequest\nnosuchslot\nquit\n"), stdout=stdout)
+        assert record["success"] is False
+        assert [turn[0] for turn in record["transcript"]] == ["user", "system"]
+        text = stdout.getvalue()
+        assert "'hello' is not a valid ActType" in text
+        assert "slot 'nosuchslot' not in ontology" in text
+        assert text.count("your act") == 3
+
+    @pytest.mark.parametrize("line", ["city", "city=", "city=UNK"])
+    def test_malformed_inform_is_asked_again(self, corpus, kb, line):
+        stdout = io.StringIO()
+        record = run_chat_session(
+            self._net(), corpus.goals[0], kb, np.random.default_rng(1),
+            stdin=io.StringIO(f"inform\n{line}\nthanks\nquit\n"), stdout=stdout)
+        assert [turn[1] for turn in record["transcript"] if turn[0] == "user"][1:] \
+            == ["thanks"]
+        assert "not understood" in stdout.getvalue()
+
+    @pytest.mark.parametrize("line, score", [
+        ("0", None), ("1", 1), ("10", 10), ("11", None), ("42", None),
+        ("x", None), ("\u00b2", None)])
+    def test_score_is_kept_only_from_1_to_10(self, corpus, kb, monkeypatch, line, score):
+        goal = corpus.goals[0]
+        row = designated_row(kb, goal)
+        script = [inform_act(**{s: row[s]}) for s in goal.request_slots]
+        script.append(DialogueAct(ActType.BOOK))
+        acts = iter(script)
+        monkeypatch.setattr(cli, "materialize", lambda action, ctx: next(acts))
+        record = run_chat_session(
+            self._net(), goal, kb, np.random.default_rng(1),
+            stdin=io.StringIO("thanks\n" * len(script) + line + "\n"),
+            stdout=io.StringIO())
+        assert record["success"] is True
+        assert record["score"] == score
 
     def test_chat_subcommand_logs_and_is_pure_inference(self, tmp_path,
                                                         run_cli):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acl_dqn import student, user_sim
 from acl_dqn.domain import (
     ONTOLOGY,
     VALUE_POOLS,
@@ -63,19 +64,87 @@ class TestKbQuery:
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_matches_brute_force_oracle(self, data):
-        rows = tuple(
-            {s: data.draw(st.sampled_from(VALUE_POOLS[s])) for s in ONTOLOGY}
-            for _ in range(data.draw(st.integers(0, 12))))
-        kb = KnowledgeBase(rows)
+        # Up to 300 rows crosses several 64-row word edges. Small value
+        # pools give multi-row matches, copied rows give duplicates, some
+        # rows lack slots, and "absent" occurs in no row.
+        n_rows = data.draw(st.integers(0, 300), label="n_rows")
+        pool_size = data.draw(st.integers(1, 3), label="pool_size")
+        p_missing = data.draw(st.sampled_from([0.0, 0.1, 0.5]), label="p_missing")
+        p_copy = data.draw(st.sampled_from([0.0, 0.2, 0.8]), label="p_copy")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows: list[dict[str, str]] = []
+        for _ in range(n_rows):
+            if rows and gen.random() < p_copy:
+                rows.append(dict(rows[int(gen.integers(len(rows)))]))
+            else:
+                rows.append({s: VALUE_POOLS[s][int(gen.integers(pool_size))]
+                             for s in ONTOLOGY if gen.random() >= p_missing})
+        kb = KnowledgeBase(tuple(rows))
         constraints = {
-            s: data.draw(st.sampled_from(VALUE_POOLS[s]))
+            s: data.draw(st.sampled_from([*VALUE_POOLS[s][:pool_size], "absent"]))
             for s in data.draw(st.lists(st.sampled_from(ONTOLOGY),
                                         max_size=4, unique=True))}
         matches = [r for r in rows
-                   if all(r[s] == v for s, v in constraints.items())]
+                   if all(r.get(s) == v for s, v in constraints.items())]
         count, first = kb_query(kb, constraints)
         assert count == len(matches)
-        assert first == (matches[0] if matches else None)
+        # identity, not equality: of equal duplicate rows the first must come back
+        assert first is (matches[0] if matches else None)
+
+    def test_every_lookup_goes_through_the_module_attribute(self, corpus, kb, monkeypatch):
+        """The benchmark's user_sim.kb_query layer wraps this attribute.
+
+        The context's construction, each user inform and the BOOK must look
+        the KB up through it, or the layer would quietly count nothing.
+        """
+        events = []
+        real_query = user_sim.kb_query
+        real_reset, real_step = student.session_reset, student.session_step
+
+        def query(kb_, constraints):
+            events.append(("query", dict(constraints)))
+            return real_query(kb_, constraints)
+
+        def reset(goal, kb_, rng):
+            session, act = real_reset(goal, kb_, rng)
+            events.append(("user", act))
+            return session, act
+
+        def step(session, system_act):
+            events.append(("system", system_act))
+            user_act, status = real_step(session, system_act)
+            events.append(("user", user_act))
+            return user_act, status
+
+        monkeypatch.setattr(user_sim, "kb_query", query)
+        monkeypatch.setattr(student, "session_reset", reset)
+        monkeypatch.setattr(student, "session_step", step)
+        rng = np.random.default_rng(0)
+        for goal_id in corpus.simple:
+            goal = corpus.goals[goal_id]
+            events.clear()
+            result = run_episode(goal, kb, rule_policy(), rng)
+            acts = [e[1] for e in events if e[0] != "query"]
+            if result.success and acts[0].act_type is ActType.INFORM:
+                break
+        else:
+            pytest.fail("no rule-agent dialogue informed first and booked")
+
+        expected, known, built = [], {}, False
+        for kind, act in (e for e in events if e[0] != "query"):
+            expected.append((kind, act))
+            if kind == "system" and act.act_type is ActType.BOOK:
+                # the booking check looks up the goal's designated row
+                expected.append(("query", goal.inform_dict))
+            if kind == "user":
+                if not built:
+                    expected.append(("query", {}))
+                    built = True
+                if act.act_type is ActType.INFORM:
+                    known.update(act.payload)
+                    expected.append(("query", dict(known)))
+        assert events == expected
+        assert sum(e[0] == "query" for e in events) >= 3
 
 
 class TestRevealProbability:
