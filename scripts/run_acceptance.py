@@ -1,52 +1,44 @@
 #!/usr/bin/env python3
-"""Run the full comparison behind the acceptance suite and cache the logs.
+"""Retrain the acceptance runs and cache their logs under results/acceptance/.
 
-Trains dqn, acl-a, acl-a-noorp, and acl-c on the default synthetic corpus
-for 5 seeds x 500 epochs and writes per-run metrics / teacher logs / phase
-logs under results/acceptance/.  tests/test_acceptance.py reads this cache
-when present and re-runs the experiment itself (slowly) when it is absent,
-so this script exists to front-load the training: about 12.5 minutes for
-the 20 runs on a 2-core Intel Xeon host (Python 3.11.7, numpy 2.4.6), as
-measured by scripts/verify_cache.py, which retrains the same runs.
+Trains the 20 runs of orchestrator.acceptance_runs() (4 agents x 5 seeds x
+500 epochs) and writes each run's three CSVs and the manifest.
+tests/test_acceptance.py reads this cache, and retrains the runs itself,
+slowly, when it is absent. The 20 runs take about 680 s on a 2-core Intel
+Xeon host (Python 3.11.7, numpy 2.4.6), as scripts/verify_cache.py measures.
+The package is imported from this checkout's src/.
 """
 
 import json
+import sys
 import time
 from pathlib import Path
 
-from acl_dqn.orchestrator import (
-    ACCEPTANCE_PROFILE,
-    TrainConfig,
-    default_environment,
-    run_training,
-    write_metrics_csv,
-    write_phase_log_csv,
-    write_teacher_log_csv,
-)
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-AGENTS = ("dqn", "acl-a", "acl-a-noorp", "acl-c")
-SEEDS = (1, 2, 3, 4, 5)
+from acl_dqn.orchestrator import (  # noqa: E402
+    ACCEPTANCE_AGENTS,
+    ACCEPTANCE_ENV_SEED,
+    ACCEPTANCE_PROFILE,
+    ACCEPTANCE_SEEDS,
+    acceptance_runs,
+    write_run_logs,
+)
 
 
 def main() -> None:
-    out = Path(__file__).resolve().parent.parent / "results" / "acceptance"
+    out = ROOT / "results" / "acceptance"
     out.mkdir(parents=True, exist_ok=True)
-    corpus, kb = default_environment(1)
-    manifest = {"profile": ACCEPTANCE_PROFILE, "seeds": list(SEEDS),
-                "agents": list(AGENTS), "env_seed": 1}
+    manifest = {"profile": ACCEPTANCE_PROFILE, "seeds": list(ACCEPTANCE_SEEDS),
+                "agents": list(ACCEPTANCE_AGENTS), "env_seed": ACCEPTANCE_ENV_SEED}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    for agent in AGENTS:
-        config = TrainConfig(agent_kind=agent, **ACCEPTANCE_PROFILE)
-        for seed in SEEDS:
-            tag = f"{agent}_seed{seed}"
-            t0 = time.time()
-            result = run_training(config, seed, corpus, kb)
-            write_metrics_csv(result.metrics, out / f"metrics_{tag}.csv")
-            write_teacher_log_csv(result.metrics, out / f"teacher_log_{tag}.csv")
-            write_phase_log_csv(result.metrics, out / f"phase_log_{tag}.csv")
-            final = result.metrics.eval_rows[-1][1]
-            print(f"{tag}: final success {final:.3f} "
-                  f"({time.time() - t0:.0f}s)", flush=True)
+    t0 = time.time()
+    for run in acceptance_runs():
+        write_run_logs(run.metrics, out, f"_{run.tag}")
+        print(f"{run.tag}: final success {run.metrics.eval_rows[-1][1]:.3f} "
+              f"({time.time() - t0:.0f}s)", flush=True)
+        t0 = time.time()
     print(f"done; artifacts in {out}")
 
 

@@ -16,16 +16,9 @@ from . import domain, orchestrator
 from .domain import ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
 from .neural import NeuralError, QFunction
 from .orchestrator import TrainConfig
-from .user_sim import (
-    FAILURE,
-    KnowledgeBase,
-    ONGOING,
-    SUCCESS,
-    session_reset,
-    session_step,
-)
-from .student import greedy_policy, featurize, materialize
-from .user_sim import DialogueContext
+from .student import featurize, greedy_policy, materialize
+from .user_sim import (FAILURE, ONGOING, SUCCESS, DialogueContext, KnowledgeBase,
+                       session_reset, session_step)
 
 
 class CliError(Exception):
@@ -119,9 +112,7 @@ def cmd_train(args) -> int:
     corpus, kb = _load_environment(args, args.seed)
     out = _out_dir(args)
     result = orchestrator.run_training(config, args.seed, corpus, kb)
-    orchestrator.write_metrics_csv(result.metrics, out / "metrics.csv")
-    orchestrator.write_teacher_log_csv(result.metrics, out / "teacher_log.csv")
-    orchestrator.write_phase_log_csv(result.metrics, out / "phase_log.csv")
+    orchestrator.write_run_logs(result.metrics, out)
     result.student_q.save(out / "student.qfn")
     final = result.metrics.eval_rows[-1] if result.metrics.eval_rows else None
     if final:

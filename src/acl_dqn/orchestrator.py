@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +60,10 @@ ACCEPTANCE_PROFILE = dict(
     epsilon_decay_epochs=300,
     eval_dialogues=100,
 )
+# The cached comparison's runs, as recorded in results/acceptance/manifest.json.
+ACCEPTANCE_AGENTS = ("dqn", "acl-a", "acl-a-noorp", "acl-c")
+ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
+ACCEPTANCE_ENV_SEED = 1
 
 
 class ConfigError(Exception):
@@ -86,6 +93,14 @@ class TrainConfig:
             raise ConfigError("num_epochs must be >= 1")
         if self.eval_every < 1 or self.eval_dialogues < 1:
             raise ConfigError("eval cadence and dialogue count must be >= 1")
+        for name in ("epoch_size", "updates_per_epoch"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1 when set, got {value}")
+        for name in ("alpha", "epsilon_end"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
 
     @property
     def schedule(self) -> str:
@@ -125,6 +140,10 @@ class RunResult:
     metrics: MetricsSeries
     student_q: QFunction
 
+    @property
+    def tag(self) -> str:
+        return f"{self.config.agent_kind}_seed{self.seed}"
+
 
 def default_environment(seed: int) -> tuple[GoalCorpus, KnowledgeBase]:
     rows = generate_kb_rows(seed)
@@ -161,12 +180,11 @@ def run_training(config: TrainConfig, seed: int,
         corpus, kb = default_environment(seed)
     if len(corpus) == 0:
         raise ConfigError("cannot train on an empty corpus")
+    if len(kb) == 0:
+        raise ConfigError("cannot train on an empty knowledge base")
 
-    init_rng = np.random.default_rng([seed, 1])
-    sim_rng = np.random.default_rng([seed, 2])
-    student_rng = np.random.default_rng([seed, 3])
-    teacher_rng = np.random.default_rng([seed, 4])
-    prefill_rng = np.random.default_rng([seed, 5])
+    init_rng, sim_rng, student_rng, teacher_rng, prefill_rng = (
+        np.random.default_rng([seed, k]) for k in range(1, 6))
 
     student_q = QFunction(STATE_DIM, N_ACTIONS, rng=init_rng)
     teacher_q = make_teacher_q(corpus, init_rng)
@@ -242,29 +260,62 @@ def run_training(config: TrainConfig, seed: int,
     return RunResult(config, seed, metrics, student_q)
 
 
-def write_metrics_csv(metrics: MetricsSeries, path) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "success", "reward", "turns"])
-        for epoch, sr, rew, trn in metrics.eval_rows:
-            writer.writerow([epoch, repr(sr), repr(rew), repr(trn)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_metrics_csv(metrics: MetricsSeries, path) -> None:
+    _write_csv(path, ["epoch", "success", "reward", "turns"],
+               ([epoch, repr(sr), repr(rew), repr(trn)]
+                for epoch, sr, rew, trn in metrics.eval_rows))
 
 
 def write_teacher_log_csv(metrics: MetricsSeries, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "goal_id", "og", "r_or", "x_now", "x_prev", "r"])
-        for row in metrics.teacher_log:
-            writer.writerow([row.epoch, row.goal_id, row.og, repr(row.r_or),
-                             repr(row.x_now), repr(row.x_prev), repr(row.r)])
+    _write_csv(path, ["epoch", "goal_id", "og", "r_or", "x_now", "x_prev", "r"],
+               ([row.epoch, row.goal_id, row.og, repr(row.r_or), repr(row.x_now),
+                 repr(row.x_prev), repr(row.r)] for row in metrics.teacher_log))
 
 
 def write_phase_log_csv(metrics: MetricsSeries, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "from", "to", "trigger"])
-        for t in metrics.phase_log:
-            writer.writerow([t.epoch, t.old_phase, t.new_phase, t.trigger])
+    _write_csv(path, ["epoch", "from", "to", "trigger"],
+               ([t.epoch, t.old_phase, t.new_phase, t.trigger] for t in metrics.phase_log))
+
+
+def write_run_logs(metrics: MetricsSeries, out_dir, suffix: str = "") -> dict[str, Path]:
+    """Write a run's metrics, teacher-log and phase-log CSVs as ``{kind}{suffix}.csv``."""
+    paths = {}
+    for kind, write in (("metrics", write_metrics_csv), ("teacher_log", write_teacher_log_csv),
+                        ("phase_log", write_phase_log_csv)):
+        paths[kind] = Path(out_dir) / f"{kind}{suffix}.csv"
+        write(metrics, paths[kind])
+    return paths
+
+
+def cache_difference(run: RunResult, cache_dir) -> str | None:
+    """The first line at which a run's logs differ from the cached run's, or None.
+
+    The cached run of the same agent and seed is cut to the run's
+    ``num_epochs`` and, for the metrics, its ``eval_every``. Lines are
+    compared as bytes, line endings included; a missing or extra line is a
+    difference. Line numbers count the compared lines.
+    """
+    n, every = run.config.num_epochs, run.config.eval_every
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind, path in write_run_logs(run.metrics, tmp, f"_{run.tag}").items():
+            step = every if kind == "metrics" else 1
+            fresh = path.read_bytes().splitlines(keepends=True)
+            cached = (Path(cache_dir) / path.name).read_bytes().splitlines(keepends=True)
+            cached = cached[:1] + [line for line in cached[1:]
+                                   if (e := int(line.split(b",", 1)[0])) <= n and e % step == 0]
+            if fresh != cached:
+                i = next((i for i, (a, b) in enumerate(zip(fresh, cached)) if a != b),
+                         min(len(fresh), len(cached)))
+                shown = [repr(f[i]) if i < len(f) else "<end of file>" for f in (cached, fresh)]
+                return f"{path.name} line {i + 1}\n  cached: {shown[0]}\n  fresh:  {shown[1]}"
+    return None
 
 
 def selection_counts(metrics: MetricsSeries, n_goals: int) -> np.ndarray:
@@ -290,9 +341,7 @@ class ComparisonReport:
         epochs = [row[0] for row in runs[0].metrics.eval_rows]
         out = []
         for i, epoch in enumerate(epochs):
-            sr = np.array([r.metrics.eval_rows[i][1] for r in runs])
-            rew = np.array([r.metrics.eval_rows[i][2] for r in runs])
-            trn = np.array([r.metrics.eval_rows[i][3] for r in runs])
+            sr, rew, trn = (np.array([r.metrics.eval_rows[i][k] for r in runs]) for k in (1, 2, 3))
             out.append((epoch, float(sr.mean()), float(sr.var()),
                         float(rew.mean()), float(trn.mean())))
         return out
@@ -301,16 +350,27 @@ class ComparisonReport:
         return np.array([r.metrics.eval_rows[-1][1] for r in self.by_agent()[agent_kind]])
 
 
+def iter_runs(configs, seeds,
+              corpus: GoalCorpus | None = None,
+              kb: KnowledgeBase | None = None) -> Iterator[RunResult]:
+    """Every (config, seed) pair as it finishes, configs in the outer loop."""
+    for config in configs:
+        for seed in seeds:
+            log.info("run: agent=%s seed=%d", config.agent_kind, seed)
+            yield run_training(config, seed, corpus, kb)
+
+
+def acceptance_runs() -> Iterator[RunResult]:
+    """The cached comparison's runs, retrained in the cache's order."""
+    configs = [TrainConfig(agent_kind=a, **ACCEPTANCE_PROFILE) for a in ACCEPTANCE_AGENTS]
+    return iter_runs(configs, ACCEPTANCE_SEEDS, *default_environment(ACCEPTANCE_ENV_SEED))
+
+
 def run_comparison(configs, seeds,
                    corpus: GoalCorpus | None = None,
                    kb: KnowledgeBase | None = None) -> ComparisonReport:
     """Every (config, seed) pair; deterministic merge order."""
-    runs = []
-    for config in configs:
-        for seed in seeds:
-            log.info("run: agent=%s seed=%d", config.agent_kind, seed)
-            runs.append(run_training(config, seed, corpus, kb))
-    return ComparisonReport(runs)
+    return ComparisonReport(list(iter_runs(configs, seeds, corpus, kb)))
 
 
 def sweep_alpha(base_config: TrainConfig, alphas, seeds,
@@ -318,16 +378,12 @@ def sweep_alpha(base_config: TrainConfig, alphas, seeds,
                 kb: KnowledgeBase | None = None) -> dict[float, ComparisonReport]:
     if base_config.agent_kind != "acl-c":
         raise ConfigError("the mastery sweep only applies to acl-c")
-    reports = {}
-    for alpha in alphas:
-        config = replace(base_config, alpha=alpha)
-        reports[alpha] = run_comparison([config], seeds, corpus, kb)
-    return reports
+    configs = [replace(base_config, alpha=alpha) for alpha in alphas]
+    for config in configs:
+        config.validate()
+    return {config.alpha: run_comparison([config], seeds, corpus, kb) for config in configs}
 
 
 def write_curve_csv(report: ComparisonReport, agent_kind: str, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_success", "var_success", "mean_reward", "mean_turns"])
-        for row in report.curve(agent_kind):
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+    _write_csv(path, ["epoch", "mean_success", "var_success", "mean_reward", "mean_turns"],
+               ([row[0]] + [repr(v) for v in row[1:]] for row in report.curve(agent_kind)))

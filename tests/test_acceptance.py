@@ -2,7 +2,7 @@
 
 Criteria 2-5 evaluate the full comparison experiment: dqn, acl-a,
 acl-a-noorp, and acl-c on the default synthetic corpus, 5 seeds x 500
-epochs.  Those runs take ~12.5 minutes on a 2-core Xeon host (the figure
+epochs.  Those runs take ~680 s on a 2-core Xeon host (the figure
 README.md gives for scripts/run_acceptance.py), so the suite reads the
 cached logs produced by scripts/run_acceptance.py when results/acceptance/
 exists and silently re-runs the experiment itself when it does not.
@@ -12,7 +12,6 @@ addition to its asserts.
 """
 
 import csv
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +19,10 @@ import pytest
 
 from acl_dqn.curriculum import MasteryTracker, PhaseMachine, orp_penalty
 from acl_dqn.orchestrator import (
-    ACCEPTANCE_PROFILE,
+    ACCEPTANCE_AGENTS,
+    ACCEPTANCE_SEEDS,
     TrainConfig,
-    default_environment,
+    acceptance_runs,
     run_training,
     write_metrics_csv,
 )
@@ -32,8 +32,6 @@ from acl_dqn.neural import QFunction, Minibatch, clip_gradients
 REPO = Path(__file__).resolve().parent.parent
 CACHE = REPO / "results" / "acceptance"
 
-AGENTS = ("dqn", "acl-a", "acl-a-noorp", "acl-c")
-SEEDS = (1, 2, 3, 4, 5)
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
@@ -51,9 +49,7 @@ def _load_cached_run(agent: str, seed: int):
     return {"eval_rows": eval_rows, "teacher_log": teacher_log}
 
 
-def _fresh_run(agent: str, seed: int, corpus, kb):
-    config = TrainConfig(agent_kind=agent, **ACCEPTANCE_PROFILE)
-    result = run_training(config, seed, corpus, kb)
+def _fresh_run(result):
     teacher_log = [{"epoch": r.epoch, "goal_id": r.goal_id, "og": r.og,
                     "r_or": r.r_or, "x_now": r.x_now, "x_prev": r.x_prev,
                     "r": r.r} for r in result.metrics.teacher_log]
@@ -62,29 +58,22 @@ def _fresh_run(agent: str, seed: int, corpus, kb):
 
 @pytest.fixture(scope="module")
 def comparison():
-    runs = {}
     if (CACHE / "manifest.json").exists():
-        for agent in AGENTS:
-            for seed in SEEDS:
-                runs[agent, seed] = _load_cached_run(agent, seed)
-        return runs
-    corpus, kb = default_environment(1)
-    for agent in AGENTS:
-        for seed in SEEDS:
-            runs[agent, seed] = _fresh_run(agent, seed, corpus, kb)
-    return runs
+        return {(agent, seed): _load_cached_run(agent, seed)
+                for agent in ACCEPTANCE_AGENTS for seed in ACCEPTANCE_SEEDS}
+    return {(run.config.agent_kind, run.seed): _fresh_run(run) for run in acceptance_runs()}
 
 
 def _success_at(runs, agent, epoch):
     out = []
-    for seed in SEEDS:
+    for seed in ACCEPTANCE_SEEDS:
         rows = runs[agent, seed]["eval_rows"]
         out.append(next(r[1] for r in rows if r[0] == epoch))
     return np.array(out)
 
 
 def _final_success(runs, agent):
-    return np.array([runs[agent, seed]["eval_rows"][-1][1] for seed in SEEDS])
+    return np.array([runs[agent, seed]["eval_rows"][-1][1] for seed in ACCEPTANCE_SEEDS])
 
 
 def test_criterion_1_exact_reproduction_not_required():
@@ -131,7 +120,7 @@ def test_criterion_3_stability_claim(comparison):
 def test_criterion_4_orp_ablation(comparison):
     wins = 0
     details = []
-    for seed in SEEDS:
+    for seed in ACCEPTANCE_SEEDS:
         counts = {}
         for agent in ("acl-a", "acl-a-noorp"):
             per_goal = {}

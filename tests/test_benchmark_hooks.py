@@ -1,0 +1,46 @@
+"""The benchmark's wrappers still find every attribute they patch.
+
+perfbench/ times and traces the package from outside, by replacing module
+and class attributes, so a renamed attribute passes every other test and
+fails only when the benchmark runs. This test imports perfbench's own
+modules unchanged, installs its clock and its span wrappers, and makes one
+short comparison through them.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from acl_dqn import curriculum, domain, neural, orchestrator, replay, student, teacher, user_sim
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# Every owner whose attributes perfbench replaces.
+PATCHED = (orchestrator, student, user_sim, neural.QFunction, replay.ReplayBuffer,
+           teacher.TeacherStateBuilder, curriculum.PhaseMachine, domain.GoalCorpus)
+
+
+def test_benchmark_hooks_record_every_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    bench = importlib.import_module("run")
+    before = [dict(vars(owner)) for owner in PATCHED]
+
+    recorder, patch = spans.SpanRecorder(), spans.Patch()
+    bench.install_clock(patch, bench.HostSpeed())
+    spans.instrument(recorder, patch)
+    try:
+        corpus, kb = orchestrator.default_environment(1)
+        config = orchestrator.TrainConfig(agent_kind="acl-c", **{
+            **orchestrator.ACCEPTANCE_PROFILE, "num_epochs": 2, "eval_every": 2})
+        [run] = orchestrator.run_comparison([config], [1], corpus, kb).runs
+    finally:
+        patch.undo()
+        for name in ("spans", "run"):
+            sys.modules.pop(name, None)
+
+    totals = recorder.layer_totals()
+    assert [layer for layer in bench.LAYERS if totals.get(layer, {}).get("calls", 0) == 0] == []
+    assert len(bench.times_of(run).marks) == 2
+    for owner, saved in zip(PATCHED, before):
+        assert [attr for attr, value in saved.items() if vars(owner).get(attr) is not value] == []

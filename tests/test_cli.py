@@ -264,6 +264,19 @@ class TestSweepAlpha:
             "error: --alphas expects float values, got '0.5,x'\n"
 
 
+@pytest.mark.parametrize("argv", [["train", "--alpha", "1.5"],
+                                  ["sweep-alpha", "--alphas", "1.5", "--seeds", "1"],
+                                  ["sweep-alpha", "--alphas", "0.5,1.5", "--seeds", "1"]])
+def test_alpha_outside_unit_interval_exits_2_before_training(argv, tmp_path, capsys,
+                                                              monkeypatch):
+    def run_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(cli.orchestrator, "run_training", run_training)
+    assert main([*argv, "--out", str(tmp_path), *FAST]) == 2
+    assert "alpha must be in [0, 1]" in capsys.readouterr().err
+
+
 class TestChat:
     @staticmethod
     def _net():

@@ -1,5 +1,7 @@
 import argparse
 import dataclasses
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +11,21 @@ from acl_dqn.cli import _config_from_args
 from acl_dqn.curriculum import orp_penalty
 from acl_dqn.neural import NeuralError
 from acl_dqn.orchestrator import (
+    ACCEPTANCE_AGENTS,
+    ACCEPTANCE_ENV_SEED,
     ACCEPTANCE_PROFILE,
+    ACCEPTANCE_SEEDS,
     AGENT_KINDS,
     ComparisonReport,
     ConfigError,
+    MetricsSeries,
+    RunResult,
     TrainConfig,
+    acceptance_runs,
+    cache_difference,
     default_environment,
     evaluate_policy,
+    iter_runs,
     run_comparison,
     run_training,
     selection_counts,
@@ -25,7 +35,9 @@ from acl_dqn.orchestrator import (
     write_phase_log_csv,
     write_teacher_log_csv,
 )
+from acl_dqn.user_sim import KnowledgeBase
 
+CACHE = Path(__file__).resolve().parent.parent / "results" / "acceptance"
 SMALL = TrainConfig(num_epochs=30, eval_every=5, eval_dialogues=5)
 
 
@@ -47,6 +59,19 @@ class TestConfig:
     def test_nonpositive_epochs_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(num_epochs=0).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("epoch_size", 0), ("updates_per_epoch", 0), ("updates_per_epoch", -3),
+        ("alpha", -1.0), ("alpha", 2.0), ("alpha", float("nan")), ("epsilon_end", 1.5)])
+    def test_out_of_range_value_names_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("epoch_size", 1), ("updates_per_epoch", 1), ("alpha", 0.0), ("alpha", 1.0),
+        ("epsilon_end", 0.0), ("epsilon_end", 1.0)])
+    def test_range_bounds_are_accepted(self, field, value):
+        TrainConfig(**{field: value}).validate()
 
     def test_every_field_is_set_by_a_caller(self):
         """A value that neither the acceptance profile nor a CLI flag sets is a constant."""
@@ -124,6 +149,10 @@ class TestRunTraining:
         empty = GoalCorpus((), (), (), ())
         with pytest.raises(ConfigError):
             run_training(SMALL, 1, empty, kb)
+
+    def test_empty_knowledge_base_rejected(self, corpus):
+        with pytest.raises(ConfigError, match="empty knowledge base"):
+            run_training(SMALL, 1, corpus, KnowledgeBase(()))
 
     def test_same_seed_reproduces_the_metrics_exactly(self, corpus, kb):
         a = run_training(SMALL, 3, corpus, kb)
@@ -220,6 +249,75 @@ class TestComparisonAndSweep:
             run = report.runs[0]
             assert run.config.alpha == alpha
             assert len(run.metrics.eval_rows) == 2
+
+
+class TestRunLoop:
+    @pytest.fixture
+    def stub_runs(self, monkeypatch):
+        """run_training replaced by a stub that records each (agent, seed) it is asked for."""
+        calls = []
+
+        def run(config, seed, corpus=None, kb=None):
+            calls.append((config.agent_kind, seed))
+            return RunResult(config, seed, MetricsSeries(), None)
+
+        monkeypatch.setattr(orchestrator, "run_training", run)
+        return calls
+
+    def test_iter_runs_yields_each_run_in_run_comparisons_order(self, stub_runs):
+        configs = [TrainConfig(agent_kind="acl-c"), TrainConfig(agent_kind="dqn")]
+        runs = iter_runs(configs, [3, 1])
+        assert next(runs).tag == "acl-c_seed3"
+        assert stub_runs == [("acl-c", 3)]
+        streamed = ["acl-c_seed3"] + [run.tag for run in runs]
+        assert streamed == ["acl-c_seed3", "acl-c_seed1", "dqn_seed3", "dqn_seed1"]
+        assert [run.tag for run in run_comparison(configs, [3, 1]).runs] == streamed
+
+    def test_acceptance_runs_are_the_cached_matrix(self, stub_runs):
+        runs = list(acceptance_runs())
+        assert stub_runs == [(a, s) for a in ACCEPTANCE_AGENTS for s in ACCEPTANCE_SEEDS]
+        assert {run.config for run in runs} == {
+            TrainConfig(agent_kind=a, **ACCEPTANCE_PROFILE) for a in ACCEPTANCE_AGENTS}
+
+
+def _bump_last_digit(line: bytes) -> bytes:
+    body = line.rstrip(b"\r\n")
+    assert body[-1:].isdigit()
+    return body[:-1] + str((int(body[-1:]) + 1) % 10).encode() + line[len(body):]
+
+
+class TestCacheDifference:
+    """A 10-epoch dqn seed-1 run against copies of its cached logs."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        config = TrainConfig(agent_kind="dqn", **{**ACCEPTANCE_PROFILE, "num_epochs": 10})
+        return run_training(config, 1, *default_environment(ACCEPTANCE_ENV_SEED))
+
+    @pytest.fixture
+    def cache(self, tmp_path):
+        for kind in ("metrics", "teacher_log", "phase_log"):
+            shutil.copy(CACHE / f"{kind}_dqn_seed1.csv", tmp_path)
+        return tmp_path
+
+    def test_the_cached_prefix_matches(self, run, cache):
+        assert cache_difference(run, cache) is None
+
+    @pytest.mark.parametrize("kind, index, edit", [
+        ("teacher_log", 4, _bump_last_digit),
+        ("metrics", 2, lambda line: b""),  # the row of epoch 10, the run's last
+        ("phase_log", 1, lambda line: b"3,1,2,mastery\r\n" + line),
+        ("teacher_log", 6, lambda line: line.replace(b"\r\n", b"\n")),
+    ], ids=["changed-digit", "missing-row", "extra-row", "line-ending"])
+    def test_a_planted_difference_names_file_and_line(self, run, cache, kind, index, edit):
+        path = cache / f"{kind}_dqn_seed1.csv"
+        lines = path.read_bytes().splitlines(keepends=True) + [b""]
+        lines[index] = edit(lines[index])
+        path.write_bytes(b"".join(lines))
+        difference = cache_difference(run, cache)
+        assert difference is not None
+        assert difference.startswith(f"{path.name} line {index + 1}\n  cached: ")
+        assert "\n  fresh:  " in difference
 
 
 class TestDefaultEnvironment:
