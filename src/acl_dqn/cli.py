@@ -37,7 +37,10 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError("--sizes expects three comma-separated integers")
-    return tuple(_numbers(int, "--sizes", text, parts))  # type: ignore[return-value]
+    sizes = tuple(_numbers(int, "--sizes", text, parts))
+    if min(sizes) < 1:
+        raise CliError(f"--sizes must all be >= 1, got {text!r}")
+    return sizes  # type: ignore[return-value]
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -56,19 +59,14 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _load_environment(args, seed: int):
-    if args.kb:
-        kb = KnowledgeBase(domain.load_kb_rows(args.kb))
-        if len(kb) == 0:
-            raise domain.DomainError(f"{args.kb} holds no rows")
-    else:
-        kb = KnowledgeBase(domain.generate_kb_rows(seed))
-    if args.goals:
-        corpus = domain.load_corpus(args.goals)
-        if len(corpus) == 0:
-            raise domain.DomainError(f"{args.goals} holds no goals")
-    else:
-        corpus = domain.generate_corpus(seed, kb_rows=kb.rows)
-    return corpus, kb
+    """Corpus and KB from --goals/--kb, each generated from seed when its flag is unset."""
+    rows = domain.load_kb_rows(args.kb) if args.kb else domain.generate_kb_rows(seed)
+    if not rows:
+        raise domain.DomainError(f"{args.kb} holds no rows")
+    corpus = domain.load_corpus(args.goals) if args.goals else domain.generate_corpus(seed, rows)
+    if len(corpus) == 0:
+        raise domain.DomainError(f"{args.goals} holds no goals")
+    return corpus, KnowledgeBase(rows)
 
 
 def _out_dir(args) -> Path:
@@ -88,10 +86,9 @@ def _config_from_args(args, agent: str) -> TrainConfig:
 
 
 def cmd_gen_goals(args) -> int:
+    sizes = _parse_sizes(args.sizes)
     out = _out_dir(args)
-    rows = domain.generate_kb_rows(args.seed)
-    corpus = domain.generate_corpus(args.seed, sizes=_parse_sizes(args.sizes),
-                                    kb_rows=rows)
+    corpus = domain.generate_corpus(args.seed, domain.generate_kb_rows(args.seed), sizes)
     path = out / "goals.jsonl"
     domain.save_corpus(corpus, path)
     print(f"wrote {len(corpus)} goals to {path}")
@@ -99,6 +96,8 @@ def cmd_gen_goals(args) -> int:
 
 
 def cmd_gen_kb(args) -> int:
+    if args.rows < 1:
+        raise CliError(f"--rows must be >= 1, got {args.rows}")
     out = _out_dir(args)
     rows = domain.generate_kb_rows(args.seed, n_rows=args.rows)
     path = out / "kb.jsonl"

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .domain import GoalCorpus, TIERS
+from .user_sim import MAX_TURNS
 
-L_MAX = 40.0
+# ORP asymptote L, the reward scale: the turn cap, as in the failure penalty.
+L_MAX = float(MAX_TURNS)
 ORP_K = 10.0
 
 SCHEDULES = ("A", "B", "C")

@@ -1,7 +1,7 @@
 """Core vocabulary of the movie-booking dialogue task.
 
-Slots, dialogue acts, user goals, the difficulty-partitioned goal corpus,
-and line-delimited corpus/KB file I/O.
+Slots, dialogue acts, user goals, the goal corpus and its difficulty
+tiers, and line-delimited corpus/KB file I/O.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,16 +43,16 @@ VALUE_POOLS: dict[str, tuple[str, ...]] = {
     "rating": ("G", "PG", "PG-13", "R", "NC-17"),
 }
 
-# Difficulty bands used by the synthetic generator: a goal's difficulty is
-# |inform_slots| + |request_slots|.  Tiers must have strictly increasing
-# boundaries so the size-based partition lines up with the bands.
+# A goal's tier is its difficulty band, where difficulty is
+# |inform_slots| + |request_slots|: the first tier whose upper bound it does
+# not exceed.  The generator draws each tier's difficulties inside its band.
 TIER_BANDS: dict[str, tuple[int, int]] = {
     "simple": (2, 3),
     "medium": (4, 6),
     "difficult": (7, 9),
 }
 
-TIERS: tuple[str, ...] = ("simple", "medium", "difficult")
+TIERS: tuple[str, ...] = tuple(TIER_BANDS)
 
 
 class DomainError(Exception):
@@ -161,22 +161,33 @@ def make_goal(goal_id: int, inform_slots: Mapping[str, str], request_slots: Iter
     return UserGoal(goal_id, informs, requests)
 
 
+def _band_of(difficulty: int) -> str:
+    """The first tier whose band's upper bound the difficulty does not exceed."""
+    return next(tier for tier, (_, hi) in TIER_BANDS.items() if difficulty <= hi)
+
+
 @dataclass(frozen=True)
 class GoalCorpus:
-    """Goals in id order: a goal's id is its position and its teacher output index."""
+    """Goals in id order: a goal's id is its position and its teacher output index.
+
+    Each tier holds the ids of the goals in its difficulty band, ascending
+    by (difficulty, id).
+    """
 
     goals: tuple[UserGoal, ...]
-    simple: tuple[int, ...] = field(default=())
-    medium: tuple[int, ...] = field(default=())
-    difficult: tuple[int, ...] = field(default=())
+    simple: tuple[int, ...] = field(init=False)
+    medium: tuple[int, ...] = field(init=False)
+    difficult: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         for i, g in enumerate(self.goals):
             if g.id != i:
                 raise DomainError(f"goal at position {i} has id {g.id}, expected {i}")
-        covered = list(self.simple) + list(self.medium) + list(self.difficult)
-        if sorted(covered) != list(range(len(self.goals))):
-            raise DomainError("partition must cover all goals exactly once")
+        tiers: dict[str, list[int]] = {tier: [] for tier in TIERS}
+        for g in sorted(self.goals, key=lambda g: (g.difficulty, g.id)):
+            tiers[_band_of(g.difficulty)].append(g.id)
+        for tier, ids in tiers.items():
+            object.__setattr__(self, tier, tuple(ids))
 
     def __len__(self) -> int:
         return len(self.goals)
@@ -188,27 +199,12 @@ class GoalCorpus:
         return getattr(self, tier)
 
     def tier_of(self, goal_id: int) -> str:
-        for tier in TIERS:
-            if goal_id in self.tier_ids(tier):
-                return tier
-        raise DomainError(f"goal {goal_id} not in corpus")
+        if not 0 <= goal_id < len(self.goals):
+            raise DomainError(f"goal {goal_id} not in corpus")
+        return _band_of(self.goals[goal_id].difficulty)
 
     def all_ids(self) -> tuple[int, ...]:
         return tuple(g.id for g in self.goals)
-
-
-def partition_corpus(goals: Sequence[UserGoal], sizes: tuple[int, int, int]) -> GoalCorpus:
-    """Sort goals ascending by (difficulty, id) and slice into three tiers."""
-    if any(s < 1 for s in sizes):
-        raise DomainError("each tier size must be >= 1")
-    if sum(sizes) != len(goals):
-        raise DomainError(f"tier sizes {sizes} do not sum to corpus size {len(goals)}")
-    ordered = sorted(goals, key=lambda g: (g.difficulty, g.id))
-    n_simple, n_medium, _ = sizes
-    simple = tuple(g.id for g in ordered[:n_simple])
-    medium = tuple(g.id for g in ordered[n_simple:n_simple + n_medium])
-    difficult = tuple(g.id for g in ordered[n_simple + n_medium:])
-    return GoalCorpus(tuple(sorted(goals, key=lambda g: g.id)), simple, medium, difficult)
 
 
 def generate_kb_rows(seed: int, n_rows: int = 200) -> tuple[dict[str, str], ...]:
@@ -220,27 +216,20 @@ def generate_kb_rows(seed: int, n_rows: int = 200) -> tuple[dict[str, str], ...]
     return tuple(rows)
 
 
-def _tier_plan(sizes: tuple[int, int, int], rng: np.random.Generator) -> list[int]:
-    """Per-goal difficulty list realizing the tier bands, tier by tier."""
-    difficulties: list[int] = []
-    for tier, size in zip(TIERS, sizes):
-        lo, hi = TIER_BANDS[tier]
-        difficulties.extend(int(rng.integers(lo, hi + 1)) for _ in range(size))
-    return difficulties
-
-
-def generate_corpus(seed: int, sizes: tuple[int, int, int] = (30, 72, 26),
-                    kb_rows: Sequence[Mapping[str, str]] | None = None) -> GoalCorpus:
+def generate_corpus(seed: int, kb_rows: Sequence[Mapping[str, str]],
+                    sizes: tuple[int, int, int] = (30, 72, 26)) -> GoalCorpus:
     """Deterministic synthetic goal corpus, satisfiable against the KB.
 
-    Each goal's inform constraints are copied from a sampled KB row, so
-    every goal matches at least that row.  The same seed always yields a
-    bit-identical corpus.
+    Each tier's goals draw their difficulties inside its band, so tier t
+    holds sizes[t] goals.  Each goal's inform constraints are copied from a
+    sampled KB row, so every goal matches at least that row.  The same seed
+    and rows always yield a bit-identical corpus.
     """
-    if kb_rows is None:
-        kb_rows = generate_kb_rows(seed)
+    if any(s < 1 for s in sizes):
+        raise DomainError("each tier size must be >= 1")
     rng = np.random.default_rng([seed, 202])
-    difficulties = _tier_plan(sizes, rng)
+    difficulties = [int(rng.integers(lo, hi + 1))
+                    for (lo, hi), size in zip(TIER_BANDS.values(), sizes) for _ in range(size)]
     goals = []
     for goal_id, n in enumerate(difficulties):
         row = kb_rows[int(rng.integers(len(kb_rows)))]
@@ -255,31 +244,11 @@ def generate_corpus(seed: int, sizes: tuple[int, int, int] = (30, 72, 26),
         requests = [s for s in chosen if s not in inform_names]
         informs = {s: row[s] for s in inform_names}
         goals.append(make_goal(goal_id, informs, requests))
-    return partition_corpus(goals, sizes)
+    return GoalCorpus(tuple(goals))
 
 
-def infer_sizes(goals: Sequence[UserGoal]) -> tuple[int, int, int]:
-    """Tier sizes from the difficulty bands (used when loading files)."""
-    simple_max, medium_max = TIER_BANDS["simple"][1], TIER_BANDS["medium"][1]
-    n_simple = sum(g.difficulty <= simple_max for g in goals)
-    n_medium = sum(simple_max < g.difficulty <= medium_max for g in goals)
-    return n_simple, n_medium, len(goals) - n_simple - n_medium
-
-
-def save_corpus(corpus: GoalCorpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in corpus.goals:
-            record = {
-                "id": g.id,
-                "inform_slots": g.inform_dict,
-                "request_slots": list(g.request_slots),
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def load_corpus(path) -> GoalCorpus:
-    """Load a line-delimited corpus; partition by the difficulty bands."""
-    goals: list[UserGoal] = []
+def _read_records(path) -> Iterator[tuple[int, Any]]:
+    """(line number, decoded record) for each non-blank line of a JSON-lines file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -288,54 +257,74 @@ def load_corpus(path) -> GoalCorpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid record: {exc.msg}", lineno) from exc
-            try:
-                goal_id = int(record["id"])
-                # values read as load_kb_rows reads them, so they can match a row
-                informs = {s: str(v) for s, v in dict(record["inform_slots"]).items()}
-                requests = [str(s) for s in record["request_slots"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"missing or malformed field: {exc}", lineno) from exc
-            if 0 <= goal_id < len(goals):
-                raise CorpusFormatError(f"duplicate goal id {goal_id}", lineno)
-            if goal_id != len(goals):
-                raise CorpusFormatError(f"goal id {goal_id}, expected {len(goals)}", lineno)
-            try:
-                goals.append(make_goal(goal_id, informs, requests))
-            except DomainError as exc:
-                raise CorpusFormatError(str(exc), lineno) from exc
-    if not goals:
-        return GoalCorpus(())
-    sizes = infer_sizes(goals)
-    if 0 in sizes:
-        raise CorpusFormatError("cannot infer a non-empty three-way partition")
-    return partition_corpus(goals, sizes)
+            yield lineno, record
+
+
+def _write_records(path, records: Iterable[Mapping]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _slot_value(value, where: str, lineno: int) -> str:
+    """A slot value read from a file: a JSON string, or a number read as str() of it."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CorpusFormatError(f"{where} holds {json.dumps(value)}, not a string or number",
+                                lineno)
+    if str(value) == UNK:
+        raise CorpusFormatError(f"{where} holds the reserved value {UNK!r}", lineno)
+    return str(value)
+
+
+def save_corpus(corpus: GoalCorpus, path) -> None:
+    _write_records(path, ({"id": g.id, "inform_slots": g.inform_dict,
+                           "request_slots": list(g.request_slots)} for g in corpus.goals))
+
+
+def load_corpus(path) -> GoalCorpus:
+    """Load a line-delimited corpus; each goal's tier is its difficulty band."""
+    goals: list[UserGoal] = []
+    for lineno, record in _read_records(path):
+        try:
+            goal_id = record["id"]
+            # values read as load_kb_rows reads them, so they can match a row
+            informs = {s: _slot_value(v, f"inform slot {s!r}", lineno)
+                       for s, v in dict(record["inform_slots"]).items()}
+            requests = [str(s) for s in record["request_slots"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"missing or malformed field: {exc}", lineno) from exc
+        if isinstance(goal_id, bool) or not isinstance(goal_id, int):
+            raise CorpusFormatError(f"goal id {json.dumps(goal_id)} is not an integer", lineno)
+        if 0 <= goal_id < len(goals):
+            raise CorpusFormatError(f"duplicate goal id {goal_id}", lineno)
+        if goal_id != len(goals):
+            raise CorpusFormatError(f"goal id {goal_id}, expected {len(goals)}", lineno)
+        try:
+            goals.append(make_goal(goal_id, informs, requests))
+        except DomainError as exc:
+            raise CorpusFormatError(str(exc), lineno) from exc
+    corpus = GoalCorpus(tuple(goals))
+    empty = [tier for tier in TIERS if not corpus.tier_ids(tier)]
+    if goals and empty:
+        raise CorpusFormatError(
+            f"no goal in tier {', '.join(empty)}: cannot infer a non-empty three-way partition")
+    return corpus
 
 
 def save_kb_rows(rows: Sequence[Mapping[str, str]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(dict(row), sort_keys=True) + "\n")
+    _write_records(path, (dict(row) for row in rows))
 
 
 def load_kb_rows(path) -> tuple[dict[str, str], ...]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid record: {exc.msg}", lineno) from exc
-            if not isinstance(record, dict):
-                raise CorpusFormatError("record is not a JSON object", lineno)
-            for slot in record:
-                if slot not in SLOT_INDEX:
-                    raise CorpusFormatError(f"unknown slot {slot!r}", lineno)
-            for slot in ONTOLOGY:
-                if slot not in record:
-                    raise CorpusFormatError(f"missing slot {slot!r}", lineno)
-                if str(record[slot]) == UNK:
-                    raise CorpusFormatError(f"slot {slot!r} holds the reserved value {UNK!r}", lineno)
-            rows.append({s: str(v) for s, v in record.items()})
+    for lineno, record in _read_records(path):
+        if not isinstance(record, dict):
+            raise CorpusFormatError("record is not a JSON object", lineno)
+        for slot in record:
+            if slot not in SLOT_INDEX:
+                raise CorpusFormatError(f"unknown slot {slot!r}", lineno)
+        for slot in ONTOLOGY:
+            if slot not in record:
+                raise CorpusFormatError(f"missing slot {slot!r}", lineno)
+        rows.append({s: _slot_value(v, f"slot {s!r}", lineno) for s, v in record.items()})
     return tuple(rows)

@@ -147,7 +147,7 @@ class RunResult:
 
 def default_environment(seed: int) -> tuple[GoalCorpus, KnowledgeBase]:
     rows = generate_kb_rows(seed)
-    return generate_corpus(seed, kb_rows=rows), KnowledgeBase(rows)
+    return generate_corpus(seed, rows), KnowledgeBase(rows)
 
 
 def evaluate_policy(q: QFunction, corpus: GoalCorpus, kb: KnowledgeBase,
@@ -171,13 +171,10 @@ def _check_finite(q: QFunction, net: str, epoch: int) -> None:
         raise NeuralError(f"{net} parameters became non-finite in epoch {epoch}")
 
 
-def run_training(config: TrainConfig, seed: int,
-                 corpus: GoalCorpus | None = None,
-                 kb: KnowledgeBase | None = None) -> RunResult:
-    """One full training run, fully deterministic in (config, seed)."""
+def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
+                 kb: KnowledgeBase) -> RunResult:
+    """One full training run on the given corpus and KB, deterministic in (config, seed)."""
     config.validate()
-    if corpus is None or kb is None:
-        corpus, kb = default_environment(seed)
     if len(corpus) == 0:
         raise ConfigError("cannot train on an empty corpus")
     if len(kb) == 0:
@@ -350,9 +347,8 @@ class ComparisonReport:
         return np.array([r.metrics.eval_rows[-1][1] for r in self.by_agent()[agent_kind]])
 
 
-def iter_runs(configs, seeds,
-              corpus: GoalCorpus | None = None,
-              kb: KnowledgeBase | None = None) -> Iterator[RunResult]:
+def iter_runs(configs, seeds, corpus: GoalCorpus,
+              kb: KnowledgeBase) -> Iterator[RunResult]:
     """Every (config, seed) pair as it finishes, configs in the outer loop."""
     for config in configs:
         for seed in seeds:
@@ -366,16 +362,14 @@ def acceptance_runs() -> Iterator[RunResult]:
     return iter_runs(configs, ACCEPTANCE_SEEDS, *default_environment(ACCEPTANCE_ENV_SEED))
 
 
-def run_comparison(configs, seeds,
-                   corpus: GoalCorpus | None = None,
-                   kb: KnowledgeBase | None = None) -> ComparisonReport:
-    """Every (config, seed) pair; deterministic merge order."""
+def run_comparison(configs, seeds, corpus: GoalCorpus,
+                   kb: KnowledgeBase) -> ComparisonReport:
+    """Every (config, seed) pair on one corpus and KB; deterministic merge order."""
     return ComparisonReport(list(iter_runs(configs, seeds, corpus, kb)))
 
 
-def sweep_alpha(base_config: TrainConfig, alphas, seeds,
-                corpus: GoalCorpus | None = None,
-                kb: KnowledgeBase | None = None) -> dict[float, ComparisonReport]:
+def sweep_alpha(base_config: TrainConfig, alphas, seeds, corpus: GoalCorpus,
+                kb: KnowledgeBase) -> dict[float, ComparisonReport]:
     if base_config.agent_kind != "acl-c":
         raise ConfigError("the mastery sweep only applies to acl-c")
     configs = [replace(base_config, alpha=alpha) for alpha in alphas]

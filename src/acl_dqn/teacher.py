@@ -15,12 +15,12 @@ import numpy as np
 
 from .domain import GoalCorpus, TIERS
 from .neural import QFunction
-from .student import FAILURE_PENALTY
+from .student import FAILURE_PENALTY, SUCCESS_BONUS
 
 # Fixed-size window of recent student episodes summarized in the state.
 SUMMARY_WINDOW = 20
 
-# [success rate, mean reward / 80] + 2 * [goal id norm + tier one-hot] + 2 scalars
+# [success rate, mean reward / SUCCESS_BONUS] + 2 * [goal id norm + tier one-hot] + 2 scalars
 TEACHER_STATE_DIM = 2 + 2 * (1 + len(TIERS)) + 2
 
 
@@ -88,7 +88,7 @@ class TeacherStateBuilder:
             succ = [s for s, _ in self.recent]
             rewards = [r for _, r in self.recent]
             vec[0] = sum(succ) / len(succ)
-            vec[1] = float(np.mean(rewards)) / 80.0
+            vec[1] = float(np.mean(rewards)) / SUCCESS_BONUS
         block = 1 + len(TIERS)
         self._goal_block(vec, 2, self.current)
         self._goal_block(vec, 2 + block, self.previous)

@@ -43,6 +43,18 @@ class TestGeneration:
         assert capsys.readouterr().err == \
             "error: --sizes expects int values, got 'a,b,c'\n"
 
+    @pytest.mark.parametrize("sizes", ["0,5,5", "5,-3,5"])
+    def test_gen_goals_sizes_below_one_exit_2(self, tmp_path, capsys, sizes):
+        assert main(["gen-goals", "--sizes", sizes, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --sizes must all be >= 1, got {sizes!r}\n"
+        assert not (tmp_path / "goals.jsonl").exists()
+
+    @pytest.mark.parametrize("rows", ["0", "-3"])
+    def test_gen_kb_rows_below_one_exit_2(self, tmp_path, capsys, rows):
+        assert main(["gen-kb", "--rows", rows, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --rows must be >= 1, got {rows}\n"
+        assert not (tmp_path / "kb.jsonl").exists()
+
     def test_gen_kb_writes_rows(self, tmp_path):
         assert main(["gen-kb", "--rows", "50", "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "kb.jsonl").read_text().splitlines()) == 50

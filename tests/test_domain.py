@@ -20,7 +20,6 @@ from acl_dqn.domain import (
     load_corpus,
     load_kb_rows,
     make_goal,
-    partition_corpus,
     request_act,
     save_corpus,
     save_kb_rows,
@@ -74,6 +73,8 @@ class TestUserGoal:
 
 
 class TestPartition:
+    """A goal's tier is its difficulty band; ids within a tier ascend by (difficulty, id)."""
+
     def test_default_sizes(self, corpus):
         assert len(corpus.simple) == 30
         assert len(corpus.medium) == 72
@@ -81,39 +82,32 @@ class TestPartition:
         assert len(corpus) == 128
 
     def test_one_goal_per_tier(self):
-        goals = [_goal(0, 0, 1), _goal(1, 3, 2), _goal(2, 6, 3)]
-        c = partition_corpus(goals, (1, 1, 1))
-        assert c.simple == (0,)
+        c = GoalCorpus((_goal(0, 6, 3), _goal(1, 3, 2), _goal(2, 1, 1)))
+        assert c.simple == (2,)
         assert c.medium == (1,)
-        assert c.difficult == (2,)
+        assert c.difficult == (0,)
 
     def test_ties_broken_by_ascending_id(self):
-        goals = [_goal(i, 2, 1) for i in (3, 1, 0, 2)]
-        c = partition_corpus(goals, (2, 1, 1))
-        assert c.simple == (0, 1)
-        assert c.medium == (2,)
-        assert c.difficult == (3,)
+        c = GoalCorpus((_goal(0, 2, 1), _goal(1, 1, 1), _goal(2, 2, 1), _goal(3, 1, 1)))
+        assert c.simple == (1, 3, 0, 2)
+        assert c.medium == c.difficult == ()
 
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            partition_corpus([_goal(0, 1, 1)], (1, 1, 1))
+    def test_difficulty_one_goal_lands_in_simple(self):
+        c = GoalCorpus((_goal(0, 0, 1),))
+        assert c.simple == (0,)
+        assert c.tier_of(0) == "simple"
 
-    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4)),
-                    min_size=3, max_size=40))
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(1, 4)), max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_partition_matches_stable_sort_oracle(self, shapes):
-        goals = []
-        for i, (n_i, n_r) in enumerate(shapes):
-            n_i = min(n_i, len(ONTOLOGY) - n_r)
-            goals.append(_goal(i, n_i, n_r))
-        third = len(goals) // 3
-        sizes = (third, third, len(goals) - 2 * third)
-        if 0 in sizes:
-            return
-        c = partition_corpus(goals, sizes)
+        goals = tuple(_goal(i, min(n_i, len(ONTOLOGY) - n_r), n_r)
+                      for i, (n_i, n_r) in enumerate(shapes))
+        c = GoalCorpus(goals)
         oracle = sorted(goals, key=lambda g: (g.difficulty, g.id))
-        assert list(c.simple) + list(c.medium) + list(c.difficult) == [
-            g.id for g in oracle]
+        lo = 1  # the lowest tier also takes difficulties below its band
+        for tier, (_, hi) in TIER_BANDS.items():
+            assert c.tier_ids(tier) == tuple(g.id for g in oracle if lo <= g.difficulty <= hi)
+            lo = hi + 1
 
     def test_partition_respects_difficulty_order(self, corpus):
         by_id = {g.id: g for g in corpus.goals}
@@ -125,13 +119,13 @@ class TestPartition:
         assert medium_max <= difficult_min
 
     def test_partition_must_cover_all_goals(self):
-        goals = (_goal(0, 1, 1), _goal(1, 2, 1))
-        with pytest.raises(DomainError):
-            GoalCorpus(goals, simple=(0,), medium=(), difficult=())
+        goals = tuple(_goal(i, i, 1) for i in range(len(ONTOLOGY)))  # difficulties 1..9
+        c = GoalCorpus(goals)
+        assert sorted(c.simple + c.medium + c.difficult) == list(range(len(goals)))
 
     def test_partition_stores_goals_in_id_order(self):
-        goals = [_goal(i, 2, 1) for i in (3, 1, 0, 2)]
-        c = partition_corpus(goals, (2, 1, 1))
+        c = GoalCorpus(tuple(_goal(i, 2 - i // 2, 1) for i in range(4)))
+        assert c.simple == (2, 3, 0, 1)
         assert [g.id for g in c.goals] == [0, 1, 2, 3]
         assert all(c.goal(i).id == i for i in range(4))
 
@@ -140,20 +134,21 @@ class TestPartition:
     def test_goal_out_of_position_rejected(self, ids, position):
         goals = tuple(_goal(i, 1, 1) for i in ids)
         with pytest.raises(DomainError, match=f"position {position} has id {ids[position]}"):
-            GoalCorpus(goals, simple=(0,), medium=(1,), difficult=(2,))
+            GoalCorpus(goals)
 
     def test_tier_of_agrees_with_tier_membership(self, corpus):
         for tier in ("simple", "medium", "difficult"):
             for goal_id in corpus.tier_ids(tier):
                 assert corpus.tier_of(goal_id) == tier
-        with pytest.raises(DomainError):
-            corpus.tier_of(len(corpus))
+        for goal_id in (len(corpus), -1):
+            with pytest.raises(DomainError):
+                corpus.tier_of(goal_id)
 
 
 class TestGeneration:
-    def test_deterministic_in_seed(self):
-        assert generate_corpus(7) == generate_corpus(7)
-        assert generate_corpus(7) != generate_corpus(8)
+    def test_deterministic_in_seed(self, kb_rows):
+        assert generate_corpus(7, kb_rows) == generate_corpus(7, kb_rows)
+        assert generate_corpus(7, kb_rows) != generate_corpus(8, kb_rows)
 
     def test_difficulties_within_tier_bands(self, corpus):
         by_id = {g.id: g for g in corpus.goals}
@@ -176,12 +171,17 @@ class TestGeneration:
         for row in rows:
             assert set(row) == set(ONTOLOGY)
 
-    def test_sorted_output_has_nondecreasing_difficulty(self):
-        c = generate_corpus(7, sizes=(30, 72, 26))
+    def test_sorted_output_has_nondecreasing_difficulty(self, kb_rows):
+        c = generate_corpus(7, kb_rows, (30, 72, 26))
         by_id = {g.id: g for g in c.goals}
         diffs = [by_id[i].difficulty
                  for i in list(c.simple) + list(c.medium) + list(c.difficult)]
         assert diffs == sorted(diffs)
+
+    @pytest.mark.parametrize("sizes", [(0, 5, 5), (5, -1, 5), (5, 5, 0)])
+    def test_size_below_one_rejected(self, kb_rows, sizes):
+        with pytest.raises(DomainError, match="each tier size must be >= 1"):
+            generate_corpus(1, kb_rows, sizes)
 
 
 class TestCorpusIO:
@@ -242,6 +242,29 @@ class TestCorpusIO:
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert load_corpus(path) == corpus
 
+    @pytest.mark.parametrize("goal_id", ["0.9", "0.0", '"0"', "true", "null"])
+    def test_non_integer_goal_id_names_line(self, tmp_path, goal_id):
+        path = tmp_path / "goals.jsonl"
+        path.write_text(f'{{"id": {goal_id}, "inform_slots": {{}}, "request_slots": ["city"]}}\n')
+        with pytest.raises(CorpusFormatError, match="line 1: goal id .* is not an integer"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", [None, True, {"a": 1}, [1]])
+    def test_non_scalar_goal_value_names_slot_and_line(self, tmp_path, value):
+        path = tmp_path / "goals.jsonl"
+        path.write_text(json.dumps(
+            {"id": 0, "inform_slots": {"city": value}, "request_slots": ["date"]}) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match="line 1: inform slot 'city' holds .*, not a string or number"):
+            load_corpus(path)
+
+    def test_file_with_an_empty_tier_refused(self, tmp_path):
+        path = tmp_path / "goals.jsonl"
+        save_corpus(GoalCorpus((_goal(0, 1, 1), _goal(1, 6, 3))), path)
+        with pytest.raises(CorpusFormatError, match="no goal in tier medium: cannot infer "
+                                                    "a non-empty three-way partition"):
+            load_corpus(path)
+
     def test_empty_file_gives_empty_corpus(self, tmp_path):
         path = tmp_path / "goals.jsonl"
         path.write_text("")
@@ -279,3 +302,18 @@ class TestCorpusIO:
         path.write_text(record + "\n")
         with pytest.raises(CorpusFormatError, match="line 1: record is not a JSON object"):
             load_kb_rows(path)
+
+    @pytest.mark.parametrize("value", [None, True, {"a": 1}, [1]])
+    def test_kb_non_scalar_value_names_slot_and_line(self, kb_rows, tmp_path, value):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(json.dumps(kb_rows[0]) + "\n"
+                        + json.dumps({**kb_rows[1], "city": value}) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match="line 2: slot 'city' holds .*, not a string or number"):
+            load_kb_rows(path)
+
+    @pytest.mark.parametrize("value, text", [(3, "3"), (9.5, "9.5")])
+    def test_kb_numbers_read_as_strings(self, kb_rows, tmp_path, value, text):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(json.dumps({**kb_rows[0], "num_tickets": value}) + "\n")
+        assert load_kb_rows(path)[0]["num_tickets"] == text

@@ -146,7 +146,7 @@ class TestRunTraining:
 
     def test_empty_corpus_rejected(self, kb):
         from acl_dqn.domain import GoalCorpus
-        empty = GoalCorpus((), (), (), ())
+        empty = GoalCorpus(())
         with pytest.raises(ConfigError):
             run_training(SMALL, 1, empty, kb)
 
@@ -237,9 +237,9 @@ class TestComparisonAndSweep:
             assert run.metrics.eval_rows[-1][0] == 30
             assert run.metrics.eval_rows[-1][1] == success
 
-    def test_sweep_requires_acl_c(self):
+    def test_sweep_requires_acl_c(self, corpus, kb):
         with pytest.raises(ConfigError):
-            sweep_alpha(SMALL, [0.5], [1])
+            sweep_alpha(SMALL, [0.5], [1], corpus, kb)
 
     def test_sweep_produces_one_report_per_alpha(self, corpus, kb):
         base = dataclasses.replace(SMALL, agent_kind="acl-c", num_epochs=10)
@@ -257,21 +257,21 @@ class TestRunLoop:
         """run_training replaced by a stub that records each (agent, seed) it is asked for."""
         calls = []
 
-        def run(config, seed, corpus=None, kb=None):
+        def run(config, seed, corpus, kb):
             calls.append((config.agent_kind, seed))
             return RunResult(config, seed, MetricsSeries(), None)
 
         monkeypatch.setattr(orchestrator, "run_training", run)
         return calls
 
-    def test_iter_runs_yields_each_run_in_run_comparisons_order(self, stub_runs):
+    def test_iter_runs_yields_each_run_in_run_comparisons_order(self, stub_runs, corpus, kb):
         configs = [TrainConfig(agent_kind="acl-c"), TrainConfig(agent_kind="dqn")]
-        runs = iter_runs(configs, [3, 1])
+        runs = iter_runs(configs, [3, 1], corpus, kb)
         assert next(runs).tag == "acl-c_seed3"
         assert stub_runs == [("acl-c", 3)]
         streamed = ["acl-c_seed3"] + [run.tag for run in runs]
         assert streamed == ["acl-c_seed3", "acl-c_seed1", "dqn_seed3", "dqn_seed1"]
-        assert [run.tag for run in run_comparison(configs, [3, 1]).runs] == streamed
+        assert [run.tag for run in run_comparison(configs, [3, 1], corpus, kb).runs] == streamed
 
     def test_acceptance_runs_are_the_cached_matrix(self, stub_runs):
         runs = list(acceptance_runs())
