@@ -58,6 +58,14 @@ def _parse_floats(text: str) -> list[float]:
     return _numbers(float, "--alphas", text, text.split(","))
 
 
+def _distinct(flag: str, values: list) -> list:
+    """The values of a list flag; a repeated one would train the same runs twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise CliError(f"{flag} repeats {value!r}")
+    return values
+
+
 def _load_environment(args, seed: int):
     """Corpus and KB from --goals/--kb, each generated from seed when its flag is unset."""
     rows = domain.load_kb_rows(args.kb) if args.kb else domain.generate_kb_rows(seed)
@@ -132,31 +140,33 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    agents = args.agents.split(",")
+    agents = _distinct("--agents", args.agents.split(","))
     configs = [_config_from_args(args, a) for a in agents]
     seeds = _parse_seeds(args.seeds)
+    if args.eval_every > args.epochs:
+        raise CliError(f"--eval-every {args.eval_every} exceeds --epochs {args.epochs}: "
+                       "no evaluation to compare")
     corpus, kb = _load_environment(args, seeds[0])
     out = _out_dir(args)
     report = orchestrator.run_comparison(configs, seeds, corpus, kb)
     for agent in agents:
         orchestrator.write_curve_csv(report, agent, out / f"curve_{agent}.csv")
-    with open(out / "stability.csv", "w", encoding="utf-8") as fh:
-        fh.write("agent,final_mean_success,final_var_success\n")
-        for agent in agents:
-            final = report.final_success(agent)
-            fh.write(f"{agent},{final.mean()!r},{final.var()!r}\n")
-    with open(out / "selection_counts.csv", "w", encoding="utf-8") as fh:
-        fh.write("agent,seed," + ",".join(f"g{g}" for g in corpus.all_ids()) + "\n")
-        for run in report.runs:
-            counts = orchestrator.selection_counts(run.metrics, len(corpus))
-            fh.write(f"{run.config.agent_kind},{run.seed},"
-                     + ",".join(str(c) for c in counts) + "\n")
+    # The last curve row's mean and variance of the success rate over the seeds.
+    orchestrator._write_csv(out / "stability.csv",
+                            ["agent", "final_mean_success", "final_var_success"],
+                            ([agent, *map(repr, report.curve(agent)[-1][1:3])]
+                             for agent in agents))
+    orchestrator._write_csv(out / "selection_counts.csv",
+                            ["agent", "seed", *(f"g{g}" for g in corpus.all_ids())],
+                            ([run.config.agent_kind, run.seed,
+                              *orchestrator.selection_counts(run.metrics, len(corpus))]
+                             for run in report.runs))
     print(f"wrote {len(agents)} curves to {out}")
     return 0
 
 
 def cmd_sweep_alpha(args) -> int:
-    alphas = _parse_floats(args.alphas)
+    alphas = _distinct("--alphas", _parse_floats(args.alphas))
     seeds = _parse_seeds(args.seeds)
     base = _config_from_args(args, "acl-c")
     corpus, kb = _load_environment(args, seeds[0])

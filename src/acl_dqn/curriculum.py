@@ -4,7 +4,9 @@ Schedule A leaves the full goal set open forever.  Schedule B walks the
 difficulty tiers on a proportional episode budget.  Schedule C advances
 early once the in-phase success rate clears the mastery threshold for T
 consecutive snapshots, with B's budget kept as a force-advance ceiling so
-an unmasterable tier cannot stall the run.
+an unmasterable tier cannot stall the run.  The phase machine also counts
+each goal's samples within the current phase, which the over-repetition
+penalty reads; a phase move starts the counts of its goal set at zero.
 """
 
 from __future__ import annotations
@@ -31,27 +33,6 @@ def orp_penalty(og: int) -> float:
     if og < 0:
         raise CurriculumError("sample count must be non-negative")
     return -L_MAX * og / (og + ORP_K)
-
-
-class OverRepetitionCounter:
-    """Per-goal sample counts within the current active goal set."""
-
-    def __init__(self, goal_ids):
-        self.og: dict[int, int] = {g: 0 for g in goal_ids}
-
-    def reset(self, goal_ids) -> None:
-        self.og = {g: 0 for g in goal_ids}
-
-    def count(self, goal_id: int) -> int:
-        return self.og[goal_id]
-
-    def on_goal_sampled(self, goal_id: int) -> float:
-        """Penalty on the pre-increment count: a first sample is free."""
-        if goal_id not in self.og:
-            raise CurriculumError(f"goal {goal_id} outside active set")
-        r_or = orp_penalty(self.og[goal_id])
-        self.og[goal_id] += 1
-        return r_or
 
 
 @dataclass
@@ -98,7 +79,11 @@ class PhaseTransition:
 
 
 class PhaseMachine:
-    """Monotone phase state machine shared by the three schedules."""
+    """Monotone phase state machine shared by the three schedules.
+
+    ``og`` counts each active goal's samples in the current phase, for the
+    over-repetition penalty; its keys are the active goal set.
+    """
 
     def __init__(self, schedule: str, corpus: GoalCorpus, epoch_size: int,
                  alpha: float = 0.5):
@@ -111,6 +96,7 @@ class PhaseMachine:
         sizes = tuple(len(corpus.tier_ids(t)) for t in TIERS)
         self.budgets = dict(zip(TIERS[:2], schedule_b_budgets(sizes, epoch_size)))
         self.mastery = MasteryTracker(alpha=alpha)
+        self.og = dict.fromkeys(self.active_goal_ids(), 0)
 
     def active_goal_ids(self) -> tuple[int, ...]:
         if self.phase == PHASE_ALL:
@@ -122,7 +108,16 @@ class PhaseMachine:
         self.phase = TIERS[TIERS.index(self.phase) + 1]
         self.episodes_in_phase = 0
         self.mastery.reset()
+        self.og = dict.fromkeys(self.active_goal_ids(), 0)
         return PhaseTransition(epoch, old, self.phase, trigger)
+
+    def on_goal_sampled(self, goal_id: int) -> float:
+        """Penalty on the pre-increment count: a first sample is free."""
+        if goal_id not in self.og:
+            raise CurriculumError(f"goal {goal_id} outside active set")
+        r_or = orp_penalty(self.og[goal_id])
+        self.og[goal_id] += 1
+        return r_or
 
     def on_episode(self, epoch: int, success: bool) -> PhaseTransition | None:
         """Advance decision after one completed episode; None if staying."""

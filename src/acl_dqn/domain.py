@@ -192,16 +192,19 @@ class GoalCorpus:
     def __len__(self) -> int:
         return len(self.goals)
 
+    def _position(self, goal_id: int) -> int:
+        if not 0 <= goal_id < len(self.goals):
+            raise DomainError(f"goal {goal_id} not in corpus")
+        return goal_id
+
     def goal(self, goal_id: int) -> UserGoal:
-        return self.goals[goal_id]
+        return self.goals[self._position(goal_id)]
 
     def tier_ids(self, tier: str) -> tuple[int, ...]:
         return getattr(self, tier)
 
     def tier_of(self, goal_id: int) -> str:
-        if not 0 <= goal_id < len(self.goals):
-            raise DomainError(f"goal {goal_id} not in corpus")
-        return _band_of(self.goals[goal_id].difficulty)
+        return _band_of(self.goals[self._position(goal_id)].difficulty)
 
     def all_ids(self) -> tuple[int, ...]:
         return tuple(g.id for g in self.goals)
@@ -290,9 +293,12 @@ def load_corpus(path) -> GoalCorpus:
             # values read as load_kb_rows reads them, so they can match a row
             informs = {s: _slot_value(v, f"inform slot {s!r}", lineno)
                        for s, v in dict(record["inform_slots"]).items()}
-            requests = [str(s) for s in record["request_slots"]]
+            requests = record["request_slots"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"missing or malformed field: {exc}", lineno) from exc
+        if not isinstance(requests, list) or not all(isinstance(s, str) for s in requests):
+            raise CorpusFormatError(
+                f"request_slots holds {json.dumps(requests)}, not a list of strings", lineno)
         if isinstance(goal_id, bool) or not isinstance(goal_id, int):
             raise CorpusFormatError(f"goal id {json.dumps(goal_id)} is not an integer", lineno)
         if 0 <= goal_id < len(goals):

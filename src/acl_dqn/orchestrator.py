@@ -11,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .curriculum import OverRepetitionCounter, PhaseMachine, PhaseTransition
+from .curriculum import PhaseMachine, PhaseTransition
 from .domain import GoalCorpus, generate_corpus, generate_kb_rows
 from .neural import NeuralError, QFunction
 from .replay import ReplayBuffer, STUDENT_CAPACITY, TEACHER_CAPACITY, Transition
 # One TD update under two names: perfbench traces each net's updates as its own layer.
 from .replay import train_step as student_train_step, train_step as teacher_train_step
 from .student import (
+    FAILURE_PENALTY,
     N_ACTIONS,
     STATE_DIM,
     epsilon_at,
@@ -26,26 +27,21 @@ from .student import (
     rbs_prefill,
     run_episode,
 )
-from .teacher import (
-    GoalRewardTable,
-    TeacherStateBuilder,
-    make_teacher_q,
-    teacher_act,
-    teacher_reward,
-)
+from .teacher import TeacherStateBuilder, make_teacher_q, teacher_act
 from .user_sim import KnowledgeBase
 
 log = logging.getLogger("acl_dqn")
 
-AGENT_KINDS = ("dqn", "acl-a", "acl-b", "acl-c", "acl-a-noorp")
-
-_SCHEDULE_OF = {
-    "dqn": "A",
-    "acl-a": "A",
-    "acl-a-noorp": "A",
-    "acl-b": "B",
-    "acl-c": "C",
+# Each agent kind: (curriculum schedule, whether a teacher picks the goal
+# rather than a uniform draw, whether the teacher reward carries the ORP).
+AGENTS = {
+    "dqn": ("A", False, False),
+    "acl-a": ("A", True, True),
+    "acl-b": ("B", True, True),
+    "acl-c": ("C", True, True),
+    "acl-a-noorp": ("A", True, False),
 }
+AGENT_KINDS = tuple(AGENTS)
 
 
 # The package defaults are the reference hyperparameters; the cached
@@ -104,15 +100,15 @@ class TrainConfig:
 
     @property
     def schedule(self) -> str:
-        return _SCHEDULE_OF[self.agent_kind]
+        return AGENTS[self.agent_kind][0]
 
     @property
     def uses_teacher(self) -> bool:
-        return self.agent_kind != "dqn"
+        return AGENTS[self.agent_kind][1]
 
     @property
     def uses_orp(self) -> bool:
-        return self.agent_kind not in ("dqn", "acl-a-noorp")
+        return AGENTS[self.agent_kind][2]
 
 
 @dataclass
@@ -193,8 +189,7 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
 
     epoch_size = config.epoch_size or config.num_epochs
     machine = PhaseMachine(config.schedule, corpus, epoch_size, alpha=config.alpha)
-    counter = OverRepetitionCounter(machine.active_goal_ids())
-    table = GoalRewardTable()
+    x_last: dict[int, float] = {}  # last episode total reward per sampled goal
     state_builder = TeacherStateBuilder(n_goals=len(corpus))
     metrics = MetricsSeries()
     teacher_state = state_builder.build()
@@ -210,7 +205,7 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
             goal_id = teacher_act(teacher_q, teacher_state, active, eps, teacher_rng)
         else:
             goal_id = active[int(teacher_rng.integers(len(active)))]
-        raw_r_or = counter.on_goal_sampled(goal_id)
+        raw_r_or = machine.on_goal_sampled(goal_id)
         r_or = raw_r_or if config.uses_orp else 0.0
 
         def train_cb(transition):
@@ -227,9 +222,12 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
         _check_finite(student_q, "student", epoch)
 
         x_now = result.total_reward
-        r, x_prev = teacher_reward(r_or, x_now, table, goal_id)
+        x_prev = x_last.get(goal_id, FAILURE_PENALTY)
+        x_last[goal_id] = x_now
+        # Teacher reward r = r_or + x_now - x_prev: ORP plus learning progress on the goal.
+        r = r_or + x_now - x_prev
         metrics.teacher_log.append(TeacherLogRow(
-            epoch, goal_id, counter.count(goal_id), r_or, x_now, x_prev, r))
+            epoch, goal_id, machine.og[goal_id], r_or, x_now, x_prev, r))
 
         state_builder.record_episode(goal_id, corpus.tier_of(goal_id),
                                      result.success, x_now, student_q.param_scalar())
@@ -244,7 +242,6 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
         moved = machine.on_episode(epoch, result.success)
         if moved is not None:
             metrics.phase_log.append(moved)
-            counter.reset(machine.active_goal_ids())
             log.info("phase %s -> %s at epoch %d (%s)",
                      moved.old_phase, moved.new_phase, epoch, moved.trigger)
 
@@ -342,9 +339,6 @@ class ComparisonReport:
             out.append((epoch, float(sr.mean()), float(sr.var()),
                         float(rew.mean()), float(trn.mean())))
         return out
-
-    def final_success(self, agent_kind: str) -> np.ndarray:
-        return np.array([r.metrics.eval_rows[-1][1] for r in self.by_agent()[agent_kind]])
 
 
 def iter_runs(configs, seeds, corpus: GoalCorpus,

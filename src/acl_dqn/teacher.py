@@ -2,8 +2,8 @@
 
 The teacher's Q-head has one output per corpus goal; curriculum phases
 restrict selection by masking, so values learned in earlier phases carry
-over.  Its reward is the over-repetition term plus the change in the
-student's episode total reward on the chosen goal.
+over.  This module builds the teacher's state and picks its goal; the
+run loop computes its reward (orchestrator.run_training).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .domain import GoalCorpus, TIERS
 from .neural import QFunction
-from .student import FAILURE_PENALTY, SUCCESS_BONUS
+from .student import SUCCESS_BONUS
 
 # Fixed-size window of recent student episodes summarized in the state.
 SUMMARY_WINDOW = 20
@@ -26,30 +26,6 @@ TEACHER_STATE_DIM = 2 + 2 * (1 + len(TIERS)) + 2
 
 class TeacherError(Exception):
     pass
-
-
-class GoalRewardTable:
-    """Last episode total reward per goal; never-sampled goals read as -40."""
-
-    def __init__(self):
-        self._x: dict[int, float] = {}
-
-    def get(self, goal_id: int) -> float:
-        return self._x.get(goal_id, FAILURE_PENALTY)
-
-    def put(self, goal_id: int, x_now: float) -> None:
-        self._x[goal_id] = x_now
-
-
-def teacher_reward(r_or: float, x_now: float, table: GoalRewardTable,
-                   goal_id: int) -> tuple[float, float]:
-    """r = r_or + x_now - x_prev, then the table advances to x_now.
-
-    Returns (r, x_prev) so callers can log the full decomposition.
-    """
-    x_prev = table.get(goal_id)
-    table.put(goal_id, x_now)
-    return r_or + x_now - x_prev, x_prev
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -212,6 +213,19 @@ class TestCompare:
         assert stability[0] == "agent,final_mean_success,final_var_success"
         assert len(stability) == 3
 
+    def test_stability_values_are_the_last_curve_rows(self, tmp_path):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--agents", "dqn,acl-c", "--seeds", "1,2",
+                     "--out", str(out), *FAST]) == 0
+        with open(out / "stability.csv", newline="") as fh:
+            stability = list(csv.reader(fh))
+        assert [row[0] for row in stability[1:]] == ["dqn", "acl-c"]
+        for agent, mean, var in stability[1:]:
+            with open(out / f"curve_{agent}.csv", newline="") as fh:
+                last = list(csv.reader(fh))[-1]
+            assert last[0] == "12"
+            assert (float(mean), float(var)) == (float(last[1]), float(last[2]))
+
     def test_seed_range_syntax(self, tmp_path):
         out = tmp_path / "cmp"
         code = main(["compare", "--agents", "dqn", "--seeds", "1..2",
@@ -225,6 +239,15 @@ class TestCompare:
                      "--out", str(tmp_path), *FAST])
         assert code == 2
         assert "unknown agent" in capsys.readouterr().err
+
+    def test_eval_every_beyond_epochs_exits_2_before_training(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(cli.orchestrator, "run_training", _no_training)
+        code = main(["compare", "--agents", "dqn", "--seeds", "1", "--out", str(tmp_path),
+                     "--epochs", "3", "--eval-every", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: --eval-every 5 exceeds --epochs 3: no evaluation to compare\n"
 
     def test_empty_seed_range_exits_2(self, tmp_path, capsys):
         code = main(["compare", "--agents", "dqn", "--seeds", "5..1",
@@ -276,15 +299,27 @@ class TestSweepAlpha:
             "error: --alphas expects float values, got '0.5,x'\n"
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--agents", "dqn,acl-c,dqn", "--seeds", "1"], "--agents repeats 'dqn'"),
+    (["sweep-alpha", "--alphas", "0.5,0.3,0.50", "--seeds", "1"], "--alphas repeats 0.5"),
+])
+def test_repeated_list_value_exits_2_before_training(argv, message, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli.orchestrator, "run_training", _no_training)
+    assert main([*argv, "--out", str(tmp_path), *FAST]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["train", "--alpha", "1.5"],
                                   ["sweep-alpha", "--alphas", "1.5", "--seeds", "1"],
                                   ["sweep-alpha", "--alphas", "0.5,1.5", "--seeds", "1"]])
 def test_alpha_outside_unit_interval_exits_2_before_training(argv, tmp_path, capsys,
                                                               monkeypatch):
-    def run_training(*args, **kwargs):
-        raise AssertionError("training started")
-
-    monkeypatch.setattr(cli.orchestrator, "run_training", run_training)
+    monkeypatch.setattr(cli.orchestrator, "run_training", _no_training)
     assert main([*argv, "--out", str(tmp_path), *FAST]) == 2
     assert "alpha must be in [0, 1]" in capsys.readouterr().err
 

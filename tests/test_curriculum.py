@@ -7,7 +7,6 @@ from acl_dqn.curriculum import (
     PHASE_ALL,
     CurriculumError,
     MasteryTracker,
-    OverRepetitionCounter,
     PhaseMachine,
     orp_penalty,
     schedule_b_budgets,
@@ -63,29 +62,53 @@ class TestOrpPenalty:
 
 
 class TestOverRepetitionCounter:
-    def test_first_sample_is_free_then_penalties_grow(self):
-        counter = OverRepetitionCounter([0, 1, 2])
-        assert counter.on_goal_sampled(0) == 0.0
-        assert counter.on_goal_sampled(0) == pytest.approx(-40.0 / 11.0)
-        assert counter.on_goal_sampled(0) == pytest.approx(-40.0 * 2 / 12.0)
+    """The per-phase sample counts og that PhaseMachine keeps for the ORP."""
 
-    def test_counters_are_independent_per_goal(self):
-        counter = OverRepetitionCounter([0, 1])
-        counter.on_goal_sampled(0)
-        assert counter.on_goal_sampled(1) == 0.0
-        assert counter.count(0) == 1 and counter.count(1) == 1
+    def test_first_sample_is_free_then_penalties_grow(self, corpus):
+        machine = PhaseMachine("A", corpus, epoch_size=500)
+        assert machine.on_goal_sampled(0) == 0.0
+        assert machine.on_goal_sampled(0) == pytest.approx(-40.0 / 11.0)
+        assert machine.on_goal_sampled(0) == pytest.approx(-40.0 * 2 / 12.0)
 
-    def test_reset_zeroes_the_new_active_set(self):
-        counter = OverRepetitionCounter([0, 1])
-        counter.on_goal_sampled(0)
-        counter.reset([2, 3])
-        assert counter.count(2) == 0
-        assert counter.on_goal_sampled(2) == 0.0
+    def test_counters_are_independent_per_goal(self, corpus):
+        machine = PhaseMachine("A", corpus, epoch_size=500)
+        machine.on_goal_sampled(0)
+        assert machine.on_goal_sampled(1) == 0.0
+        assert machine.og[0] == 1 and machine.og[1] == 1
 
-    def test_out_of_set_goal_rejected(self):
-        counter = OverRepetitionCounter([0, 1])
+    def test_reset_zeroes_the_new_active_set(self, corpus):
+        machine = PhaseMachine("B", corpus, epoch_size=500)
+        for goal_id in corpus.simple:
+            machine.on_goal_sampled(goal_id)
+        while machine.on_episode(0, False) is None:
+            pass
+        assert machine.og == dict.fromkeys(corpus.medium, 0)
+        assert machine.on_goal_sampled(corpus.medium[0]) == 0.0
+
+    def test_old_tier_goal_refused_after_an_advance(self, corpus):
+        machine = PhaseMachine("C", corpus, epoch_size=500)
+        old = corpus.simple[0]
+        machine.on_goal_sampled(old)
+        while machine.on_episode(0, True) is None:
+            pass
+        with pytest.raises(CurriculumError, match=f"goal {old} outside active set"):
+            machine.on_goal_sampled(old)
+        new = corpus.medium[-1]
+        assert machine.on_goal_sampled(new) == 0.0
+        assert machine.og[new] == 1
+
+    def test_schedule_a_counts_never_reset(self, corpus):
+        machine = PhaseMachine("A", corpus, epoch_size=10)
+        for epoch in range(100):
+            machine.on_goal_sampled(7)
+            machine.on_episode(epoch, True)
+        assert machine.og[7] == 100
+        assert machine.on_goal_sampled(7) == orp_penalty(100)
+
+    def test_out_of_set_goal_rejected(self, corpus):
+        machine = PhaseMachine("B", corpus, epoch_size=500)
         with pytest.raises(CurriculumError):
-            counter.on_goal_sampled(5)
+            machine.on_goal_sampled(corpus.medium[0])
 
 
 class TestMasteryTracker:

@@ -140,9 +140,12 @@ class TestPartition:
         for tier in ("simple", "medium", "difficult"):
             for goal_id in corpus.tier_ids(tier):
                 assert corpus.tier_of(goal_id) == tier
-        for goal_id in (len(corpus), -1):
-            with pytest.raises(DomainError):
-                corpus.tier_of(goal_id)
+
+    @pytest.mark.parametrize("lookup", ["goal", "tier_of"])
+    @pytest.mark.parametrize("goal_id", [-1, 128, 1000])
+    def test_id_outside_the_corpus_refused(self, corpus, lookup, goal_id):
+        with pytest.raises(DomainError, match=f"^goal {goal_id} not in corpus$"):
+            getattr(corpus, lookup)(goal_id)
 
 
 class TestGeneration:
@@ -257,6 +260,18 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError,
                            match="line 1: inform slot 'city' holds .*, not a string or number"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("requests", [[None], [True], [1], ["city", None], "city",
+                                          None, {"city": "x"}])
+    def test_request_slots_not_a_list_of_strings_names_value_and_line(self, tmp_path,
+                                                                       requests):
+        path = tmp_path / "goals.jsonl"
+        path.write_text(json.dumps(
+            {"id": 0, "inform_slots": {}, "request_slots": requests}) + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert str(err.value) == (f"line 1: request_slots holds {json.dumps(requests)}, "
+                                  "not a list of strings")
 
     def test_file_with_an_empty_tier_refused(self, tmp_path):
         path = tmp_path / "goals.jsonl"

@@ -5,46 +5,11 @@ from acl_dqn.neural import Minibatch, QFunction
 from acl_dqn.replay import TEACHER_CAPACITY, ReplayBuffer, Transition, train_step
 from acl_dqn.teacher import (
     TEACHER_STATE_DIM,
-    GoalRewardTable,
     TeacherError,
     TeacherStateBuilder,
     make_teacher_q,
     teacher_act,
-    teacher_reward,
 )
-
-
-class TestGoalRewardTable:
-    def test_arithmetic_with_known_previous(self):
-        table = GoalRewardTable()
-        table.put(5, 10.0)
-        r, x_prev = teacher_reward(0.0, 30.0, table, 5)
-        assert (r, x_prev) == (20.0, 10.0)
-
-    def test_never_sampled_goal_reads_as_minus_forty(self):
-        table = GoalRewardTable()
-        r, x_prev = teacher_reward(0.0, -80.0, table, 3)
-        assert x_prev == -40.0
-        assert r == -80.0 - (-40.0)
-
-    def test_identical_outcomes_give_zero_change_term(self):
-        table = GoalRewardTable()
-        teacher_reward(-5.0, 25.0, table, 7)
-        r, _ = teacher_reward(-5.0, 25.0, table, 7)
-        assert r == -5.0
-
-    def test_reward_uses_pre_update_value(self):
-        """Metamorphic: computing with the post-update value would differ."""
-        table = GoalRewardTable()
-        table.put(1, 5.0)
-        r, x_prev = teacher_reward(0.0, 50.0, table, 1)
-        assert x_prev == 5.0 and r == 45.0
-        assert table.get(1) == 50.0
-
-    def test_table_isolated_per_goal(self):
-        table = GoalRewardTable()
-        table.put(0, 12.0)
-        assert table.get(1) == -40.0
 
 
 class TestTeacherAct:
