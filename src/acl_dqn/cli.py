@@ -51,7 +51,7 @@ def _parse_seeds(text: str) -> list[int]:
         if not seeds:
             raise CliError(f"--seeds range {text!r} is empty")
         return seeds
-    return _numbers(int, "--seeds", text, text.split(","))
+    return _distinct("--seeds", _numbers(int, "--seeds", text, text.split(",")))
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -64,6 +64,13 @@ def _distinct(flag: str, values: list) -> list:
         if value in values[:i]:
             raise CliError(f"{flag} repeats {value!r}")
     return values
+
+
+def _check_evaluated(args) -> None:
+    """A comparison's curves are its evaluation rows; refuse a run that makes none."""
+    if args.eval_every > args.epochs:
+        raise CliError(f"--eval-every {args.eval_every} exceeds --epochs {args.epochs}: "
+                       "no evaluation to compare")
 
 
 def _load_environment(args, seed: int):
@@ -143,9 +150,7 @@ def cmd_compare(args) -> int:
     agents = _distinct("--agents", args.agents.split(","))
     configs = [_config_from_args(args, a) for a in agents]
     seeds = _parse_seeds(args.seeds)
-    if args.eval_every > args.epochs:
-        raise CliError(f"--eval-every {args.eval_every} exceeds --epochs {args.epochs}: "
-                       "no evaluation to compare")
+    _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
     out = _out_dir(args)
     report = orchestrator.run_comparison(configs, seeds, corpus, kb)
@@ -169,6 +174,7 @@ def cmd_sweep_alpha(args) -> int:
     alphas = _distinct("--alphas", _parse_floats(args.alphas))
     seeds = _parse_seeds(args.seeds)
     base = _config_from_args(args, "acl-c")
+    _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
     out = _out_dir(args)
     reports = orchestrator.sweep_alpha(base, alphas, seeds, corpus, kb)

@@ -83,7 +83,14 @@ class QFunction:
         return out
 
     def forward(self, states: np.ndarray, use_target: bool = False) -> np.ndarray:
-        """Action values; accepts one state vector or a [B, input_dim] batch."""
+        """Action values of one state vector, a [B, input_dim] batch, or a
+        [N, 1, input_dim] stack of single rows.
+
+        Numpy computes a stack one row at a time, with the same matmul the
+        single-row forward makes, so its rows equal the row forwards bit for
+        bit. A 2-D batch takes one matmul over all rows and may differ from
+        them in the last bits (by 6.1e-16 on 100 student states).
+        """
         states = np.asarray(states, dtype=float)
         single = states.ndim == 1
         if states.shape[-1] != self.input_dim:

@@ -23,9 +23,9 @@ from .student import (
     STATE_DIM,
     epsilon_at,
     epsilon_policy,
-    greedy_policy,
     rbs_prefill,
     run_episode,
+    run_greedy_episodes,
 )
 from .teacher import TeacherStateBuilder, make_teacher_q, teacher_act
 from .user_sim import KnowledgeBase
@@ -148,17 +148,20 @@ def default_environment(seed: int) -> tuple[GoalCorpus, KnowledgeBase]:
 
 def evaluate_policy(q: QFunction, corpus: GoalCorpus, kb: KnowledgeBase,
                     n_dialogues: int, rng: np.random.Generator) -> tuple[float, float, float]:
-    """Greedy rollouts on uniformly drawn goals; no learning, no buffers."""
-    policy = greedy_policy(q)
-    successes = 0
-    rewards = 0.0
-    turns = 0
-    for _ in range(n_dialogues):
-        goal = corpus.goals[int(rng.integers(len(corpus.goals)))]
-        result = run_episode(goal, kb, policy, rng)
-        successes += result.success
-        rewards += result.total_reward
-        turns += result.turns
+    """Greedy rollouts on uniformly drawn goals; no learning, no buffers.
+
+    The dialogues run in lockstep (``run_greedy_episodes``), one stacked
+    forward per turn. That is exact: the goals are drawn lazily, so each
+    draw still comes just before its dialogue's reset, the resets are the
+    only other draws, and the stacked forward equals each row's own
+    forward bit for bit. Means are summed in dialogue order.
+    """
+    n = len(corpus.goals)
+    goals = (corpus.goals[int(rng.integers(n))] for _ in range(n_dialogues))
+    results = run_greedy_episodes(q, goals, kb, rng)
+    successes = sum(r.success for r in results)
+    rewards = sum(r.total_reward for r in results)
+    turns = sum(r.turns for r in results)
     return successes / n_dialogues, rewards / n_dialogues, turns / n_dialogues
 
 

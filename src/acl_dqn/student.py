@@ -4,7 +4,7 @@ and the rule-agent warm start."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .user_sim import (
     MAX_TURNS,
     ONGOING,
     SUCCESS,
+    SimulatorSession,
     session_reset,
     session_step,
 )
@@ -61,9 +62,14 @@ def _act_block(vec: np.ndarray, offset: int, act: DialogueAct | None) -> None:
         vec[offset + len(ActType) + SLOT_INDEX[slot]] = 1.0
 
 
-def featurize(ctx: DialogueContext) -> np.ndarray:
-    """Deterministic fixed-dimension state vector, entries in [0, 1]."""
-    vec = np.zeros(STATE_DIM)
+def featurize(ctx: DialogueContext, out: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic fixed-dimension state vector, entries in [0, 1];
+    written over the whole of ``out`` when one is given."""
+    if out is None:
+        vec = np.zeros(STATE_DIM)
+    else:
+        vec = out
+        vec.fill(0.0)
     _act_block(vec, 0, ctx.last_user_act)
     _act_block(vec, _ACT_BLOCK, ctx.last_system_act)
     base = 2 * _ACT_BLOCK
@@ -140,6 +146,28 @@ class EpisodeResult:
 Policy = Callable[[np.ndarray, DialogueContext], int]
 
 
+# A dialogue's start and one turn, for run_episode and run_greedy_episodes.
+# They look up materialize and the simulator as module globals, which
+# perfbench's wrappers replace.
+def _start(goal: UserGoal, kb: KnowledgeBase,
+           rng: np.random.Generator) -> tuple[SimulatorSession, DialogueContext]:
+    session, user_act = session_reset(goal, kb, rng)
+    ctx = DialogueContext(kb=kb)
+    ctx.observe_user(user_act)
+    ctx.turn = session.turn
+    return session, ctx
+
+
+def _turn(session: SimulatorSession, ctx: DialogueContext, action: int) -> str:
+    """Play the system act of an action index; returns the dialogue status."""
+    system_act = materialize(action, ctx)
+    ctx.observe_system(system_act)
+    user_act, status = session_step(session, system_act)
+    ctx.observe_user(user_act)
+    ctx.turn = session.turn
+    return status
+
+
 def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
                 rng: np.random.Generator,
                 on_transition: Callable[[Transition], None] | None = None) -> EpisodeResult:
@@ -148,20 +176,13 @@ def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
     Each turn's transition goes to on_transition, and is built only when
     one is given.
     """
-    session, user_act = session_reset(goal, kb, rng)
-    ctx = DialogueContext(kb=kb)
-    ctx.observe_user(user_act)
-    ctx.turn = session.turn
+    session, ctx = _start(goal, kb, rng)
     total = 0.0
     # ctx does not change between turns: a turn's next_state is the next turn's state.
     state = featurize(ctx)
     while True:
         action = policy(state, ctx)
-        system_act = materialize(action, ctx)
-        ctx.observe_system(system_act)
-        user_act, status = session_step(session, system_act)
-        ctx.observe_user(user_act)
-        ctx.turn = session.turn
+        status = _turn(session, ctx, action)
         reward = step_reward(status)
         next_state = featurize(ctx)
         total += reward
@@ -170,6 +191,38 @@ def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
         if status != ONGOING:
             return EpisodeResult(status == SUCCESS, session.turn, total)
         state = next_state
+
+
+def run_greedy_episodes(q: QFunction, goals: Iterable[UserGoal], kb: KnowledgeBase,
+                        rng: np.random.Generator) -> list[EpisodeResult]:
+    """One greedy dialogue per goal, all stepped together; results in goal order.
+
+    Every dialogue is started first, in goal order: a lazy ``goals`` draws
+    from ``rng`` between the resets, as playing them one by one would, and
+    nothing draws after. Each turn takes one forward over the live states
+    stacked as [n_live, 1, STATE_DIM], equal to their row forwards bit for
+    bit, so each result is ``run_episode(goal, kb, greedy_policy(q), rng)``'s.
+    """
+    games = [_start(goal, kb, rng) for goal in goals]
+    states = np.empty((len(games), 1, STATE_DIM))
+    totals = [0.0] * len(games)
+    results: list = [None] * len(games)
+    live = list(range(len(games)))
+    while live:
+        for row, i in zip(states, live):
+            featurize(games[i][1], out=row[0])
+        actions = q.forward(states[:len(live)]).argmax(axis=-1)[:, 0]
+        still = []
+        for i, action in zip(live, actions):
+            session, ctx = games[i]
+            status = _turn(session, ctx, int(action))
+            totals[i] += step_reward(status)
+            if status == ONGOING:
+                still.append(i)
+            else:
+                results[i] = EpisodeResult(status == SUCCESS, session.turn, totals[i])
+        live = still
+    return results
 
 
 def greedy_policy(q: QFunction) -> Policy:

@@ -4,7 +4,10 @@ perfbench/ times and traces the package from outside, by replacing module
 and class attributes, so a renamed attribute passes every other test and
 fails only when the benchmark runs. This test imports perfbench's own
 modules unchanged, installs its clock and its span wrappers, and makes one
-short comparison through them.
+short comparison through them. The package must reach the wrapped functions
+through the attributes perfbench patches: a function bound to another name
+at import time escapes the trace, which the call-count checks below catch
+for evaluation.
 """
 
 import importlib
@@ -41,6 +44,17 @@ def test_benchmark_hooks_record_every_layer(monkeypatch):
 
     totals = recorder.layer_totals()
     assert [layer for layer in bench.LAYERS if totals.get(layer, {}).get("calls", 0) == 0] == []
+    # The evaluation's dialogues are traced too: every dialogue is reset and
+    # every turn stepped through the wrapped simulator (the evaluation's turns
+    # are its mean turns times its dialogues), each step follows a wrapped
+    # featurize, and the first lockstep turn stacks every dialogue.
+    calls = {layer: totals[layer]["calls"] for layer in bench.LAYERS}
+    assert calls["user_sim.session_reset"] == (recorder.counts["replay.rbs_prefill.dialogues"]
+                                               + config.num_epochs + config.eval_dialogues)
+    eval_turns = sum(round(row[3] * config.eval_dialogues) for row in run.metrics.eval_rows)
+    assert calls["user_sim.session_step"] == recorder.counts["student.turns"] + eval_turns
+    assert calls["student.featurize"] >= calls["user_sim.session_step"]
+    assert recorder.counts["neural.forward_batch.rows"] >= config.eval_dialogues
     assert len(bench.times_of(run).marks) == 2
     for owner, saved in zip(PATCHED, before):
         assert [attr for attr, value in saved.items() if vars(owner).get(attr) is not value] == []

@@ -298,6 +298,17 @@ class TestSweepAlpha:
         assert capsys.readouterr().err == \
             "error: --alphas expects float values, got '0.5,x'\n"
 
+    def test_eval_every_beyond_epochs_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setattr(cli.orchestrator, "run_training", _no_training)
+        out = tmp_path / "sweep"
+        code = main(["sweep-alpha", "--alphas", "0.5", "--seeds", "1", "--out", str(out),
+                     "--epochs", "3", "--eval-every", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: --eval-every 5 exceeds --epochs 3: no evaluation to compare\n"
+        assert not out.exists()
+
 
 def _no_training(*args, **kwargs):
     raise AssertionError("training started")
@@ -306,6 +317,8 @@ def _no_training(*args, **kwargs):
 @pytest.mark.parametrize("argv, message", [
     (["compare", "--agents", "dqn,acl-c,dqn", "--seeds", "1"], "--agents repeats 'dqn'"),
     (["sweep-alpha", "--alphas", "0.5,0.3,0.50", "--seeds", "1"], "--alphas repeats 0.5"),
+    (["compare", "--agents", "dqn", "--seeds", "1,1"], "--seeds repeats 1"),
+    (["sweep-alpha", "--alphas", "0.5", "--seeds", "2,1,2"], "--seeds repeats 2"),
 ])
 def test_repeated_list_value_exits_2_before_training(argv, message, tmp_path, capsys,
                                                       monkeypatch):

@@ -50,6 +50,15 @@ class TestForward:
         for i in range(4):
             np.testing.assert_allclose(net.forward(states[i]), batched[i])
 
+    def test_stack_equals_row_forwards_bit_for_bit(self, rng):
+        """An [N, 1, D] stack is row forwards; a 2-D [N, D] batch need not be."""
+        net = QFunction(112, 23, rng=rng)
+        for n in (1, 3, 100):
+            states = rng.random((n, net.input_dim))
+            stacked = net.forward(states[:, None, :])
+            assert stacked.shape == (n, 1, net.output_dim)
+            assert np.array_equal(stacked[:, 0], [net.forward(s) for s in states])
+
     def test_wrong_state_dim_rejected(self, rng):
         net = QFunction(4, 3, rng=rng)
         with pytest.raises(NeuralError):

@@ -9,7 +9,7 @@ import pytest
 from acl_dqn import orchestrator
 from acl_dqn.cli import _config_from_args
 from acl_dqn.curriculum import orp_penalty
-from acl_dqn.neural import NeuralError
+from acl_dqn.neural import NeuralError, QFunction
 from acl_dqn.orchestrator import (
     ACCEPTANCE_AGENTS,
     ACCEPTANCE_ENV_SEED,
@@ -36,6 +36,7 @@ from acl_dqn.orchestrator import (
     write_phase_log_csv,
     write_teacher_log_csv,
 )
+from acl_dqn.student import N_ACTIONS, STATE_DIM, greedy_policy, run_episode, run_greedy_episodes
 from acl_dqn.user_sim import KnowledgeBase
 
 REPO = Path(__file__).resolve().parent.parent
@@ -205,6 +206,37 @@ class TestEvaluate:
         evaluate_policy(q, corpus, kb, 10, np.random.default_rng(0))
         for k, v in q.online.items():
             np.testing.assert_array_equal(v, before[k])
+
+    @staticmethod
+    def _one_by_one(q, corpus, kb, n, rng):
+        """Greedy dialogues played one at a time, each goal drawn just before its reset."""
+        return [run_episode(corpus.goals[int(rng.integers(len(corpus.goals)))], kb,
+                            greedy_policy(q), rng) for _ in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 100])
+    @pytest.mark.parametrize("net", ["fresh", "trained"])
+    def test_lockstep_equals_one_by_one(self, small_runs, corpus, kb, net, n):
+        q = (small_runs["dqn"].student_q if net == "trained"
+             else QFunction(STATE_DIM, N_ACTIONS, rng=np.random.default_rng(2)))
+        rng, ref_rng = np.random.default_rng([1, 6, n]), np.random.default_rng([1, 6, n])
+        goals = (corpus.goals[int(rng.integers(len(corpus.goals)))] for _ in range(n))
+        results = run_greedy_episodes(q, goals, kb, rng)
+        reference = self._one_by_one(q, corpus, kb, n, ref_rng)
+        assert len(results) == n
+        for got, want in zip(results, reference):
+            assert got == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_means_are_summed_in_dialogue_order(self, small_runs, corpus, kb):
+        q = small_runs["dqn"].student_q
+        reference = self._one_by_one(q, corpus, kb, 100, np.random.default_rng(9))
+        sums = [0, 0.0, 0]
+        for r in reference:
+            sums[0] += r.success
+            sums[1] += r.total_reward
+            sums[2] += r.turns
+        assert evaluate_policy(q, corpus, kb, 100, np.random.default_rng(9)) == \
+            tuple(total / 100 for total in sums)
 
     def test_evaluation_deterministic_in_rng(self, small_runs, corpus, kb):
         q = small_runs["dqn"].student_q

@@ -18,6 +18,7 @@ from acl_dqn.student import (
     materialize,
     rule_policy,
     run_episode,
+    run_greedy_episodes,
     step_reward,
     student_act,
 )
@@ -62,6 +63,16 @@ class TestFeaturize:
         assert v1.shape == (STATE_DIM,)
         assert np.all(v1 >= 0.0) and np.all(v1 <= 1.0)
         np.testing.assert_array_equal(v1, v2)
+
+    def test_out_row_is_overwritten_and_returned(self, corpus, kb):
+        ctx = DialogueContext(kb=kb)
+        ctx.observe_user(inform_act(**dict(corpus.goals[0].inform_slots)))
+        ctx.observe_user(request_act(ONTOLOGY[2]))
+        stack = np.full((2, 1, STATE_DIM), 7.0)  # stale values in every entry
+        row = stack[1, 0]
+        assert featurize(ctx, out=row) is row
+        np.testing.assert_array_equal(row, featurize(ctx))
+        np.testing.assert_array_equal(stack[0, 0], 7.0)
 
     def test_distinct_contexts_yield_distinct_states(self, kb):
         a = DialogueContext(kb=kb)
@@ -208,6 +219,22 @@ class TestEpisodes:
                          on_transition=t2.append)
         assert r1.turns == r2.turns
         assert [t.action for t in t1] == [t.action for t in t2]
+
+
+class TestGreedyEpisodes:
+    def test_lockstep_plays_each_goal_as_run_episode_does(self, corpus, kb):
+        q = QFunction(STATE_DIM, N_ACTIONS, rng=np.random.default_rng(3))
+        goals = [corpus.goal(g) for tier in ("simple", "medium", "difficult")
+                 for g in corpus.tier_ids(tier)[:4]]
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        results = run_greedy_episodes(q, goals, kb, rng)
+        assert results == [run_episode(g, kb, greedy_policy(q), ref_rng) for g in goals]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert len({r.turns for r in results}) > 1  # dialogues ended on different turns
+
+    def test_no_goals_no_results(self, kb, rng):
+        q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=8, rng=rng)
+        assert run_greedy_episodes(q, [], kb, rng) == []
 
 
 def run_rule_episode_with_callback(corpus, kb, seen):
