@@ -4,7 +4,7 @@
 Trains the 20 runs of orchestrator.acceptance_runs() (4 agents x 5 seeds x
 500 epochs) and writes each run's three CSVs and the manifest.
 tests/test_acceptance.py reads this cache, and retrains the runs itself,
-slowly, when it is absent. The 20 runs take about 680 s on a 2-core Intel
+slowly, when it is absent. The 20 runs take about 600 s on a 2-core Intel
 Xeon host (Python 3.11.7, numpy 2.4.6), as scripts/verify_cache.py measures.
 The package is imported from this checkout's src/.
 """

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import domain, orchestrator
 from .domain import ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
-from .neural import NeuralError, QFunction
+from .neural import NeuralError, QFunction, epsilon_greedy
 from .orchestrator import TrainConfig
-from .student import featurize, greedy_policy, materialize
+from .student import N_ACTIONS, STATE_DIM, featurize, materialize
 from .user_sim import (FAILURE, ONGOING, SUCCESS, DialogueContext, KnowledgeBase,
                        session_reset, session_step)
 
@@ -84,6 +84,15 @@ def _load_environment(args, seed: int):
     return corpus, KnowledgeBase(rows)
 
 
+def _load_student(path) -> QFunction:
+    """A checkpoint eval and chat can run: a net from student states to system acts."""
+    q = QFunction.load(path)
+    if (q.input_dim, q.output_dim) != (STATE_DIM, N_ACTIONS):
+        raise NeuralError(f"{path} maps {q.input_dim} inputs to {q.output_dim} outputs; "
+                          f"a student net maps {STATE_DIM} to {N_ACTIONS}")
+    return q
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -96,7 +105,6 @@ def _config_from_args(args, agent: str) -> TrainConfig:
                          eval_dialogues=args.eval_dialogues)
     if getattr(args, "alpha", None) is not None:
         config = replace(config, alpha=args.alpha)
-    config.validate()
     return config
 
 
@@ -138,7 +146,7 @@ def cmd_eval(args) -> int:
     if args.eval_dialogues < 1:
         raise CliError("--eval-dialogues must be >= 1")
     corpus, kb = _load_environment(args, args.seed)
-    q = QFunction.load(args.checkpoint)
+    q = _load_student(args.checkpoint)
     rng = np.random.default_rng([args.seed, 6])
     sr, rew, trn = orchestrator.evaluate_policy(q, corpus, kb,
                                                 args.eval_dialogues, rng)
@@ -257,10 +265,9 @@ def run_chat_session(q: QFunction, goal, kb: KnowledgeBase, rng,
     stdout.write(f"you: {render_act(first_act)}\n")
     ctx.observe_user(first_act)
     transcript = [("user", first_act.act_type.value, dict(first_act.payload))]
-    policy = greedy_policy(q)
     while session.status == ONGOING:
         ctx.turn = session.turn
-        action = policy(featurize(ctx), ctx)
+        action = epsilon_greedy(q, featurize(ctx), 0.0, rng)
         system_act = materialize(action, ctx)
         ctx.observe_system(system_act)
         stdout.write(f"system: {render_act(system_act)}\n")
@@ -287,7 +294,7 @@ def run_chat_session(q: QFunction, goal, kb: KnowledgeBase, rng,
 
 def cmd_chat(args) -> int:
     corpus, kb = _load_environment(args, args.seed)
-    q = QFunction.load(args.checkpoint)
+    q = _load_student(args.checkpoint)
     rng = np.random.default_rng([args.seed, 7])
     goal = corpus.goals[int(rng.integers(len(corpus.goals)))]
     record = run_chat_session(q, goal, kb, rng)

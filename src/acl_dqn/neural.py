@@ -2,7 +2,8 @@
 
 One hidden tanh layer, linear output head, mean-squared TD loss, and
 mini-batch Adam updates on globally norm-clipped gradients.  Used by
-both the student and the teacher.
+both the student and the teacher, which also pick their actions through
+the one epsilon-greedy rule here.
 """
 
 from __future__ import annotations
@@ -204,15 +205,21 @@ class QFunction:
             head = fh.readline().split()
             if len(head) < 5:
                 raise NeuralError(f"checkpoint dims line has {len(head)} fields, expected 5")
-            input_dim, hidden_dim, output_dim = (int(x) for x in head[:3])
+            dims = [int(x) for x in head[:3]]
+            for dim, value in zip(("input_dim", "hidden_dim", "output_dim"), dims):
+                if value < 1:
+                    raise NeuralError(f"checkpoint {dim} must be >= 1, got {value}")
+            input_dim, hidden_dim, output_dim = dims
             lr, clip = float(head[3]), float(head[4])
             q = cls(input_dim, output_dim, hidden_dim, lr, clip,
                     rng=np.random.default_rng(0))
-            for params in (q.online, q.target):
+            for kind, params in (("online", q.online), ("target", q.target)):
                 for name in PARAM_NAMES:
                     values = np.array([float(x) for x in fh.readline().split()])
                     if values.size != params[name].size:
                         raise NeuralError(f"truncated checkpoint at {name}")
+                    if not np.isfinite(values).all():
+                        raise NeuralError(f"checkpoint {kind} {name} holds a non-finite value")
                     params[name][...] = values.reshape(params[name].shape)
         return q
 
@@ -226,3 +233,22 @@ def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
             g *= scale
         return clip_norm
     return total
+
+
+def epsilon_greedy(q: QFunction, state: np.ndarray, epsilon: float,
+                   rng: np.random.Generator, actions=None) -> int:
+    """Epsilon-greedy pick from ``actions``, output indices (every output when
+    None): a uniform draw with probability epsilon, else the highest Q-value,
+    ties going to the first. Epsilon 0 draws nothing."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    if actions is not None and len(actions) == 0:
+        raise ValueError("empty action set")
+    if epsilon > 0.0 and rng.random() < epsilon:
+        if actions is None:
+            return int(rng.integers(q.output_dim))
+        return int(actions[int(rng.integers(len(actions)))])
+    values = q.forward(state)
+    if actions is None:
+        return int(np.argmax(values))
+    return int(actions[int(np.argmax(values.take(actions)))])

@@ -13,7 +13,8 @@ import numpy as np
 
 from .curriculum import PhaseMachine, PhaseTransition
 from .domain import GoalCorpus, generate_corpus, generate_kb_rows
-from .neural import NeuralError, QFunction
+# The teacher's goal pick under its own name: perfbench traces it as its own layer.
+from .neural import NeuralError, QFunction, epsilon_greedy as teacher_act
 from .replay import ReplayBuffer, STUDENT_CAPACITY, TEACHER_CAPACITY, Transition
 # One TD update under two names: perfbench traces each net's updates as its own layer.
 from .replay import train_step as student_train_step, train_step as teacher_train_step
@@ -27,7 +28,7 @@ from .student import (
     run_episode,
     run_greedy_episodes,
 )
-from .teacher import TeacherStateBuilder, make_teacher_q, teacher_act
+from .teacher import TEACHER_STATE_DIM, TeacherStateBuilder
 from .user_sim import KnowledgeBase
 
 log = logging.getLogger("acl_dqn")
@@ -68,6 +69,7 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings; refused with ConfigError when built, replace() included."""
     agent_kind: str = "dqn"
     num_epochs: int = 500
     epoch_size: int | None = None  # schedule B/C budgets; defaults to num_epochs
@@ -81,7 +83,7 @@ class TrainConfig:
     epsilon_end: float = 0.01
     epsilon_decay_epochs: int = 200
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.agent_kind not in AGENT_KINDS:
             raise ConfigError(
                 f"unknown agent kind {self.agent_kind!r}; valid: {', '.join(AGENT_KINDS)}")
@@ -156,6 +158,8 @@ def evaluate_policy(q: QFunction, corpus: GoalCorpus, kb: KnowledgeBase,
     only other draws, and the stacked forward equals each row's own
     forward bit for bit. Means are summed in dialogue order.
     """
+    if n_dialogues < 1:
+        raise ValueError(f"n_dialogues must be >= 1, got {n_dialogues}")
     n = len(corpus.goals)
     goals = (corpus.goals[int(rng.integers(n))] for _ in range(n_dialogues))
     results = run_greedy_episodes(q, goals, kb, rng)
@@ -173,7 +177,6 @@ def _check_finite(q: QFunction, net: str, epoch: int) -> None:
 def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
                  kb: KnowledgeBase) -> RunResult:
     """One full training run on the given corpus and KB, deterministic in (config, seed)."""
-    config.validate()
     if len(corpus) == 0:
         raise ConfigError("cannot train on an empty corpus")
     if len(kb) == 0:
@@ -183,9 +186,9 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
         np.random.default_rng([seed, k]) for k in range(1, 6))
 
     student_q = QFunction(STATE_DIM, N_ACTIONS, rng=init_rng)
-    teacher_q = make_teacher_q(corpus, init_rng)
+    teacher_q = QFunction(TEACHER_STATE_DIM, len(corpus), rng=init_rng)
     d_student = ReplayBuffer(STUDENT_CAPACITY, STATE_DIM)
-    d_teacher = ReplayBuffer(TEACHER_CAPACITY, teacher_q.input_dim)
+    d_teacher = ReplayBuffer(TEACHER_CAPACITY, TEACHER_STATE_DIM)
 
     rbs_prefill(d_student, corpus, kb, prefill_rng)
     log.info("warm start done: %d transitions in the student buffer", len(d_student))
@@ -205,7 +208,7 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
 
         active = machine.active_goal_ids()
         if config.uses_teacher:
-            goal_id = teacher_act(teacher_q, teacher_state, active, eps, teacher_rng)
+            goal_id = teacher_act(teacher_q, teacher_state, eps, teacher_rng, active)
         else:
             goal_id = active[int(teacher_rng.integers(len(active)))]
         raw_r_or = machine.on_goal_sampled(goal_id)
@@ -370,8 +373,6 @@ def sweep_alpha(base_config: TrainConfig, alphas, seeds, corpus: GoalCorpus,
     if base_config.agent_kind != "acl-c":
         raise ConfigError("the mastery sweep only applies to acl-c")
     configs = [replace(base_config, alpha=alpha) for alpha in alphas]
-    for config in configs:
-        config.validate()
     return {config.alpha: run_comparison([config], seeds, corpus, kb) for config in configs}
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .domain import (N_SLOTS, ONTOLOGY, SLOT_INDEX, ActType, DialogueAct, UserGoal,
                      inform_act, request_act)
-from .neural import QFunction
+from .neural import QFunction, epsilon_greedy
 from .replay import ReplayBuffer, ReplayError, Transition
 from .user_sim import (
     DialogueContext,
@@ -107,16 +107,6 @@ def materialize(action_index: int, ctx: DialogueContext) -> DialogueAct:
     return DialogueAct(act_type)
 
 
-def student_act(q: QFunction, state: np.ndarray, epsilon: float,
-                rng: np.random.Generator) -> int:
-    """Epsilon-greedy over the action set; argmax ties go to lowest index."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(N_ACTIONS))
-    return int(np.argmax(q.forward(state)))
-
-
 def step_reward(status: str) -> float:
     """-1 per turn, plus the terminal bonus/penalty on the final turn."""
     r = TURN_PENALTY
@@ -201,7 +191,8 @@ def run_greedy_episodes(q: QFunction, goals: Iterable[UserGoal], kb: KnowledgeBa
     from ``rng`` between the resets, as playing them one by one would, and
     nothing draws after. Each turn takes one forward over the live states
     stacked as [n_live, 1, STATE_DIM], equal to their row forwards bit for
-    bit, so each result is ``run_episode(goal, kb, greedy_policy(q), rng)``'s.
+    bit, so each result is the one ``run_episode`` plays under
+    ``epsilon_policy(q, 0.0, rng)``.
     """
     games = [_start(goal, kb, rng) for goal in goals]
     states = np.empty((len(games), 1, STATE_DIM))
@@ -225,13 +216,9 @@ def run_greedy_episodes(q: QFunction, goals: Iterable[UserGoal], kb: KnowledgeBa
     return results
 
 
-def greedy_policy(q: QFunction) -> Policy:
-    """Argmax over the Q-values; ties go to the lowest index."""
-    return lambda state, ctx: int(np.argmax(q.forward(state)))
-
-
 def epsilon_policy(q: QFunction, epsilon: float, rng: np.random.Generator) -> Policy:
-    return lambda state, ctx: student_act(q, state, epsilon, rng)
+    """Epsilon-greedy over all system acts; epsilon 0 is the greedy policy."""
+    return lambda state, ctx: epsilon_greedy(q, state, epsilon, rng)
 
 
 # The hand-written warm-start policy only ever asks about this slot prefix;

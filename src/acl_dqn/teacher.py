@@ -1,9 +1,8 @@
-"""The teacher agent: a goal-selection MDP over the user-goal corpus.
+"""The teacher agent's state: recent student outcomes and the last two goals.
 
-The teacher's Q-head has one output per corpus goal; curriculum phases
-restrict selection by masking, so values learned in earlier phases carry
-over.  This module builds the teacher's state and picks its goal; the
-run loop computes its reward (orchestrator.run_training).
+The teacher's Q-head has one output per corpus goal and picks through
+``neural.epsilon_greedy`` over the curriculum's active goals; the run loop
+builds it and computes its reward (orchestrator.run_training).
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import GoalCorpus, TIERS
-from .neural import QFunction
+from .domain import TIERS
 from .student import SUCCESS_BONUS
 
 # Fixed-size window of recent student episodes summarized in the state.
@@ -22,10 +20,6 @@ SUMMARY_WINDOW = 20
 
 # [success rate, mean reward / SUCCESS_BONUS] + 2 * [goal id norm + tier one-hot] + 2 scalars
 TEACHER_STATE_DIM = 2 + 2 * (1 + len(TIERS)) + 2
-
-
-class TeacherError(Exception):
-    pass
 
 
 @dataclass
@@ -74,19 +68,3 @@ class TeacherStateBuilder:
             vec[2 + 2 * block + 1] = self.previous.param_scalar
         return vec
 
-
-def teacher_act(q: QFunction, state: np.ndarray, goal_ids,
-                epsilon: float, rng: np.random.Generator) -> int:
-    """Epsilon-greedy over the Q-head restricted to the active goal set."""
-    ids = list(goal_ids)
-    if not ids:
-        raise TeacherError("empty goal set")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return ids[int(rng.integers(len(ids)))]
-    values = q.forward(state)
-    masked = values[ids]
-    return ids[int(np.argmax(masked))]
-
-
-def make_teacher_q(corpus: GoalCorpus, rng: np.random.Generator) -> QFunction:
-    return QFunction(TEACHER_STATE_DIM, len(corpus), rng=rng)

@@ -55,6 +55,9 @@ def test_benchmark_hooks_record_every_layer(monkeypatch):
     assert calls["user_sim.session_step"] == recorder.counts["student.turns"] + eval_turns
     assert calls["student.featurize"] >= calls["user_sim.session_step"]
     assert recorder.counts["neural.forward_batch.rows"] >= config.eval_dialogues
+    # The teacher picks one goal per epoch through orchestrator.teacher_act;
+    # the student's picks go through the same function under another name.
+    assert calls["teacher.teacher_act"] == config.num_epochs
     assert len(bench.times_of(run).marks) == 2
     for owner, saved in zip(PATCHED, before):
         assert [attr for attr, value in saved.items() if vars(owner).get(attr) is not value] == []

@@ -193,6 +193,30 @@ class TestEval:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: unrecognized checkpoint header")
 
+    @pytest.mark.parametrize("command", ["eval", "chat"])
+    @pytest.mark.parametrize("case", ["30 outputs", "nan weight", "negative dim"])
+    def test_checkpoint_it_cannot_run_exits_1(self, tmp_path, capsys, command, case):
+        checkpoint = tmp_path / "student.qfn"
+        n_outputs = 30 if case == "30 outputs" else N_ACTIONS
+        QFunction(STATE_DIM, n_outputs, hidden_dim=8,
+                  rng=np.random.default_rng(0)).save(checkpoint)
+        lines = checkpoint.read_text().splitlines(keepends=True)
+        if case == "nan weight":
+            lines[2] = "nan " + lines[2].split(" ", 1)[1]
+        if case == "negative dim":
+            lines[1] = "-3 4 5 0.001 1.0\n"
+        checkpoint.write_text("".join(lines))
+        message = {
+            "30 outputs": f"{checkpoint} maps {STATE_DIM} inputs to 30 outputs; "
+                          f"a student net maps {STATE_DIM} to {N_ACTIONS}",
+            "nan weight": "checkpoint online w1 holds a non-finite value",
+            "negative dim": "checkpoint input_dim must be >= 1, got -3",
+        }[case]
+        out = ["--out", str(tmp_path / "out")] if command == "chat" else []
+        assert main([command, "--checkpoint", str(checkpoint), *out]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_flag_eval_does_not_read_exits_2(self, tmp_path):
         checkpoint = tmp_path / "student.qfn"
         TestChat._net().save(checkpoint)

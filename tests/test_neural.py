@@ -7,6 +7,7 @@ from acl_dqn.neural import (
     NeuralError,
     QFunction,
     clip_gradients,
+    epsilon_greedy,
 )
 
 FD_EPS = 1e-5
@@ -296,3 +297,112 @@ class TestCheckpoint:
         path.write_text("".join(lines[:-2]))
         with pytest.raises(NeuralError, match="truncated"):
             QFunction.load(path)
+
+    def test_dims_below_one_rejected_by_name(self, rng, tmp_path):
+        path = tmp_path / "net.qfn"
+        _random_net(rng, input_dim=4, hidden_dim=5, output_dim=3).save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        for i, dim in enumerate(("input_dim", "hidden_dim", "output_dim")):
+            dims = lines[1].split()
+            dims[i] = "-3" if i == 0 else "0"
+            path.write_text("".join([lines[0], " ".join(dims) + "\n", *lines[2:]]))
+            with pytest.raises(NeuralError, match=f"checkpoint {dim} must be >= 1, got {dims[i]}"):
+                QFunction.load(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected_by_name(self, rng, tmp_path, value):
+        net = _random_net(rng)
+        path = tmp_path / "net.qfn"
+        net.save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        # Lines 2-5 hold the online w1, b1, w2, b2; lines 6-9 the target's.
+        target_w2 = lines[8].split()
+        target_w2[-1] = value
+        lines[8] = " ".join(target_w2) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(NeuralError, match="checkpoint target w2 holds a non-finite value"):
+            QFunction.load(path)
+
+
+class TestEpsilonGreedy:
+    @staticmethod
+    def _net(rng, n_outputs=10):
+        return QFunction(6, n_outputs, hidden_dim=5, rng=rng)
+
+    def test_greedy_ties_break_to_lowest_index(self, rng):
+        q = self._net(rng)
+        q.online_flat[:] = 0.0
+        assert epsilon_greedy(q, np.zeros(6), 0.0, rng) == 0
+        assert epsilon_greedy(q, np.zeros(6), 0.0, rng, (7, 3, 5)) == 7
+
+    def test_mask_hides_higher_valued_outputs(self, rng):
+        q = self._net(rng)
+        state = rng.normal(size=6)
+        values = q.forward(state)
+        best_overall = int(np.argmax(values))
+        assert epsilon_greedy(q, state, 0.0, rng) == best_overall
+        active = tuple(a for a in range(10) if a != best_overall)
+        pick = epsilon_greedy(q, state, 0.0, rng, active)
+        assert pick in active
+        assert values[pick] == max(values[a] for a in active)
+
+    def test_epsilon_one_is_uniform_over_all_outputs(self, rng):
+        q = self._net(rng, n_outputs=23)
+        picks = [epsilon_greedy(q, np.zeros(6), 1.0, rng) for _ in range(2000)]
+        assert set(picks) == set(range(23))
+        assert max(picks.count(a) for a in range(23)) < 2 * 2000 / 23
+
+    def test_epsilon_one_is_uniform_over_an_action_set(self, rng):
+        q = self._net(rng)
+        picks = [epsilon_greedy(q, np.zeros(6), 1.0, rng, [3, 7]) for _ in range(10_000)]
+        assert set(picks) == {3, 7}
+        assert abs(picks.count(3) / 10_000 - 0.5) < 0.05
+
+    def test_one_action_set_always_chosen(self, rng):
+        q = self._net(rng)
+        for eps in (0.0, 0.5, 1.0):
+            assert epsilon_greedy(q, rng.normal(size=6), eps, rng, (4,)) == 4
+
+    def test_picks_stay_inside_the_set(self, rng):
+        q = self._net(rng, n_outputs=30)
+        for _ in range(200):
+            active = tuple(sorted(rng.choice(30, size=int(rng.integers(1, 30)),
+                                             replace=False).tolist()))
+            eps = float(rng.random())
+            assert epsilon_greedy(q, rng.normal(size=6), eps, rng, active) in active
+
+    def test_draws_one_coin_then_one_index(self, rng):
+        """Exploring draws rng.random() then rng.integers(len(set)); exploiting only the coin."""
+        q = self._net(rng)
+        for actions in (None, (2, 5, 8)):
+            ids = range(10) if actions is None else actions
+            picker, replay = np.random.default_rng(5), np.random.default_rng(5)
+            for _ in range(200):
+                state = rng.normal(size=6)
+                values = q.forward(state)
+                if replay.random() < 0.3:
+                    want = ids[int(replay.integers(len(ids)))]
+                else:
+                    want = ids[int(np.argmax([values[a] for a in ids]))]
+                assert epsilon_greedy(q, state, 0.3, picker, actions) == want
+            assert picker.bit_generator.state == replay.bit_generator.state
+
+    def test_epsilon_zero_draws_nothing(self, rng):
+        q = self._net(rng)
+        picker = np.random.default_rng(3)
+        before = picker.bit_generator.state
+        for actions in (None, (1, 2), (6,)):
+            epsilon_greedy(q, rng.normal(size=6), 0.0, picker, actions)
+        assert picker.bit_generator.state == before
+
+    def test_empty_set_rejected(self, rng):
+        q = self._net(rng)
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match="empty action set"):
+                epsilon_greedy(q, np.zeros(6), eps, rng, ())
+
+    @pytest.mark.parametrize("eps", [1.5, -0.1, float("nan")])
+    def test_epsilon_outside_unit_interval_rejected(self, rng, eps):
+        q = self._net(rng)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            epsilon_greedy(q, np.zeros(6), eps, rng)

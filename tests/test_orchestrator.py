@@ -36,7 +36,7 @@ from acl_dqn.orchestrator import (
     write_phase_log_csv,
     write_teacher_log_csv,
 )
-from acl_dqn.student import N_ACTIONS, STATE_DIM, greedy_policy, run_episode, run_greedy_episodes
+from acl_dqn.student import N_ACTIONS, STATE_DIM, epsilon_policy, run_episode, run_greedy_episodes
 from acl_dqn.user_sim import KnowledgeBase
 
 REPO = Path(__file__).resolve().parent.parent
@@ -53,28 +53,34 @@ def small_runs(corpus, kb):
 
 class TestConfig:
     def test_defaults_are_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_unknown_agent_rejected(self):
         with pytest.raises(ConfigError, match="unknown agent kind"):
-            TrainConfig(agent_kind="sarsa").validate()
+            TrainConfig(agent_kind="sarsa")
 
     def test_nonpositive_epochs_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig(num_epochs=0).validate()
+            TrainConfig(num_epochs=0)
 
     @pytest.mark.parametrize("field, value", [
         ("epoch_size", 0), ("updates_per_epoch", 0), ("updates_per_epoch", -3),
         ("alpha", -1.0), ("alpha", 2.0), ("alpha", float("nan")), ("epsilon_end", 1.5)])
     def test_out_of_range_value_names_its_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            TrainConfig(**{field: value}).validate()
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("epoch_size", 1), ("updates_per_epoch", 1), ("alpha", 0.0), ("alpha", 1.0),
         ("epsilon_end", 0.0), ("epsilon_end", 1.0)])
     def test_range_bounds_are_accepted(self, field, value):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
+
+    def test_replace_checks_the_new_value(self):
+        with pytest.raises(ConfigError, match="alpha"):
+            dataclasses.replace(TrainConfig(agent_kind="acl-c"), alpha=1.5)
+        with pytest.raises(ConfigError, match="unknown agent kind"):
+            dataclasses.replace(TrainConfig(), agent_kind="sarsa")
 
     def test_every_field_is_set_by_a_caller(self):
         """A value that neither the acceptance profile nor a CLI flag sets is a constant."""
@@ -207,11 +213,19 @@ class TestEvaluate:
         for k, v in q.online.items():
             np.testing.assert_array_equal(v, before[k])
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_fewer_than_one_dialogue_refused_before_drawing(self, small_runs, corpus, kb, n):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"n_dialogues must be >= 1, got {n}"):
+            evaluate_policy(small_runs["dqn"].student_q, corpus, kb, n, rng)
+        assert rng.bit_generator.state == before
+
     @staticmethod
     def _one_by_one(q, corpus, kb, n, rng):
         """Greedy dialogues played one at a time, each goal drawn just before its reset."""
         return [run_episode(corpus.goals[int(rng.integers(len(corpus.goals)))], kb,
-                            greedy_policy(q), rng) for _ in range(n)]
+                            epsilon_policy(q, 0.0, rng), rng) for _ in range(n)]
 
     @pytest.mark.parametrize("n", [1, 100])
     @pytest.mark.parametrize("net", ["fresh", "trained"])

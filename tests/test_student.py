@@ -14,13 +14,11 @@ from acl_dqn.student import (
     epsilon_at,
     epsilon_policy,
     featurize,
-    greedy_policy,
     materialize,
     rule_policy,
     run_episode,
     run_greedy_episodes,
     step_reward,
-    student_act,
 )
 from acl_dqn.user_sim import (
     MAX_TURNS,
@@ -136,25 +134,6 @@ class TestFeaturize:
         assert seen["states"] >= 12
 
 
-class TestStudentAct:
-    def test_greedy_ties_break_to_lowest_index(self, rng):
-        q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=4, rng=rng)
-        for name in ("w1", "b1", "w2", "b2"):
-            q.online[name][:] = 0.0
-        assert student_act(q, np.zeros(STATE_DIM), 0.0, rng) == 0
-
-    def test_epsilon_one_is_uniform_over_actions(self, rng):
-        q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=4, rng=rng)
-        picks = {student_act(q, np.zeros(STATE_DIM), 1.0, rng)
-                 for _ in range(500)}
-        assert picks == set(range(N_ACTIONS))
-
-    def test_invalid_epsilon_rejected(self, rng):
-        q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=4, rng=rng)
-        with pytest.raises(ValueError):
-            student_act(q, np.zeros(STATE_DIM), 1.5, rng)
-
-
 class TestRewards:
     def test_step_reward_table(self):
         assert step_reward(ONGOING) == -1.0
@@ -213,9 +192,9 @@ class TestEpisodes:
         q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=8, rng=rng)
         goal = corpus.goals[corpus.simple[0]]
         t1, t2 = [], []
-        r1 = run_episode(goal, kb, greedy_policy(q), np.random.default_rng(6),
+        r1 = run_episode(goal, kb, epsilon_policy(q, 0.0, rng), np.random.default_rng(6),
                          on_transition=t1.append)
-        r2 = run_episode(goal, kb, greedy_policy(q), np.random.default_rng(6),
+        r2 = run_episode(goal, kb, epsilon_policy(q, 0.0, rng), np.random.default_rng(6),
                          on_transition=t2.append)
         assert r1.turns == r2.turns
         assert [t.action for t in t1] == [t.action for t in t2]
@@ -228,7 +207,7 @@ class TestGreedyEpisodes:
                  for g in corpus.tier_ids(tier)[:4]]
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         results = run_greedy_episodes(q, goals, kb, rng)
-        assert results == [run_episode(g, kb, greedy_policy(q), ref_rng) for g in goals]
+        assert results == [run_episode(g, kb, epsilon_policy(q, 0.0, ref_rng), ref_rng) for g in goals]
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert len({r.turns for r in results}) > 1  # dialogues ended on different turns
 

@@ -1,58 +1,10 @@
 import numpy as np
 import pytest
 
-from acl_dqn.neural import Minibatch, QFunction
+from acl_dqn import orchestrator
+from acl_dqn.neural import Minibatch, QFunction, epsilon_greedy
 from acl_dqn.replay import TEACHER_CAPACITY, ReplayBuffer, Transition, train_step
-from acl_dqn.teacher import (
-    TEACHER_STATE_DIM,
-    TeacherError,
-    TeacherStateBuilder,
-    make_teacher_q,
-    teacher_act,
-)
-
-
-class TestTeacherAct:
-    def _net(self, n_goals, rng):
-        return QFunction(TEACHER_STATE_DIM, n_goals, hidden_dim=6, rng=rng)
-
-    def test_mask_hides_higher_valued_goals(self, rng):
-        q = self._net(10, rng)
-        state = rng.normal(size=TEACHER_STATE_DIM)
-        values = q.forward(state)
-        best_overall = int(np.argmax(values))
-        active = [g for g in range(10) if g != best_overall]
-        pick = teacher_act(q, state, active, 0.0, rng)
-        assert pick in active
-        assert values[pick] == max(values[g] for g in active)
-
-    def test_epsilon_one_is_uniform_over_the_active_set(self, rng):
-        q = self._net(10, rng)
-        state = np.zeros(TEACHER_STATE_DIM)
-        counts = {3: 0, 7: 0}
-        for _ in range(10_000):
-            counts[teacher_act(q, state, [3, 7], 1.0, rng)] += 1
-        assert abs(counts[3] / 10_000 - 0.5) < 0.05
-
-    def test_singleton_set_always_chosen(self, rng):
-        q = self._net(10, rng)
-        state = np.zeros(TEACHER_STATE_DIM)
-        for eps in (0.0, 0.5, 1.0):
-            assert teacher_act(q, state, [4], eps, rng) == 4
-
-    def test_never_leaks_out_of_set_goals(self, rng):
-        q = self._net(30, rng)
-        for _ in range(200):
-            active = sorted(rng.choice(30, size=int(rng.integers(1, 30)),
-                                       replace=False).tolist())
-            state = rng.normal(size=TEACHER_STATE_DIM)
-            eps = float(rng.random())
-            assert teacher_act(q, state, active, eps, rng) in active
-
-    def test_empty_set_rejected(self, rng):
-        q = self._net(5, rng)
-        with pytest.raises(TeacherError):
-            teacher_act(q, np.zeros(TEACHER_STATE_DIM), [], 0.0, rng)
+from acl_dqn.teacher import TEACHER_STATE_DIM, TeacherStateBuilder
 
 
 class TestTeacherStateBuilder:
@@ -134,7 +86,17 @@ class TestTeacherTraining:
         for k, v in q.online.items():
             np.testing.assert_array_equal(v, before[k])
 
-    def test_output_head_matches_corpus_size(self, corpus, rng):
-        q = make_teacher_q(corpus, rng)
-        assert q.output_dim == len(corpus) == 128
-        assert q.input_dim == TEACHER_STATE_DIM
+    def test_output_head_matches_corpus_size(self, corpus, kb, monkeypatch):
+        """The net a run's teacher picks with has one output per corpus goal."""
+        nets = []
+
+        def pick(q, *args):
+            nets.append(q)
+            return epsilon_greedy(q, *args)
+
+        monkeypatch.setattr(orchestrator, "teacher_act", pick)
+        orchestrator.run_training(orchestrator.TrainConfig(
+            agent_kind="acl-a", num_epochs=2, eval_every=2, eval_dialogues=1), 1, corpus, kb)
+        assert len(nets) == 2 and nets[0] is nets[1]
+        assert nets[0].output_dim == len(corpus) == 128
+        assert nets[0].input_dim == TEACHER_STATE_DIM
