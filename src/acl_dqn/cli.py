@@ -182,12 +182,13 @@ def cmd_sweep_alpha(args) -> int:
     alphas = _distinct("--alphas", _parse_floats(args.alphas))
     seeds = _parse_seeds(args.seeds)
     base = _config_from_args(args, "acl-c")
+    configs = [replace(base, alpha=alpha) for alpha in alphas]
     _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
     out = _out_dir(args)
-    reports = orchestrator.sweep_alpha(base, alphas, seeds, corpus, kb)
-    for alpha, report in reports.items():
-        orchestrator.write_curve_csv(report, "acl-c", out / f"curve_alpha_{alpha}.csv")
+    for config in configs:
+        report = orchestrator.run_comparison([config], seeds, corpus, kb)
+        orchestrator.write_curve_csv(report, "acl-c", out / f"curve_alpha_{config.alpha}.csv")
     print(f"wrote {len(alphas)} curves to {out}")
     return 0
 

@@ -9,7 +9,6 @@ the one epsilon-greedy rule here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,18 +19,6 @@ GRAD_ORDER = ("w2", "b2", "w1", "b1")
 
 class NeuralError(Exception):
     pass
-
-
-@dataclass
-class Minibatch:
-    states: np.ndarray       # [B, input_dim]
-    actions: np.ndarray      # [B] int
-    rewards: np.ndarray      # [B]
-    next_states: np.ndarray  # [B, input_dim]
-    terminal: np.ndarray     # [B] bool
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
 
 
 class QFunction:
@@ -103,10 +90,11 @@ class QFunction:
         q = h @ params["w2"].T + params["b2"]
         return q[0] if single else q
 
-    def td_loss_and_grads(self, batch: Minibatch,
-                          gamma: float) -> tuple[float, dict[str, np.ndarray]]:
+    def td_loss_and_grads(self, batch, gamma: float) -> tuple[float, dict[str, np.ndarray]]:
         """Mean-squared TD loss and its unclipped gradients w.r.t. the online
-        parameters, in fresh arrays.
+        parameters, in fresh arrays. ``batch`` is a replay ``Transition`` of
+        arrays: states [B, input_dim], actions [B], rewards [B], next states
+        [B, input_dim] and terminal flags [B].
 
         Targets bootstrap from the target copy and are masked on terminal
         transitions: y = r + gamma * max_a' Q_target(s') * (1 - terminal).
@@ -114,22 +102,21 @@ class QFunction:
         grads = {name: np.empty(self._shapes[name]) for name in GRAD_ORDER}
         return self._td_backprop(batch, gamma, grads), grads
 
-    def _td_backprop(self, batch: Minibatch, gamma: float,
-                     grads: dict[str, np.ndarray]) -> float:
+    def _td_backprop(self, batch, gamma: float, grads: dict[str, np.ndarray]) -> float:
         """The TD loss, with its gradients written into ``grads``."""
-        if len(batch) == 0:
+        s, actions, rewards, s2, terminal = batch
+        s = np.asarray(s, dtype=float)
+        s2 = np.asarray(s2, dtype=float)
+        rewards = np.asarray(rewards, dtype=float)
+        terminal = np.asarray(terminal, dtype=bool)
+        actions = np.asarray(actions, dtype=int)
+        n = len(actions)
+        if n == 0:
             raise NeuralError("empty minibatch")
         if not 0.0 <= gamma <= 1.0:
             raise NeuralError("gamma must lie in [0, 1]")
-        if batch.actions.max(initial=0) >= self.output_dim:
+        if actions.max(initial=0) >= self.output_dim:
             raise NeuralError("action index out of range")
-
-        s = np.asarray(batch.states, dtype=float)
-        s2 = np.asarray(batch.next_states, dtype=float)
-        rewards = np.asarray(batch.rewards, dtype=float)
-        terminal = np.asarray(batch.terminal, dtype=bool)
-        actions = np.asarray(batch.actions, dtype=int)
-        n = len(batch)
         rows = np.arange(n)
 
         q_next = self.forward(s2, use_target=True)
@@ -151,7 +138,7 @@ class QFunction:
         np.sum(dpre, axis=0, out=grads["b1"])
         return loss
 
-    def td_train_step(self, batch: Minibatch, gamma: float) -> float:
+    def td_train_step(self, batch, gamma: float) -> float:
         """One clipped Adam step on the mean-squared TD loss; returns pre-step loss."""
         loss = self._td_backprop(batch, gamma, self._grad_views)
         if not math.isfinite(loss):

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .neural import Minibatch, QFunction
+from .neural import QFunction
 
 STUDENT_CAPACITY = 5000
 TEACHER_CAPACITY = 2000
@@ -32,11 +32,9 @@ class Transition(NamedTuple):
 class ReplayBuffer:
     """FIFO store with uniform with-replacement sampling.
 
-    Transitions live in a ring of per-field arrays. Until the ring is full
-    row i is the i-th oldest transition; after that each push overwrites
-    the oldest row, at ``head``. A row's state is the next state of the row
-    before it, except at the rows in ``first_states``: a dialogue's first
-    transition, and the oldest row once its predecessor is gone.
+    Transitions live in a ring of per-field arrays, one row each. Until the
+    ring is full row i is the i-th oldest transition; after that each push
+    overwrites the oldest row, at ``head``.
     """
 
     def __init__(self, capacity: int, dim: int):
@@ -44,14 +42,13 @@ class ReplayBuffer:
             raise ReplayError("capacity must be >= 1")
         self.capacity = capacity
         self.dim = dim
+        self.states = np.empty((0, dim))
         self.next_states = np.empty((0, dim))
         self.actions = np.empty(0, dtype=int)
         self.rewards = np.empty(0)
         self.terminal = np.empty(0, dtype=bool)
-        self.first_states: dict[int, np.ndarray] = {}
         self.head = 0
         self._size = 0
-        self._last_next_state = None
 
     def __len__(self) -> int:
         return self._size
@@ -60,13 +57,13 @@ class ReplayBuffer:
         rows = min(self.capacity, len(self.rewards) + GROW_ROWS)
         # In place: the arrays never hand out views, and a resize does not
         # hold the old and the new block at once as a copy would.
-        self.next_states.resize((rows, self.dim), refcheck=False)
+        for matrix in (self.states, self.next_states):
+            matrix.resize((rows, self.dim), refcheck=False)
         for column in (self.actions, self.rewards, self.terminal):
             column.resize(rows, refcheck=False)
 
     def push(self, t: Transition) -> None:
-        """Store t; a state that is the previous push's next-state object is
-        stored once."""
+        """Store a copy of t, over the oldest row once the ring is full."""
         if len(t.state) != self.dim or len(t.next_state) != self.dim:
             raise ReplayError(
                 f"transition dim {len(t.state)} != buffer dim {self.dim}")
@@ -78,29 +75,20 @@ class ReplayBuffer:
         else:
             row = self.head
             self.head = (row + 1) % self.capacity
-            self.first_states.pop(row, None)
-            if self.head not in self.first_states:
-                self.first_states[self.head] = self.next_states[row].copy()
-        if t.state is not self._last_next_state:
-            self.first_states[row] = np.array(t.state, dtype=float)
-        self._last_next_state = t.next_state
+        self.states[row] = t.state
         self.next_states[row] = t.next_state
         self.actions[row] = t.action
         self.rewards[row] = t.reward
         self.terminal[row] = t.terminal
 
-    def rows(self, ages: np.ndarray) -> Minibatch:
-        """Copies of the transitions at the given ages (0 is the oldest)."""
+    def rows(self, ages: np.ndarray) -> Transition:
+        """Copies of the transitions at the given ages (0 is the oldest), one
+        array per field."""
         idx = (ages + self.head) % self.capacity if self.head else ages
-        states = self.next_states[idx - 1]
-        first = self.first_states
-        for k, row in enumerate(idx.tolist()):
-            if row in first:
-                states[k] = first[row]
-        return Minibatch(states, self.actions[idx], self.rewards[idx],
-                         self.next_states[idx], self.terminal[idx])
+        return Transition(self.states[idx], self.actions[idx], self.rewards[idx],
+                          self.next_states[idx], self.terminal[idx])
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> Minibatch | None:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Transition | None:
         """None when underfull: the caller skips training this step."""
         if self._size < batch_size:
             return None

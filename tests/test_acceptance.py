@@ -27,7 +27,8 @@ from acl_dqn.orchestrator import (
     write_metrics_csv,
 )
 from acl_dqn.student import epsilon_policy, rule_policy, run_episode
-from acl_dqn.neural import QFunction, Minibatch, clip_gradients
+from acl_dqn.neural import QFunction, clip_gradients
+from acl_dqn.replay import Transition
 
 REPO = Path(__file__).resolve().parent.parent
 CACHE = REPO / "results" / "acceptance"
@@ -152,11 +153,11 @@ def test_criterion_6_gradient_suite():
         output_dim = int(rng.integers(2, 6))
         net = QFunction(input_dim, output_dim, hidden_dim=hidden, rng=rng)
         n = int(rng.integers(1, 8))
-        batch = Minibatch(
-            states=rng.normal(size=(n, input_dim)),
-            actions=rng.integers(0, output_dim, size=n),
-            rewards=rng.normal(size=n),
-            next_states=rng.normal(size=(n, input_dim)),
+        batch = Transition(
+            state=rng.normal(size=(n, input_dim)),
+            action=rng.integers(0, output_dim, size=n),
+            reward=rng.normal(size=n),
+            next_state=rng.normal(size=(n, input_dim)),
             terminal=rng.random(n) < 0.3,
         )
         gamma = float(rng.uniform(0, 1))

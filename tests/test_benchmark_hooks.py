@@ -58,6 +58,11 @@ def test_benchmark_hooks_record_every_layer(monkeypatch):
     # The teacher picks one goal per epoch through orchestrator.teacher_act;
     # the student's picks go through the same function under another name.
     assert calls["teacher.teacher_act"] == config.num_epochs
+    # Every train step samples once, and an underfull buffer answers None:
+    # the teacher's, which holds one transition per epoch, in both epochs.
+    assert recorder.counts["replay.sample.attempts"] == (calls["student.train_step"]
+                                                         + calls["teacher.train_step"])
+    assert recorder.counts["replay.sample.underfull"] == config.num_epochs
     assert len(bench.times_of(run).marks) == 2
     for owner, saved in zip(PATCHED, before):
         assert [attr for attr, value in saved.items() if vars(owner).get(attr) is not value] == []

@@ -357,8 +357,10 @@ def test_repeated_list_value_exits_2_before_training(argv, message, tmp_path, ca
 def test_alpha_outside_unit_interval_exits_2_before_training(argv, tmp_path, capsys,
                                                               monkeypatch):
     monkeypatch.setattr(cli.orchestrator, "run_training", _no_training)
-    assert main([*argv, "--out", str(tmp_path), *FAST]) == 2
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), *FAST]) == 2
     assert "alpha must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestChat:

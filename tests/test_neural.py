@@ -3,12 +3,12 @@ import pytest
 
 from acl_dqn.neural import (
     PARAM_NAMES,
-    Minibatch,
     NeuralError,
     QFunction,
     clip_gradients,
     epsilon_greedy,
 )
+from acl_dqn.replay import Transition
 
 FD_EPS = 1e-5
 FD_TOL = 1e-4
@@ -23,11 +23,11 @@ def _random_net(rng, input_dim=None, hidden_dim=None, output_dim=None):
 
 def _random_batch(rng, net, size=None):
     size = size or int(rng.integers(1, 8))
-    return Minibatch(
-        states=rng.normal(size=(size, net.input_dim)),
-        actions=rng.integers(0, net.output_dim, size=size),
-        rewards=rng.normal(size=size),
-        next_states=rng.normal(size=(size, net.input_dim)),
+    return Transition(
+        state=rng.normal(size=(size, net.input_dim)),
+        action=rng.integers(0, net.output_dim, size=size),
+        reward=rng.normal(size=size),
+        next_state=rng.normal(size=(size, net.input_dim)),
         terminal=rng.random(size) < 0.3,
     )
 
@@ -122,9 +122,9 @@ class TestTdTargets:
     def test_gamma_zero_targets_are_rewards(self, rng):
         net = _random_net(rng)
         batch = _random_batch(rng, net, size=6)
-        q = net.forward(batch.states)
-        q_sel = q[np.arange(6), batch.actions]
-        expected = float(np.mean((q_sel - batch.rewards) ** 2))
+        q = net.forward(batch.state)
+        q_sel = q[np.arange(6), batch.action]
+        expected = float(np.mean((q_sel - batch.reward) ** 2))
         assert net.td_train_step(batch, 0.0) == pytest.approx(expected)
 
     def test_terminal_transitions_ignore_bootstrap(self, rng):
@@ -142,9 +142,9 @@ class TestTdTargets:
         batch = _random_batch(rng, net, size=4)
         batch.terminal[:] = False
         gamma = 0.9
-        y = batch.rewards + gamma * net.forward(
-            batch.next_states, use_target=True).max(axis=1)
-        q_sel = net.forward(batch.states)[np.arange(4), batch.actions]
+        y = batch.reward + gamma * net.forward(
+            batch.next_state, use_target=True).max(axis=1)
+        q_sel = net.forward(batch.state)[np.arange(4), batch.action]
         expected = float(np.mean((q_sel - y) ** 2))
         loss, _ = net.td_loss_and_grads(batch, gamma)
         assert loss == pytest.approx(expected)
@@ -159,8 +159,8 @@ class TestTdTargets:
 
     def test_empty_batch_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
-        empty = Minibatch(np.zeros((0, 3)), np.zeros(0, dtype=int),
-                          np.zeros(0), np.zeros((0, 3)), np.zeros(0, dtype=bool))
+        empty = Transition(np.zeros((0, 3)), np.zeros(0, dtype=int),
+                           np.zeros(0), np.zeros((0, 3)), np.zeros(0, dtype=bool))
         with pytest.raises(NeuralError):
             net.td_train_step(empty, 0.9)
 
@@ -172,7 +172,7 @@ class TestTdTargets:
     def test_out_of_range_action_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
         batch = _random_batch(rng, net, size=2)
-        batch.actions[0] = 2
+        batch.action[0] = 2
         with pytest.raises(NeuralError):
             net.td_train_step(batch, 0.9)
 

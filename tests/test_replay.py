@@ -32,7 +32,7 @@ class TestReplayBuffer:
             oracle.append(tag)
             oracle = oracle[-4:]
             in_age_order = buf.rows(np.arange(len(buf)))
-            assert [int(s[0]) for s in in_age_order.states] == oracle
+            assert [int(s[0]) for s in in_age_order.state] == oracle
 
     def test_underfull_sample_returns_none(self, rng):
         buf = ReplayBuffer(capacity=10, dim=3)
@@ -46,13 +46,13 @@ class TestReplayBuffer:
         for tag in range(20):
             buf.push(_transition(tag, reward=float(tag), terminal=tag % 2 == 0))
         batch = buf.sample(16, rng)
-        assert batch.states.shape == (16, 3)
-        assert batch.next_states.shape == (16, 3)
-        assert batch.actions.shape == (16,)
+        assert batch.state.shape == (16, 3)
+        assert batch.next_state.shape == (16, 3)
+        assert batch.action.shape == (16,)
         for i in range(16):
-            tag = int(batch.states[i, 0])
+            tag = int(batch.state[i, 0])
             assert 0 <= tag < 20
-            assert batch.rewards[i] == float(tag)
+            assert batch.reward[i] == float(tag)
             assert bool(batch.terminal[i]) == (tag % 2 == 0)
 
     def test_sampling_is_with_replacement(self):
@@ -60,7 +60,7 @@ class TestReplayBuffer:
         for tag in range(10):
             buf.push(_transition(tag))
         batch = buf.sample(10, np.random.default_rng(0))
-        tags = [int(s[0]) for s in batch.states]
+        tags = [int(s[0]) for s in batch.state]
         assert len(set(tags)) < len(tags)
 
     def test_sampling_is_deterministic_in_rng(self):
@@ -69,8 +69,8 @@ class TestReplayBuffer:
             buf.push(_transition(tag))
         b1 = buf.sample(4, np.random.default_rng(3))
         b2 = buf.sample(4, np.random.default_rng(3))
-        np.testing.assert_array_equal(b1.states, b2.states)
-        np.testing.assert_array_equal(b1.actions, b2.actions)
+        np.testing.assert_array_equal(b1.state, b2.state)
+        np.testing.assert_array_equal(b1.action, b2.action)
 
     def test_dimension_mismatch_rejected(self):
         buf = ReplayBuffer(capacity=10, dim=3)
@@ -86,12 +86,7 @@ class TestReplayBuffer:
     @pytest.mark.parametrize("capacity", [1, 2, 7, GROW_ROWS, GROW_ROWS + 3,
                                           2 * GROW_ROWS + 5])
     def test_sample_matches_deque_oracle_through_growth_and_eviction(self, capacity):
-        """Same rng, same rows as the deque the ring replaced, at every size.
-
-        Transitions come in dialogues whose states chain as run_episode's
-        do (a turn's state is the previous turn's next-state object), with
-        an unchained transition now and then.
-        """
+        """Same rng, same rows as the deque the ring replaced, at every size."""
         dim = 3
         buf = ReplayBuffer(capacity=capacity, dim=dim)
         oracle: deque[Transition] = deque(maxlen=capacity)
@@ -112,8 +107,8 @@ class TestReplayBuffer:
                 continue
             assert len(buf) == len(oracle)
             held = buf.rows(np.arange(len(buf)))
-            np.testing.assert_array_equal(held.states, np.stack([o.state for o in oracle]))
-            np.testing.assert_array_equal(held.next_states,
+            np.testing.assert_array_equal(held.state, np.stack([o.state for o in oracle]))
+            np.testing.assert_array_equal(held.next_state,
                                           np.stack([o.next_state for o in oracle]))
             batch = buf.sample(16, np.random.default_rng(pushed))
             if len(oracle) < 16:
@@ -121,23 +116,24 @@ class TestReplayBuffer:
                 continue
             idx = np.random.default_rng(pushed).integers(0, len(oracle), size=16)
             picks = [oracle[int(i)] for i in idx]
-            np.testing.assert_array_equal(batch.states, np.stack([p.state for p in picks]))
-            np.testing.assert_array_equal(batch.next_states,
+            np.testing.assert_array_equal(batch.state, np.stack([p.state for p in picks]))
+            np.testing.assert_array_equal(batch.next_state,
                                           np.stack([p.next_state for p in picks]))
-            assert batch.actions.tolist() == [p.action for p in picks]
-            assert batch.rewards.tolist() == [p.reward for p in picks]
+            assert batch.action.tolist() == [p.action for p in picks]
+            assert batch.reward.tolist() == [p.reward for p in picks]
             assert batch.terminal.tolist() == [p.terminal for p in picks]
 
-    def test_chained_states_are_stored_once(self):
+    def test_a_reused_next_state_array_is_copied_on_push(self):
+        """A caller may refill its next-state array in place between pushes:
+        each row keeps the values it was pushed with."""
         buf = ReplayBuffer(capacity=10, dim=3)
-        state = np.zeros(3)
-        for tag in range(6):
-            next_state = np.full(3, tag + 1.0)
-            buf.push(Transition(state, 0, 0.0, next_state, False))
-            state = next_state
-        assert list(buf.first_states) == [0]
-        buf.push(_transition(7))
-        assert list(buf.first_states) == [0, 6]
+        a, b = np.zeros(3), np.ones(3)
+        buf.push(Transition(a, 0, 0.0, b, False))
+        b[...] = 7.0
+        buf.push(Transition(b, 1, 0.0, np.full(3, 8.0), True))
+        held = buf.rows(np.arange(2))
+        np.testing.assert_array_equal(held.next_state[0], np.ones(3))
+        np.testing.assert_array_equal(held.state[1], np.full(3, 7.0))
 
     def test_ring_grows_in_chunks_up_to_capacity(self):
         capacity = GROW_ROWS + 10
@@ -145,9 +141,10 @@ class TestReplayBuffer:
         assert len(buf.rewards) == 0
         buf.push(_transition(0, dim=2))
         assert len(buf.rewards) == GROW_ROWS
+        assert buf.states.shape == buf.next_states.shape == (GROW_ROWS, 2)
         for tag in range(1, 3 * capacity):
             buf.push(_transition(tag, dim=2))
-        assert buf.next_states.shape == (capacity, 2)
+        assert buf.states.shape == buf.next_states.shape == (capacity, 2)
         assert len(buf) == capacity
 
     def test_nonpositive_capacity_rejected(self):
@@ -162,7 +159,7 @@ class TestRbsPrefill:
         assert played >= 100
         assert len(buf) > 0
         held = buf.rows(np.arange(len(buf)))
-        assert np.any(held.terminal & (held.rewards > 0))
+        assert np.any(held.terminal & (held.reward > 0))
 
     def test_prefill_is_deterministic_in_rng(self, corpus, kb):
         lens = []
@@ -171,6 +168,6 @@ class TestRbsPrefill:
             buf = ReplayBuffer(STUDENT_CAPACITY, STATE_DIM)
             rbs_prefill(buf, corpus, kb, np.random.default_rng(7))
             lens.append(len(buf))
-            firsts.append(buf.rows(np.arange(1)).states[0])
+            firsts.append(buf.rows(np.arange(1)).state[0])
         assert lens[0] == lens[1]
         np.testing.assert_array_equal(firsts[0], firsts[1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acl_dqn import orchestrator
-from acl_dqn.neural import Minibatch, QFunction, epsilon_greedy
+from acl_dqn.neural import QFunction, epsilon_greedy
 from acl_dqn.replay import TEACHER_CAPACITY, ReplayBuffer, Transition, train_step
 from acl_dqn.teacher import TEACHER_STATE_DIM, TeacherStateBuilder
 
@@ -61,15 +61,15 @@ class TestTeacherTraining:
 
     def test_gamma_zero_targets_equal_stored_rewards(self, rng, corpus):
         q = QFunction(TEACHER_STATE_DIM, len(corpus), hidden_dim=6, rng=rng)
-        batch = Minibatch(
-            states=rng.normal(size=(4, TEACHER_STATE_DIM)),
-            actions=np.array([0, 1, 2, 3]),
-            rewards=np.array([1.0, -2.0, 0.5, 3.0]),
-            next_states=rng.normal(size=(4, TEACHER_STATE_DIM)),
+        batch = Transition(
+            state=rng.normal(size=(4, TEACHER_STATE_DIM)),
+            action=np.array([0, 1, 2, 3]),
+            reward=np.array([1.0, -2.0, 0.5, 3.0]),
+            next_state=rng.normal(size=(4, TEACHER_STATE_DIM)),
             terminal=np.zeros(4, dtype=bool),
         )
-        q_sel = q.forward(batch.states)[np.arange(4), batch.actions]
-        expected = float(np.mean((q_sel - batch.rewards) ** 2))
+        q_sel = q.forward(batch.state)[np.arange(4), batch.action]
+        expected = float(np.mean((q_sel - batch.reward) ** 2))
         loss, _ = q.td_loss_and_grads(batch, 0.0)
         assert loss == pytest.approx(expected, abs=1e-6)
 
