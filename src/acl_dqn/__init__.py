@@ -20,7 +20,6 @@ from .orchestrator import (
     evaluate_policy,
     run_comparison,
     run_training,
-    sweep_alpha,
 )
 from .user_sim import KnowledgeBase
 
@@ -38,7 +37,6 @@ __all__ = [
     "run_comparison",
     "run_training",
     "save_corpus",
-    "sweep_alpha",
 ]
 
 __version__ = "0.1.0"

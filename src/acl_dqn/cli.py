@@ -16,6 +16,7 @@ from . import domain, orchestrator
 from .domain import ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
 from .neural import NeuralError, QFunction, epsilon_greedy
 from .orchestrator import TrainConfig
+from .replay import ReplayError
 from .student import N_ACTIONS, STATE_DIM, featurize, materialize
 from .user_sim import (FAILURE, ONGOING, SUCCESS, DialogueContext, KnowledgeBase,
                        session_reset, session_step)
@@ -50,8 +51,11 @@ def _parse_seeds(text: str) -> list[int]:
         seeds = list(range(lo, hi + 1))
         if not seeds:
             raise CliError(f"--seeds range {text!r} is empty")
-        return seeds
-    return _distinct("--seeds", _numbers(int, "--seeds", text, text.split(",")))
+    else:
+        seeds = _distinct("--seeds", _numbers(int, "--seeds", text, text.split(",")))
+    if min(seeds) < 0:
+        raise CliError(f"--seeds must all be >= 0, got {text!r}")
+    return seeds
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -178,7 +182,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_sweep_alpha(args) -> int:
+def cmd_sweep(args) -> int:
     alphas = _distinct("--alphas", _parse_floats(args.alphas))
     seeds = _parse_seeds(args.seeds)
     base = _config_from_args(args, "acl-c")
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.3,0.4,0.5,0.6,0.7,0.8")
     p.add_argument("--seeds", default="1..3")
     add_flags(p, "--epochs", "--goals", "--kb", "--out", "--eval-every", "--eval-dialogues")
-    p.set_defaults(func=cmd_sweep_alpha)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("chat", help="talk to a trained agent at act level")
     add_flags(p, "--checkpoint", "--goals", "--kb", "--out", "--seed")
@@ -375,11 +379,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy seeds only from non-negative integers
+            raise CliError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (CliError, orchestrator.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (domain.DomainError, NeuralError, OSError, ValueError) as exc:
+    except (domain.DomainError, NeuralError, ReplayError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

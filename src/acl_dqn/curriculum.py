@@ -11,7 +11,8 @@ penalty reads; a phase move starts the counts of its goal set at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .domain import GoalCorpus, TIERS
 from .user_sim import MAX_TURNS
@@ -19,6 +20,8 @@ from .user_sim import MAX_TURNS
 # ORP asymptote L, the reward scale: the turn cap, as in the failure penalty.
 L_MAX = float(MAX_TURNS)
 ORP_K = 10.0
+# Schedule C's mastery window T: consecutive in-phase success-rate snapshots >= alpha.
+MASTERY_WINDOW = 5
 
 SCHEDULES = ("A", "B", "C")
 PHASE_ALL = "all"
@@ -33,34 +36,6 @@ def orp_penalty(og: int) -> float:
     if og < 0:
         raise CurriculumError("sample count must be non-negative")
     return -L_MAX * og / (og + ORP_K)
-
-
-@dataclass
-class MasteryTracker:
-    """Window of in-phase success-rate snapshots gating schedule C."""
-
-    alpha: float = 0.5
-    window_size: int = 5  # number of consecutive qualifying snapshots, T
-    n_success: int = 0
-    n_sampled: int = 0
-    window: list[float] = field(default_factory=list)
-
-    def observe(self, success: bool) -> None:
-        self.n_sampled += 1
-        if success:
-            self.n_success += 1
-        self.window.append(self.n_success / self.n_sampled)
-        if len(self.window) > self.window_size:
-            self.window.pop(0)
-
-    def mastered(self) -> bool:
-        return (len(self.window) == self.window_size
-                and all(p >= self.alpha for p in self.window))
-
-    def reset(self) -> None:
-        self.n_success = 0
-        self.n_sampled = 0
-        self.window.clear()
 
 
 def schedule_b_budgets(tier_sizes: tuple[int, int, int], epoch_size: int) -> tuple[int, int]:
@@ -81,8 +56,11 @@ class PhaseTransition:
 class PhaseMachine:
     """Monotone phase state machine shared by the three schedules.
 
-    ``og`` counts each active goal's samples in the current phase, for the
-    over-repetition penalty; its keys are the active goal set.
+    A phase's counts start together in ``_enter``: the episodes and
+    successes seen in it, ``window``, its last ``MASTERY_WINDOW`` cumulative
+    success rates (read by schedule C's gate), and ``og``, each active
+    goal's samples for the over-repetition penalty; ``og``'s keys are the
+    active goal set.
     """
 
     def __init__(self, schedule: str, corpus: GoalCorpus, epoch_size: int,
@@ -91,11 +69,16 @@ class PhaseMachine:
             raise CurriculumError(f"unknown schedule {schedule!r}")
         self.schedule = schedule
         self.corpus = corpus
-        self.phase = PHASE_ALL if schedule == "A" else TIERS[0]
-        self.episodes_in_phase = 0
+        self.alpha = alpha
         sizes = tuple(len(corpus.tier_ids(t)) for t in TIERS)
         self.budgets = dict(zip(TIERS[:2], schedule_b_budgets(sizes, epoch_size)))
-        self.mastery = MasteryTracker(alpha=alpha)
+        self._enter(PHASE_ALL if schedule == "A" else TIERS[0])
+
+    def _enter(self, phase: str) -> None:
+        self.phase = phase
+        self.episodes_in_phase = 0
+        self.successes_in_phase = 0
+        self.window: deque[float] = deque(maxlen=MASTERY_WINDOW)
         self.og = dict.fromkeys(self.active_goal_ids(), 0)
 
     def active_goal_ids(self) -> tuple[int, ...]:
@@ -103,12 +86,14 @@ class PhaseMachine:
             return self.corpus.all_ids()
         return self.corpus.tier_ids(self.phase)
 
+    def mastered(self) -> bool:
+        """The last MASTERY_WINDOW in-phase success rates all reach alpha."""
+        return (len(self.window) == MASTERY_WINDOW
+                and all(p >= self.alpha for p in self.window))
+
     def _advance(self, epoch: int, trigger: str) -> PhaseTransition:
         old = self.phase
-        self.phase = TIERS[TIERS.index(self.phase) + 1]
-        self.episodes_in_phase = 0
-        self.mastery.reset()
-        self.og = dict.fromkeys(self.active_goal_ids(), 0)
+        self._enter(TIERS[TIERS.index(old) + 1])
         return PhaseTransition(epoch, old, self.phase, trigger)
 
     def on_goal_sampled(self, goal_id: int) -> float:
@@ -124,11 +109,11 @@ class PhaseMachine:
         if self.schedule == "A":
             return None
         self.episodes_in_phase += 1
-        if self.schedule == "C":
-            self.mastery.observe(success)
+        self.successes_in_phase += bool(success)
+        self.window.append(self.successes_in_phase / self.episodes_in_phase)
         if self.phase == TIERS[-1]:
             return None
-        if self.schedule == "C" and self.mastery.mastered():
+        if self.schedule == "C" and self.mastered():
             return self._advance(epoch, "mastery")
         if self.episodes_in_phase >= self.budgets[self.phase]:
             return self._advance(epoch, "budget")

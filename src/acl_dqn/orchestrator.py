@@ -1,4 +1,4 @@
-"""Full training loop, evaluation, comparisons, and the alpha sweep."""
+"""Full training loop, evaluation, and comparisons."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import csv
 import logging
 import tempfile
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -366,14 +366,6 @@ def run_comparison(configs, seeds, corpus: GoalCorpus,
                    kb: KnowledgeBase) -> ComparisonReport:
     """Every (config, seed) pair on one corpus and KB; deterministic merge order."""
     return ComparisonReport(list(iter_runs(configs, seeds, corpus, kb)))
-
-
-def sweep_alpha(base_config: TrainConfig, alphas, seeds, corpus: GoalCorpus,
-                kb: KnowledgeBase) -> dict[float, ComparisonReport]:
-    if base_config.agent_kind != "acl-c":
-        raise ConfigError("the mastery sweep only applies to acl-c")
-    configs = [replace(base_config, alpha=alpha) for alpha in alphas]
-    return {config.alpha: run_comparison([config], seeds, corpus, kb) for config in configs}
 
 
 def write_curve_csv(report: ComparisonReport, agent_kind: str, path) -> None:

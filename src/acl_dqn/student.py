@@ -262,5 +262,6 @@ def rbs_prefill(buffer: ReplayBuffer, corpus, kb: KnowledgeBase,
         any_success = any_success or result.success
         played += 1
     if not any_success:
-        raise ReplayError("warm start produced no successful dialogue")
+        raise ReplayError(f"warm start: none of {played} rule-agent dialogues "
+                          "succeeded on this corpus")
     return played

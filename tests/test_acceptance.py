@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acl_dqn.curriculum import MasteryTracker, PhaseMachine, orp_penalty
+from acl_dqn.curriculum import PhaseMachine, orp_penalty
+from acl_dqn.domain import TIERS
 from acl_dqn.orchestrator import (
     ACCEPTANCE_AGENTS,
     ACCEPTANCE_SEEDS,
@@ -193,34 +194,45 @@ def test_criterion_7_schedule_b_budgets(corpus):
     assert transitions == [117, 398]
 
 
-def test_criterion_8_schedule_c_gate():
+def test_criterion_8_schedule_c_gate(corpus):
+    # epoch_size 500: a 117-episode simple-phase budget, longer than any
+    # stream below, so only the mastery gate can move the phase.
+    def machine():
+        return PhaseMachine("C", corpus, epoch_size=500, alpha=0.5)
+
     # the three pinned window scenarios
-    tracker = MasteryTracker(alpha=0.5, window_size=5)
-    tracker.window = [0.6] * 5
-    assert tracker.mastered()
-    tracker.window = [0.6, 0.6, 0.4, 0.6, 0.6]
-    assert not tracker.mastered()
-    tracker = MasteryTracker(alpha=0.5, window_size=5)
-    for _ in range(4):
-        tracker.observe(True)
-    assert not tracker.mastered()
+    gate = machine()
+    gate.window.extend([0.6] * 5)
+    assert gate.mastered()
+    gate.window.extend([0.6, 0.6, 0.4, 0.6, 0.6])
+    assert not gate.mastered()
+    gate = machine()
+    for epoch in range(4):
+        assert gate.on_episode(epoch, True) is None
+    assert not gate.mastered()
 
     # fuzz equivalence against a line-by-line reference of the windowed gate
     rng = np.random.default_rng(99)
     for _ in range(10_000):
-        tracker = MasteryTracker(alpha=0.5, window_size=5)
+        gate = machine()
         n_success = n_sampled = 0
         window: list[float] = []
-        for outcome in rng.random(int(rng.integers(1, 25))) < 0.5:
+        for epoch, outcome in enumerate(rng.random(int(rng.integers(1, 25))) < 0.5):
             outcome = bool(outcome)
-            tracker.observe(outcome)
+            terminal = gate.phase == TIERS[-1]
+            moved = gate.on_episode(epoch, outcome)
             n_sampled += 1
             n_success += outcome
             window.append(n_success / n_sampled)
             if len(window) > 5:
                 del window[0]
             reference = len(window) == 5 and all(p >= 0.5 for p in window)
-            assert tracker.mastered() == reference
+            assert (moved is not None) == (reference and not terminal)
+            if moved is not None:
+                # a move starts the new phase's counts afresh
+                assert moved.trigger == "mastery"
+                n_success = n_sampled = 0
+                window.clear()
     _report(8, True, "3 unit scenarios + 10^4 fuzz streams agree")
 
 

@@ -139,6 +139,21 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err == "error: line 1: slot 'town' not in ontology\n"
 
+    def test_warm_start_without_a_success_exits_1(self, tmp_path, capsys):
+        main(["gen-goals", "--seed", "1", "--out", str(tmp_path)])
+        records = [json.loads(line) for line in
+                   (tmp_path / "goals.jsonl").read_text().splitlines()]
+        goals = tmp_path / "nowhere.jsonl"
+        goals.write_text("".join(
+            json.dumps(dict(r, inform_slots=dict.fromkeys(r["inform_slots"], "nowhere")))
+            + "\n" for r in records))
+        capsys.readouterr()
+        code = main(["train", "--agent", "dqn", "--epochs", "2", "--eval-every", "1",
+                     "--goals", str(goals), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: warm start: none of 120 rule-agent dialogues succeeded on this corpus\n"
+
     def test_empty_kb_file_exits_1(self, tmp_path, capsys):
         kb = tmp_path / "empty_kb.jsonl"
         kb.write_text("")
@@ -361,6 +376,30 @@ def test_alpha_outside_unit_interval_exits_2_before_training(argv, tmp_path, cap
     assert main([*argv, "--out", str(out), *FAST]) == 2
     assert "alpha must be in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["gen-kb", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["gen-goals", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["chat", "--checkpoint", "student.qfn", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["compare", "--agents", "dqn", "--seeds=-1,2"], "--seeds must all be >= 0, got '-1,2'"),
+    (["compare", "--agents", "dqn", "--seeds=-2..1"], "--seeds must all be >= 0, got '-2..1'"),
+    (["sweep-alpha", "--alphas", "0.5", "--seeds=-1,2"],
+     "--seeds must all be >= 0, got '-1,2'"),
+], ids=["train", "gen-kb", "gen-goals", "chat", "compare", "compare-range", "sweep-alpha"])
+def test_negative_seed_exits_2_before_anything_is_made(argv, message, tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(cli.orchestrator, "run_training", _no_training)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_eval_seed_exits_2(tmp_path, capsys):
+    assert main(["eval", "--checkpoint", str(tmp_path / "student.qfn"), "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
 
 
 class TestChat:

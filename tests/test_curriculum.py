@@ -3,10 +3,10 @@ import pytest
 
 from acl_dqn.curriculum import (
     L_MAX,
+    MASTERY_WINDOW,
     ORP_K,
     PHASE_ALL,
     CurriculumError,
-    MasteryTracker,
     PhaseMachine,
     orp_penalty,
     schedule_b_budgets,
@@ -16,7 +16,7 @@ from acl_dqn.domain import TIERS
 
 class ReferenceMasteryGate:
     """Direct transcription of the windowed mastery rule, kept separate from
-    the production tracker: cumulative in-phase success counters, a list of
+    the phase machine's gate: cumulative in-phase success counters, a list of
     p_success snapshots trimmed to the last T, advance when all T are >= alpha.
     """
 
@@ -112,41 +112,49 @@ class TestOverRepetitionCounter:
 
 
 class TestMasteryTracker:
-    def test_full_window_above_alpha_advances(self):
-        tracker = MasteryTracker(alpha=0.5, window_size=5)
-        tracker.window = [0.6, 0.6, 0.6, 0.6, 0.6]
-        assert tracker.mastered()
+    """Schedule C's windowed gate, read on the phase machine.
 
-    def test_one_dip_below_alpha_stays(self):
-        tracker = MasteryTracker(alpha=0.5, window_size=5)
-        tracker.window = [0.6, 0.6, 0.4, 0.6, 0.6]
-        assert not tracker.mastered()
+    epoch_size 500 gives the simple phase a 117-episode budget, longer than
+    any stream below, so only the gate can move the phase.
+    """
 
-    def test_short_window_stays_regardless_of_values(self):
-        tracker = MasteryTracker(alpha=0.5, window_size=5)
-        for _ in range(4):
-            tracker.observe(True)
-        assert tracker.window == [1.0] * 4
-        assert not tracker.mastered()
+    def test_full_window_above_alpha_advances(self, corpus):
+        machine = PhaseMachine("C", corpus, epoch_size=500, alpha=0.5)
+        machine.window.extend([0.6, 0.6, 0.6, 0.6, 0.6])
+        assert machine.mastered()
 
-    def test_snapshots_are_cumulative_in_phase_rates(self):
-        tracker = MasteryTracker(alpha=0.5, window_size=5)
-        for outcome in (True, False, True):
-            tracker.observe(outcome)
-        assert tracker.window == pytest.approx([1.0, 0.5, 2.0 / 3.0])
+    def test_one_dip_below_alpha_stays(self, corpus):
+        machine = PhaseMachine("C", corpus, epoch_size=500, alpha=0.5)
+        machine.window.extend([0.6, 0.6, 0.4, 0.6, 0.6])
+        assert not machine.mastered()
 
-    def test_fuzz_against_reference_gate(self):
+    def test_short_window_stays_regardless_of_values(self, corpus):
+        machine = PhaseMachine("C", corpus, epoch_size=500, alpha=0.5)
+        for epoch in range(4):
+            assert machine.on_episode(epoch, True) is None
+        assert list(machine.window) == [1.0] * 4
+        assert not machine.mastered()
+
+    def test_snapshots_are_cumulative_in_phase_rates(self, corpus):
+        machine = PhaseMachine("C", corpus, epoch_size=500, alpha=0.5)
+        for epoch, outcome in enumerate((True, False, True)):
+            machine.on_episode(epoch, outcome)
+        assert list(machine.window) == pytest.approx([1.0, 0.5, 2.0 / 3.0])
+        assert (machine.episodes_in_phase, machine.successes_in_phase) == (3, 2)
+
+    def test_fuzz_against_reference_gate(self, corpus):
         """10^4 random outcome streams, step-by-step agreement."""
         rng = np.random.default_rng(17)
         for _ in range(10_000):
             alpha = float(rng.choice([0.3, 0.5, 0.8]))
-            tracker = MasteryTracker(alpha=alpha, window_size=5)
-            reference = ReferenceMasteryGate(alpha=alpha, t=5)
-            for outcome in rng.random(int(rng.integers(1, 30))) < 0.55:
-                tracker.observe(bool(outcome))
+            machine = PhaseMachine("C", corpus, epoch_size=500, alpha=alpha)
+            reference = ReferenceMasteryGate(alpha=alpha, t=MASTERY_WINDOW)
+            for epoch, outcome in enumerate(rng.random(int(rng.integers(1, 30))) < 0.55):
+                moved = machine.on_episode(epoch, bool(outcome))
                 reference.observe(bool(outcome))
-                assert tracker.mastered() == reference.mastered()
-                if tracker.mastered():
+                assert (moved is not None) == reference.mastered()
+                if moved is not None:
+                    assert moved.trigger == "mastery"
                     break
 
 
@@ -197,7 +205,8 @@ class TestPhaseMachine:
             t = machine.on_episode(epoch, True)
         assert t is not None and t.trigger == "mastery"
         assert machine.phase == "medium"
-        assert machine.mastery.window == []
+        assert len(machine.window) == 0
+        assert (machine.episodes_in_phase, machine.successes_in_phase) == (0, 0)
 
     def test_schedule_c_falls_back_to_the_budget_ceiling(self, corpus):
         machine = PhaseMachine("C", corpus, epoch_size=500)

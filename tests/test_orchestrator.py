@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from acl_dqn import orchestrator
+from acl_dqn import cli, orchestrator
 from acl_dqn.cli import _config_from_args
 from acl_dqn.curriculum import orp_penalty
 from acl_dqn.neural import NeuralError, QFunction
@@ -30,7 +30,6 @@ from acl_dqn.orchestrator import (
     run_comparison,
     run_training,
     selection_counts,
-    sweep_alpha,
     write_curve_csv,
     write_metrics_csv,
     write_phase_log_csv,
@@ -297,17 +296,22 @@ class TestComparisonAndSweep:
         assert (tmp_path / "c.csv").read_text().splitlines()[0] == \
             "epoch,mean_success,var_success,mean_reward,mean_turns"
 
-    def test_sweep_requires_acl_c(self, corpus, kb):
-        with pytest.raises(ConfigError):
-            sweep_alpha(SMALL, [0.5], [1], corpus, kb)
+    def test_sweep_produces_one_report_per_alpha(self, tmp_path, monkeypatch):
+        # The alpha sweep is the CLI's sweep-alpha: one run_comparison per alpha.
+        reports = []
 
-    def test_sweep_produces_one_report_per_alpha(self, corpus, kb):
-        base = dataclasses.replace(SMALL, agent_kind="acl-c", num_epochs=10)
-        reports = sweep_alpha(base, [0.3, 0.7], [1], corpus, kb)
-        assert set(reports) == {0.3, 0.7}
-        for alpha, report in reports.items():
-            run = report.runs[0]
-            assert run.config.alpha == alpha
+        def recording(*args):
+            reports.append(run_comparison(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(orchestrator, "run_comparison", recording)
+        assert cli.main(["sweep-alpha", "--alphas", "0.3,0.7", "--seeds", "1",
+                         "--epochs", "10", "--eval-every", "5", "--eval-dialogues", "5",
+                         "--out", str(tmp_path)]) == 0
+        assert len(reports) == 2
+        for alpha, report in zip((0.3, 0.7), reports):
+            (run,) = report.runs
+            assert (run.config.agent_kind, run.config.alpha, run.seed) == ("acl-c", alpha, 1)
             assert len(run.metrics.eval_rows) == 2
 
 
