@@ -136,8 +136,8 @@ def cmd_gen_kb(args) -> int:
 def cmd_train(args) -> int:
     config = _config_from_args(args, args.agent)
     corpus, kb = _load_environment(args, args.seed)
-    out = _out_dir(args)
     result = orchestrator.run_training(config, args.seed, corpus, kb)
+    out = _out_dir(args)
     orchestrator.write_run_logs(result.metrics, out)
     result.student_q.save(out / "student.qfn")
     final = result.metrics.eval_rows[-1] if result.metrics.eval_rows else None
@@ -164,14 +164,14 @@ def cmd_compare(args) -> int:
     seeds = _parse_seeds(args.seeds)
     _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
-    out = _out_dir(args)
     report = orchestrator.run_comparison(configs, seeds, corpus, kb)
+    out = _out_dir(args)
     for agent in agents:
         orchestrator.write_curve_csv(report, agent, out / f"curve_{agent}.csv")
     # The last curve row's mean and variance of the success rate over the seeds.
     orchestrator._write_csv(out / "stability.csv",
                             ["agent", "final_mean_success", "final_var_success"],
-                            ([agent, *map(repr, report.curve(agent)[-1][1:3])]
+                            ([agent, *report.curve(agent)[-1][1:3]]
                              for agent in agents))
     orchestrator._write_csv(out / "selection_counts.csv",
                             ["agent", "seed", *(f"g{g}" for g in corpus.all_ids())],
@@ -189,10 +189,10 @@ def cmd_sweep(args) -> int:
     configs = [replace(base, alpha=alpha) for alpha in alphas]
     _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
+    reports = [orchestrator.run_comparison([config], seeds, corpus, kb) for config in configs]
     out = _out_dir(args)
-    for config in configs:
-        report = orchestrator.run_comparison([config], seeds, corpus, kb)
-        orchestrator.write_curve_csv(report, "acl-c", out / f"curve_alpha_{config.alpha}.csv")
+    for alpha, report in zip(alphas, reports):
+        orchestrator.write_curve_csv(report, "acl-c", out / f"curve_alpha_{alpha}.csv")
     print(f"wrote {len(alphas)} curves to {out}")
     return 0
 

@@ -12,7 +12,7 @@ penalty reads; a phase move starts the counts of its goal set at zero.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import GoalCorpus, TIERS
 from .user_sim import MAX_TURNS
@@ -45,8 +45,7 @@ def schedule_b_budgets(tier_sizes: tuple[int, int, int], epoch_size: int) -> tup
             tier_sizes[1] * epoch_size // total)
 
 
-@dataclass
-class PhaseTransition:
+class PhaseTransition(NamedTuple):
     epoch: int
     old_phase: str
     new_phase: str

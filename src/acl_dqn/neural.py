@@ -192,33 +192,48 @@ class QFunction:
             head = fh.readline().split()
             if len(head) < 5:
                 raise NeuralError(f"checkpoint dims line has {len(head)} fields, expected 5")
-            dims = [int(x) for x in head[:3]]
-            for dim, value in zip(("input_dim", "hidden_dim", "output_dim"), dims):
+            dim_names = ("input_dim", "hidden_dim", "output_dim")
+            dims = [_number(int, text, f"{path} line 2: {dim}")
+                    for dim, text in zip(dim_names, head)]
+            for dim, value in zip(dim_names, dims):
                 if value < 1:
                     raise NeuralError(f"checkpoint {dim} must be >= 1, got {value}")
             input_dim, hidden_dim, output_dim = dims
-            lr, clip = float(head[3]), float(head[4])
+            lr, clip = (_number(float, text, f"{path} line 2: {name}")
+                        for name, text in zip(("learning_rate", "clip_norm"), head[3:5]))
             q = cls(input_dim, output_dim, hidden_dim, lr, clip,
                     rng=np.random.default_rng(0))
+            line = 2
             for kind, params in (("online", q.online), ("target", q.target)):
                 for name in PARAM_NAMES:
-                    values = np.array([float(x) for x in fh.readline().split()])
+                    line += 1
+                    field = f"{path} line {line}: {kind} {name}"
+                    values = np.array([_number(float, text, field)
+                                       for text in fh.readline().split()])
                     if values.size != params[name].size:
-                        raise NeuralError(f"truncated checkpoint at {name}")
+                        raise NeuralError(f"{path} line {line}: truncated checkpoint at {name}")
                     if not np.isfinite(values).all():
                         raise NeuralError(f"checkpoint {kind} {name} holds a non-finite value")
                     params[name][...] = values.reshape(params[name].shape)
         return q
 
 
+def _number(kind, text: str, where: str):
+    """A checkpoint field converted by kind; one it refuses names where it is."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise NeuralError(f"{where}: {exc}") from None
+
+
 def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
-    """Scale gradients in place so their global norm is at most clip_norm."""
+    """Scale gradients in place so their global norm is at most clip_norm;
+    returns the norm measured before scaling."""
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > clip_norm and total > 0.0:
         scale = clip_norm / total
         for g in grads.values():
             g *= scale
-        return clip_norm
     return total
 
 

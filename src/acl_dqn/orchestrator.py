@@ -8,6 +8,7 @@ import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +114,7 @@ class TrainConfig:
         return AGENTS[self.agent_kind][2]
 
 
-@dataclass
-class TeacherLogRow:
+class TeacherLogRow(NamedTuple):
     epoch: int
     goal_id: int
     og: int
@@ -260,7 +260,7 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
     return RunResult(config, seed, metrics, student_q)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -268,20 +268,15 @@ def _write_csv(path, header: list[str], rows) -> None:
 
 
 def write_metrics_csv(metrics: MetricsSeries, path) -> None:
-    _write_csv(path, ["epoch", "success", "reward", "turns"],
-               ([epoch, repr(sr), repr(rew), repr(trn)]
-                for epoch, sr, rew, trn in metrics.eval_rows))
+    _write_csv(path, ["epoch", "success", "reward", "turns"], metrics.eval_rows)
 
 
 def write_teacher_log_csv(metrics: MetricsSeries, path) -> None:
-    _write_csv(path, ["epoch", "goal_id", "og", "r_or", "x_now", "x_prev", "r"],
-               ([row.epoch, row.goal_id, row.og, repr(row.r_or), repr(row.x_now),
-                 repr(row.x_prev), repr(row.r)] for row in metrics.teacher_log))
+    _write_csv(path, TeacherLogRow._fields, metrics.teacher_log)
 
 
 def write_phase_log_csv(metrics: MetricsSeries, path) -> None:
-    _write_csv(path, ["epoch", "from", "to", "trigger"],
-               ([t.epoch, t.old_phase, t.new_phase, t.trigger] for t in metrics.phase_log))
+    _write_csv(path, ["epoch", "from", "to", "trigger"], metrics.phase_log)
 
 
 def write_run_logs(metrics: MetricsSeries, out_dir, suffix: str = "") -> dict[str, Path]:
@@ -319,10 +314,7 @@ def cache_difference(run: RunResult, cache_dir) -> str | None:
 
 
 def selection_counts(metrics: MetricsSeries, n_goals: int) -> np.ndarray:
-    counts = np.zeros(n_goals, dtype=int)
-    for row in metrics.teacher_log:
-        counts[row.goal_id] += 1
-    return counts
+    return np.bincount([row.goal_id for row in metrics.teacher_log], minlength=n_goals)
 
 
 @dataclass
@@ -370,4 +362,4 @@ def run_comparison(configs, seeds, corpus: GoalCorpus,
 
 def write_curve_csv(report: ComparisonReport, agent_kind: str, path) -> None:
     _write_csv(path, ["epoch", "mean_success", "var_success", "mean_reward", "mean_turns"],
-               ([row[0]] + [repr(v) for v in row[1:]] for row in report.curve(agent_kind)))
+               report.curve(agent_kind))

@@ -23,34 +23,21 @@ TEACHER_STATE_DIM = 2 + 2 * (1 + len(TIERS)) + 2
 
 
 @dataclass
-class GoalSnapshot:
-    goal_id: int
-    tier: str
-    param_scalar: float
-
-
-@dataclass
 class TeacherStateBuilder:
-    """Assembles the teacher state vector from recent student outcomes."""
+    """Assembles the teacher state vector from recent student outcomes.
+
+    ``goals`` holds the last two episodes' ``(goal_id, tier, param_scalar)``,
+    newest first; each fills its goal block and its param scalar.
+    """
 
     n_goals: int
     recent: deque = field(default_factory=lambda: deque(maxlen=SUMMARY_WINDOW))
-    current: GoalSnapshot | None = None
-    previous: GoalSnapshot | None = None
+    goals: deque = field(default_factory=lambda: deque(maxlen=2))
 
     def record_episode(self, goal_id: int, tier: str, success: bool,
                        total_reward: float, param_scalar: float) -> None:
         self.recent.append((success, total_reward))
-        self.previous = self.current
-        self.current = GoalSnapshot(goal_id, tier, param_scalar)
-
-    def _goal_block(self, vec: np.ndarray, offset: int,
-                    snap: GoalSnapshot | None) -> None:
-        if snap is None:
-            return
-        denom = max(self.n_goals - 1, 1)
-        vec[offset] = snap.goal_id / denom
-        vec[offset + 1 + TIERS.index(snap.tier)] = 1.0
+        self.goals.appendleft((goal_id, tier, param_scalar))
 
     def build(self) -> np.ndarray:
         vec = np.zeros(TEACHER_STATE_DIM)
@@ -60,11 +47,9 @@ class TeacherStateBuilder:
             vec[0] = sum(succ) / len(succ)
             vec[1] = float(np.mean(rewards)) / SUCCESS_BONUS
         block = 1 + len(TIERS)
-        self._goal_block(vec, 2, self.current)
-        self._goal_block(vec, 2 + block, self.previous)
-        if self.current is not None:
-            vec[2 + 2 * block] = self.current.param_scalar
-        if self.previous is not None:
-            vec[2 + 2 * block + 1] = self.previous.param_scalar
+        denom = max(self.n_goals - 1, 1)
+        for k, (goal_id, tier, param_scalar) in enumerate(self.goals):
+            vec[2 + k * block] = goal_id / denom
+            vec[2 + k * block + 1 + TIERS.index(tier)] = 1.0
+            vec[2 + 2 * block + k] = param_scalar
         return vec
-

@@ -2,10 +2,11 @@
 
 Criteria 2-5 evaluate the full comparison experiment: dqn, acl-a,
 acl-a-noorp, and acl-c on the default synthetic corpus, 5 seeds x 500
-epochs.  Those runs take ~680 s on a 2-core Xeon host (the figure
-README.md gives for scripts/run_acceptance.py), so the suite reads the
-cached logs produced by scripts/run_acceptance.py when results/acceptance/
-exists and silently re-runs the experiment itself when it does not.
+epochs.  Those runs take ~600 s on 2 Xeon cores (README.md's figure for
+scripts/run_acceptance.py; it gives 476.3 s for scripts/verify_cache.py),
+so the suite reads the cached logs produced by scripts/run_acceptance.py
+when results/acceptance/ exists and silently re-runs the experiment
+itself when it does not.
 
 Each criterion prints a PASS/FAIL line (visible with pytest -s) in
 addition to its asserts.
@@ -52,9 +53,7 @@ def _load_cached_run(agent: str, seed: int):
 
 
 def _fresh_run(result):
-    teacher_log = [{"epoch": r.epoch, "goal_id": r.goal_id, "og": r.og,
-                    "r_or": r.r_or, "x_now": r.x_now, "x_prev": r.x_prev,
-                    "r": r.r} for r in result.metrics.teacher_log]
+    teacher_log = [r._asdict() for r in result.metrics.teacher_log]
     return {"eval_rows": result.metrics.eval_rows, "teacher_log": teacher_log}
 
 

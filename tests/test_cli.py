@@ -15,6 +15,22 @@ from acl_dqn.user_sim import designated_row
 FAST = ["--epochs", "12", "--eval-every", "4", "--eval-dialogues", "4"]
 
 
+WARM_START_ERROR = \
+    "error: warm start: none of 120 rule-agent dialogues succeeded on this corpus\n"
+
+
+def _goals_nowhere_in_the_kb(tmp_path):
+    """The default corpus with every inform value set to one no KB row holds."""
+    main(["gen-goals", "--seed", "1", "--out", str(tmp_path)])
+    records = [json.loads(line) for line in
+               (tmp_path / "goals.jsonl").read_text().splitlines()]
+    goals = tmp_path / "nowhere.jsonl"
+    goals.write_text("".join(
+        json.dumps(dict(r, inform_slots=dict.fromkeys(r["inform_slots"], "nowhere")))
+        + "\n" for r in records))
+    return goals
+
+
 def _train(tmp_path, *extra):
     out = tmp_path / "run"
     code = main(["train", "--agent", "dqn", "--seed", "1",
@@ -140,19 +156,14 @@ class TestTrain:
         assert capsys.readouterr().err == "error: line 1: slot 'town' not in ontology\n"
 
     def test_warm_start_without_a_success_exits_1(self, tmp_path, capsys):
-        main(["gen-goals", "--seed", "1", "--out", str(tmp_path)])
-        records = [json.loads(line) for line in
-                   (tmp_path / "goals.jsonl").read_text().splitlines()]
-        goals = tmp_path / "nowhere.jsonl"
-        goals.write_text("".join(
-            json.dumps(dict(r, inform_slots=dict.fromkeys(r["inform_slots"], "nowhere")))
-            + "\n" for r in records))
+        goals = _goals_nowhere_in_the_kb(tmp_path)
         capsys.readouterr()
+        out = tmp_path / "run"
         code = main(["train", "--agent", "dqn", "--epochs", "2", "--eval-every", "1",
-                     "--goals", str(goals), "--out", str(tmp_path / "run")])
+                     "--goals", str(goals), "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == \
-            "error: warm start: none of 120 rule-agent dialogues succeeded on this corpus\n"
+        assert capsys.readouterr().err == WARM_START_ERROR
+        assert not out.exists()
 
     def test_empty_kb_file_exits_1(self, tmp_path, capsys):
         kb = tmp_path / "empty_kb.jsonl"
@@ -209,7 +220,8 @@ class TestEval:
         assert capsys.readouterr().err.startswith("error: unrecognized checkpoint header")
 
     @pytest.mark.parametrize("command", ["eval", "chat"])
-    @pytest.mark.parametrize("case", ["30 outputs", "nan weight", "negative dim"])
+    @pytest.mark.parametrize("case", ["30 outputs", "nan weight", "negative dim",
+                                      "word for a dim", "typo in a weight"])
     def test_checkpoint_it_cannot_run_exits_1(self, tmp_path, capsys, command, case):
         checkpoint = tmp_path / "student.qfn"
         n_outputs = 30 if case == "30 outputs" else N_ACTIONS
@@ -220,12 +232,20 @@ class TestEval:
             lines[2] = "nan " + lines[2].split(" ", 1)[1]
         if case == "negative dim":
             lines[1] = "-3 4 5 0.001 1.0\n"
+        if case == "word for a dim":
+            lines[1] = lines[1].replace(" 8 ", " eighty ")
+        if case == "typo in a weight":
+            lines[2] = "0.1x " + lines[2].split(" ", 1)[1]
         checkpoint.write_text("".join(lines))
         message = {
             "30 outputs": f"{checkpoint} maps {STATE_DIM} inputs to 30 outputs; "
                           f"a student net maps {STATE_DIM} to {N_ACTIONS}",
             "nan weight": "checkpoint online w1 holds a non-finite value",
             "negative dim": "checkpoint input_dim must be >= 1, got -3",
+            "word for a dim": f"{checkpoint} line 2: hidden_dim: "
+                              "invalid literal for int() with base 10: 'eighty'",
+            "typo in a weight": f"{checkpoint} line 3: online w1: "
+                                "could not convert string to float: '0.1x'",
         }[case]
         out = ["--out", str(tmp_path / "out")] if command == "chat" else []
         assert main([command, "--checkpoint", str(checkpoint), *out]) == 1
@@ -351,6 +371,20 @@ class TestSweepAlpha:
 
 def _no_training(*args, **kwargs):
     raise AssertionError("training started")
+
+
+@pytest.mark.parametrize("argv", [["compare", "--agents", "dqn", "--seeds", "1"],
+                                  ["sweep-alpha", "--alphas", "0.5", "--seeds", "1"]],
+                         ids=["compare", "sweep-alpha"])
+def test_failed_run_exits_1_and_makes_no_out_dir(argv, tmp_path, capsys):
+    goals = _goals_nowhere_in_the_kb(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main([*argv, "--epochs", "2", "--eval-every", "1", "--goals", str(goals),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == WARM_START_ERROR
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -111,7 +111,7 @@ class TestOverRepetitionCounter:
             machine.on_goal_sampled(corpus.medium[0])
 
 
-class TestMasteryTracker:
+class TestMasteryGate:
     """Schedule C's windowed gate, read on the phase machine.
 
     epoch_size 500 gives the simple phase a 117-episode budget, longer than

@@ -103,7 +103,7 @@ class TestGradients:
     def test_clip_scales_large_gradients_to_the_bound(self, rng):
         grads = {"a": np.full(10, 5.0), "b": np.full(7, -3.0)}
         norm = clip_gradients(grads, 1.0)
-        assert norm == pytest.approx(1.0)
+        assert norm == pytest.approx(np.sqrt(313.0))
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total <= 1.0 + 1e-12
 
@@ -295,8 +295,9 @@ class TestCheckpoint:
         net.save(path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-2]))
-        with pytest.raises(NeuralError, match="truncated"):
+        with pytest.raises(NeuralError) as err:
             QFunction.load(path)
+        assert str(err.value) == f"{path} line 9: truncated checkpoint at w2"
 
     def test_dims_below_one_rejected_by_name(self, rng, tmp_path):
         path = tmp_path / "net.qfn"
@@ -322,6 +323,25 @@ class TestCheckpoint:
         path.write_text("".join(lines))
         with pytest.raises(NeuralError, match="checkpoint target w2 holds a non-finite value"):
             QFunction.load(path)
+
+    @pytest.mark.parametrize("line, column, field, text, message", [
+        (2, 1, "hidden_dim", "eighty", "invalid literal for int() with base 10: 'eighty'"),
+        (2, 4, "clip_norm", "one", "could not convert string to float: 'one'"),
+        (3, 0, "online w1", "0.1x", "could not convert string to float: '0.1x'"),
+        (9, 2, "target w2", "0.1x", "could not convert string to float: '0.1x'"),
+    ], ids=["hidden_dim", "clip_norm", "online_w1", "target_w2"])
+    def test_malformed_number_names_file_line_and_field(self, rng, tmp_path, line,
+                                                        column, field, text, message):
+        path = tmp_path / "net.qfn"
+        _random_net(rng).save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        values = lines[line - 1].split()
+        values[column] = text
+        lines[line - 1] = " ".join(values) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(NeuralError) as err:
+            QFunction.load(path)
+        assert str(err.value) == f"{path} line {line}: {field}: {message}"
 
 
 class TestEpsilonGreedy:

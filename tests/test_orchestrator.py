@@ -21,6 +21,7 @@ from acl_dqn.orchestrator import (
     ConfigError,
     MetricsSeries,
     RunResult,
+    TeacherLogRow,
     TrainConfig,
     acceptance_runs,
     cache_difference,
@@ -279,6 +280,24 @@ class TestCsvOutput:
             "epoch,goal_id,og,r_or,x_now,x_prev,r"
         assert (tmp_path / "p.csv").read_text().splitlines()[0] == \
             "epoch,from,to,trigger"
+
+    def test_numpy_scalars_write_the_bytes_of_python_numbers(self, tmp_path):
+        eval_rows = [(5, 0.25, -12.5, 17.3), (10, 1 / 3, 0.1, 40.0)]
+        log = [(1, 3, 0, -0.0, 70.0, -40.0, 110.0),
+               (2, 3, 1, -40 / 11, -41.0, 70.0, -114.63636363636364)]
+        python = MetricsSeries(eval_rows=eval_rows,
+                               teacher_log=[TeacherLogRow(*row) for row in log])
+        numpy = MetricsSeries(
+            eval_rows=[(np.int64(row[0]), *map(np.float64, row[1:])) for row in eval_rows],
+            teacher_log=[TeacherLogRow(*map(np.int64, row[:3]), *map(np.float64, row[3:]))
+                         for row in log])
+        for write in (write_metrics_csv, write_teacher_log_csv):
+            write(python, tmp_path / "python.csv")
+            write(numpy, tmp_path / "numpy.csv")
+            assert (tmp_path / "numpy.csv").read_bytes() == \
+                (tmp_path / "python.csv").read_bytes()
+        assert (tmp_path / "python.csv").read_text().splitlines()[2] == \
+            "2,3,1,-3.6363636363636362,-41.0,70.0,-114.63636363636364"
 
     def test_metrics_row_count(self, small_runs, tmp_path):
         path = tmp_path / "m.csv"
