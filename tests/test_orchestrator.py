@@ -1,6 +1,10 @@
 import argparse
+import concurrent.futures
 import dataclasses
+import multiprocessing
+import os
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -335,32 +339,155 @@ class TestComparisonAndSweep:
 
 
 class TestRunLoop:
-    @pytest.fixture
-    def stub_runs(self, monkeypatch):
-        """run_training replaced by a stub that records each (agent, seed) it is asked for."""
-        calls = []
+    CONFIGS = [TrainConfig(agent_kind="acl-c"), TrainConfig(agent_kind="dqn")]
+    TAGS = ["acl-c_seed3", "acl-c_seed1", "dqn_seed3", "dqn_seed1"]
+    MATRIX = [(a, s) for a in ACCEPTANCE_AGENTS for s in ACCEPTANCE_SEEDS]
 
+    @pytest.fixture
+    def stub_runs(self, monkeypatch, tmp_path):
+        """run_training replaced by a stub that records each (agent, seed) it is asked
+        for in a file of its own, so that calls made in forked pool workers are seen
+        too. Seed 3 finishes last, so a pool completes its runs out of order. Returns
+        a function listing the calls in the order they started."""
         def run(config, seed, corpus, kb):
-            calls.append((config.agent_kind, seed))
+            (tmp_path / f"{time.monotonic_ns():020d},{config.agent_kind},{seed}").touch()
+            if seed == 3:
+                time.sleep(0.1)
             return RunResult(config, seed, MetricsSeries(), None)
 
         monkeypatch.setattr(orchestrator, "run_training", run)
-        return calls
 
-    def test_iter_runs_yields_each_run_in_run_comparisons_order(self, stub_runs, corpus, kb):
-        configs = [TrainConfig(agent_kind="acl-c"), TrainConfig(agent_kind="dqn")]
-        runs = iter_runs(configs, [3, 1], corpus, kb)
+        def started():
+            calls = sorted(p.name.split(",") for p in tmp_path.iterdir())
+            return [(agent, int(seed)) for _, agent, seed in calls]
+        return started
+
+    def test_iter_runs_yields_each_run_in_run_comparisons_order(self, stub_runs, corpus, kb,
+                                                                usable_cores):
+        usable_cores(1)
+        runs = iter_runs(self.CONFIGS, [3, 1], corpus, kb)
         assert next(runs).tag == "acl-c_seed3"
-        assert stub_runs == [("acl-c", 3)]
+        assert stub_runs() == [("acl-c", 3)]
         streamed = ["acl-c_seed3"] + [run.tag for run in runs]
-        assert streamed == ["acl-c_seed3", "acl-c_seed1", "dqn_seed3", "dqn_seed1"]
-        assert [run.tag for run in run_comparison(configs, [3, 1], corpus, kb).runs] == streamed
+        assert streamed == self.TAGS
+        usable_cores(2)
+        assert [run.tag for run in run_comparison(self.CONFIGS, [3, 1], corpus, kb).runs] \
+            == streamed
 
-    def test_acceptance_runs_are_the_cached_matrix(self, stub_runs):
+    def test_pooled_runs_are_yielded_in_matrix_order(self, stub_runs, corpus, kb,
+                                                     usable_cores):
+        usable_cores(2)
+        assert [run.tag for run in iter_runs(self.CONFIGS, [3, 1], corpus, kb)] == self.TAGS
+        assert sorted(stub_runs()) == sorted(
+            (c.agent_kind, s) for c in self.CONFIGS for s in (3, 1))
+
+    def test_acceptance_runs_are_the_cached_matrix(self, stub_runs, usable_cores):
+        usable_cores(2)
         runs = list(acceptance_runs())
-        assert stub_runs == [(a, s) for a in ACCEPTANCE_AGENTS for s in ACCEPTANCE_SEEDS]
+        assert sorted(stub_runs()) == sorted(self.MATRIX)
+        assert [(run.config.agent_kind, run.seed) for run in runs] == self.MATRIX
         assert {run.config for run in runs} == {
             TrainConfig(agent_kind=a, **ACCEPTANCE_PROFILE) for a in ACCEPTANCE_AGENTS}
+
+    def test_acceptance_runs_in_process_start_in_matrix_order(self, stub_runs, usable_cores):
+        usable_cores(1)
+        list(acceptance_runs())
+        assert stub_runs() == self.MATRIX
+
+    @pytest.mark.parametrize("cores, seeds, workers", [
+        (2, [1, 2, 3], 2), (8, [1, 2, 3], 3), (8, [1], None), (1, [1, 2], None),
+    ], ids=["cores", "runs", "one-run", "one-core"])
+    def test_worker_count(self, stub_runs, corpus, kb, monkeypatch, usable_cores, cores,
+                          seeds, workers):
+        """The pool's size is min(usable cores, runs); one worker trains here.
+        The pool is a stand-in that runs each job in this process."""
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers, mp_context, initializer, initargs):
+                assert mp_context.get_start_method() == "fork"
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, wait, cancel_futures):
+                assert wait and cancel_futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(orchestrator, "_worker_environment", None)
+        usable_cores(cores)
+        runs = iter_runs([TrainConfig()], seeds, corpus, kb)
+        assert [run.seed for run in runs] == seeds
+        assert pools == ([] if workers is None else [workers])
+
+    def test_without_an_affinity_mask_the_runs_train_here(self, stub_runs, corpus, kb,
+                                                          monkeypatch):
+        """A platform without os.sched_getaffinity (macOS, Windows) counts one core
+        and so never asks for a fork pool."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert orchestrator.worker_count(5) == 1
+        runs = iter_runs(self.CONFIGS, [3, 1], corpus, kb)
+        assert next(runs).tag == "acl-c_seed3"
+        assert stub_runs() == [("acl-c", 3)]
+        assert [run.tag for run in runs] == self.TAGS[1:]
+        assert multiprocessing.active_children() == []
+
+
+class TestRunPool:
+    """Forked workers: every path out of iter_runs joins them."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, usable_cores):
+        usable_cores(2)
+
+    def test_no_worker_outlives_run_comparison(self, corpus, kb):
+        config = TrainConfig(num_epochs=2, eval_every=2, eval_dialogues=2)
+        report = run_comparison([config], [1, 2], corpus, kb)
+        assert [run.tag for run in report.runs] == ["dqn_seed1", "dqn_seed2"]
+        assert multiprocessing.active_children() == []
+
+    def test_closing_after_the_first_run_cancels_the_rest(self, corpus, kb, monkeypatch,
+                                                          tmp_path):
+        def run(config, seed, corpus, kb):
+            (tmp_path / str(seed)).touch()
+            time.sleep(0.05)
+            return RunResult(config, seed, MetricsSeries(), None)
+
+        monkeypatch.setattr(orchestrator, "run_training", run)
+        seeds = list(range(20))
+        runs = iter_runs([TrainConfig()], seeds, corpus, kb)
+        assert next(runs).seed == 0
+        runs.close()
+        assert multiprocessing.active_children() == []
+        assert len(list(tmp_path.iterdir())) < len(seeds)
+
+    def test_a_raising_run_re_raises_here_with_its_type_and_message(self, corpus, kb,
+                                                                    monkeypatch):
+        def run(config, seed, corpus, kb):
+            if seed == 2:
+                raise NeuralError("student parameters became non-finite in epoch 7")
+            return RunResult(config, seed, MetricsSeries(), None)
+
+        monkeypatch.setattr(orchestrator, "run_training", run)
+        runs = iter_runs([TrainConfig()], [1, 2, 3], corpus, kb)
+        assert next(runs).seed == 1
+        with pytest.raises(NeuralError) as err:
+            next(runs)
+        assert str(err.value) == "student parameters became non-finite in epoch 7"
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_runs_equal_in_process_runs(self, corpus, kb, usable_cores):
+        configs = [dataclasses.replace(SMALL, agent_kind=kind) for kind in ("dqn", "acl-c")]
+        pooled = run_comparison(configs, [1, 2], corpus, kb).runs
+        usable_cores(1)
+        here = run_comparison(configs, [1, 2], corpus, kb).runs
+        for a, b in zip(here, pooled, strict=True):
+            assert (a.tag, a.metrics) == (b.tag, b.metrics)
+            for name in ("online_flat", "target_flat", "_adam_m", "_adam_v"):
+                np.testing.assert_array_equal(getattr(a.student_q, name),
+                                              getattr(b.student_q, name))
 
 
 def _bump_last_digit(line: bytes) -> bytes:
