@@ -6,10 +6,12 @@ for their first --epochs epochs (all 500 by default) and compares each
 run's metrics, teacher-log and phase-log CSVs line for line, line endings
 included, with the cached files cut to that prefix
 (orchestrator.cache_difference). The runs train in a pool of forked
-workers, one per usable core, and are checked in the cache's order. The
-script stops at the first mismatch, naming the run, the file and the line,
-and exits 1. It prints each run that matches and, at the end, the total
-wall time and the number of workers.
+workers, one per usable core, and are checked in the cache's order; a
+single run trains in this process and evaluates in forked children while
+it trains on (orchestrator.run_training). The script stops at the first
+mismatch, naming the run, the file and the line, and exits 1. It prints
+each run that matches and, at the end, the total wall time and the
+number of workers.
 
     python3 scripts/verify_cache.py
     python3 scripts/verify_cache.py --agent acl-c --seed 3 --epochs 50

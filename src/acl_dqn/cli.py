@@ -189,9 +189,12 @@ def cmd_sweep(args) -> int:
     configs = [replace(base, alpha=alpha) for alpha in alphas]
     _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
-    reports = [orchestrator.run_comparison([config], seeds, corpus, kb) for config in configs]
+    # One comparison over every α, so the pool spans them all; its runs come
+    # back with the configs outer, one α's seeds at a time.
+    runs = orchestrator.run_comparison(configs, seeds, corpus, kb).runs
     out = _out_dir(args)
-    for alpha, report in zip(alphas, reports):
+    for i, alpha in enumerate(alphas):
+        report = orchestrator.ComparisonReport(runs[i * len(seeds):(i + 1) * len(seeds)])
         orchestrator.write_curve_csv(report, "acl-c", out / f"curve_alpha_{alpha}.csv")
     print(f"wrote {len(alphas)} curves to {out}")
     return 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import logging
 import os
+import pickle
 import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -170,6 +171,65 @@ def evaluate_policy(q: QFunction, corpus: GoalCorpus, kb: KnowledgeBase,
     return successes / n_dialogues, rewards / n_dialogues, turns / n_dialogues
 
 
+class _ForkedEvaluation:
+    """One ``evaluate_policy`` call in a forked child process.
+
+    The fork is the snapshot of the student: the child evaluates the
+    parameters as they stood when it was forked, whatever the parent
+    trains meanwhile, and pickles back only its result over a pipe. It
+    leaves with ``os._exit``, so none of the parent's ``finally`` blocks,
+    atexit hooks or stdio flushes run in it.
+    """
+
+    def __init__(self, epoch: int, args: tuple) -> None:
+        self.epoch = epoch
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    outcome = evaluate_policy(*args)
+                except Exception as exc:
+                    outcome = exc
+                data = pickle.dumps(outcome)
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pid: int | None = pid
+        self.pipe = os.fdopen(read_fd, "rb")
+
+    def join(self) -> tuple[int, float, float, float]:
+        """Wait for the child and return its eval row; its exception re-raises here."""
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not data:
+            raise RuntimeError(f"the evaluation of epoch {self.epoch} sent no result "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})")
+        outcome = pickle.loads(data)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return (self.epoch, *outcome)
+
+    def kill(self) -> None:
+        """Stop and reap the child unless it has been joined."""
+        if self.pid is not None:
+            # Imported here: the module adds about 0.1 MB to the peak RSS of
+            # every process, and only a failed run gets here.
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.pipe.close()
+
+
 def _check_finite(q: QFunction, net: str, epoch: int) -> None:
     if not np.isfinite(q.online_flat).all():
         raise NeuralError(f"{net} parameters became non-finite in epoch {epoch}")
@@ -177,7 +237,16 @@ def _check_finite(q: QFunction, net: str, epoch: int) -> None:
 
 def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
                  kb: KnowledgeBase) -> RunResult:
-    """One full training run on the given corpus and KB, deterministic in (config, seed)."""
+    """One full training run on the given corpus and KB, deterministic in (config, seed).
+
+    With more than one usable core, outside a pool worker, each evaluation
+    but the last runs in a forked child (``_ForkedEvaluation``) while the
+    next epochs train, and is joined before the next one is forked, so at
+    most one is in flight and the eval rows keep epoch order. That is
+    exact: an evaluation draws only from its own generator, reads only
+    the student's parameters, corpus and KB, and training never reads the
+    eval rows. However the run ends, no child is left behind.
+    """
     if len(corpus) == 0:
         raise ConfigError("cannot train on an empty corpus")
     if len(kb) == 0:
@@ -200,63 +269,77 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
     state_builder = TeacherStateBuilder(n_goals=len(corpus))
     metrics = MetricsSeries()
     teacher_state = state_builder.build()
+    overlap = _worker_environment is None and usable_cores() > 1
+    pending: _ForkedEvaluation | None = None
+    try:
+        for epoch in range(1, config.num_epochs + 1):
+            student_q.sync_target()
+            teacher_q.sync_target()
+            eps = epsilon_at(epoch - 1, end=config.epsilon_end,
+                             decay_epochs=config.epsilon_decay_epochs)
 
-    for epoch in range(1, config.num_epochs + 1):
-        student_q.sync_target()
-        teacher_q.sync_target()
-        eps = epsilon_at(epoch - 1, end=config.epsilon_end,
-                         decay_epochs=config.epsilon_decay_epochs)
+            active = machine.active_goal_ids()
+            if config.uses_teacher:
+                goal_id = teacher_act(teacher_q, teacher_state, eps, teacher_rng, active)
+            else:
+                goal_id = active[int(teacher_rng.integers(len(active)))]
+            raw_r_or = machine.on_goal_sampled(goal_id)
+            r_or = raw_r_or if config.uses_orp else 0.0
 
-        active = machine.active_goal_ids()
-        if config.uses_teacher:
-            goal_id = teacher_act(teacher_q, teacher_state, eps, teacher_rng, active)
-        else:
-            goal_id = active[int(teacher_rng.integers(len(active)))]
-        raw_r_or = machine.on_goal_sampled(goal_id)
-        r_or = raw_r_or if config.uses_orp else 0.0
+            def train_cb(transition):
+                d_student.push(transition)
+                if config.updates_per_epoch is None:
+                    student_train_step(student_q, d_student, student_rng)
 
-        def train_cb(transition):
-            d_student.push(transition)
-            if config.updates_per_epoch is None:
-                student_train_step(student_q, d_student, student_rng)
+            goal = corpus.goal(goal_id)
+            result = run_episode(goal, kb, epsilon_policy(student_q, eps, student_rng),
+                                 sim_rng, on_transition=train_cb)
+            if config.updates_per_epoch is not None:
+                for _ in range(config.updates_per_epoch):
+                    student_train_step(student_q, d_student, student_rng)
+            _check_finite(student_q, "student", epoch)
 
-        goal = corpus.goal(goal_id)
-        result = run_episode(goal, kb, epsilon_policy(student_q, eps, student_rng),
-                             sim_rng, on_transition=train_cb)
-        if config.updates_per_epoch is not None:
-            for _ in range(config.updates_per_epoch):
-                student_train_step(student_q, d_student, student_rng)
-        _check_finite(student_q, "student", epoch)
+            x_now = result.total_reward
+            x_prev = x_last.get(goal_id, FAILURE_PENALTY)
+            x_last[goal_id] = x_now
+            # Teacher reward r = r_or + x_now - x_prev: ORP plus learning progress on the goal.
+            r = r_or + x_now - x_prev
+            metrics.teacher_log.append(TeacherLogRow(
+                epoch, goal_id, machine.og[goal_id], r_or, x_now, x_prev, r))
 
-        x_now = result.total_reward
-        x_prev = x_last.get(goal_id, FAILURE_PENALTY)
-        x_last[goal_id] = x_now
-        # Teacher reward r = r_or + x_now - x_prev: ORP plus learning progress on the goal.
-        r = r_or + x_now - x_prev
-        metrics.teacher_log.append(TeacherLogRow(
-            epoch, goal_id, machine.og[goal_id], r_or, x_now, x_prev, r))
+            state_builder.record_episode(goal_id, corpus.tier_of(goal_id),
+                                         result.success, x_now, student_q.param_scalar())
+            next_teacher_state = state_builder.build()
+            if config.uses_teacher:
+                d_teacher.push(Transition(teacher_state, goal_id, r,
+                                          next_teacher_state, False))
+                teacher_train_step(teacher_q, d_teacher, teacher_rng)
+                _check_finite(teacher_q, "teacher", epoch)
+            teacher_state = next_teacher_state
 
-        state_builder.record_episode(goal_id, corpus.tier_of(goal_id),
-                                     result.success, x_now, student_q.param_scalar())
-        next_teacher_state = state_builder.build()
-        if config.uses_teacher:
-            d_teacher.push(Transition(teacher_state, goal_id, r,
-                                      next_teacher_state, False))
-            teacher_train_step(teacher_q, d_teacher, teacher_rng)
-            _check_finite(teacher_q, "teacher", epoch)
-        teacher_state = next_teacher_state
+            moved = machine.on_episode(epoch, result.success)
+            if moved is not None:
+                metrics.phase_log.append(moved)
+                log.info("phase %s -> %s at epoch %d (%s)",
+                         moved.old_phase, moved.new_phase, epoch, moved.trigger)
 
-        moved = machine.on_episode(epoch, result.success)
-        if moved is not None:
-            metrics.phase_log.append(moved)
-            log.info("phase %s -> %s at epoch %d (%s)",
-                     moved.old_phase, moved.new_phase, epoch, moved.trigger)
-
-        if epoch % config.eval_every == 0:
-            eval_rng = np.random.default_rng([seed, 6, epoch])
-            sr, rew, trn = evaluate_policy(student_q, corpus, kb,
-                                           config.eval_dialogues, eval_rng)
-            metrics.eval_rows.append((epoch, sr, rew, trn))
+            if epoch % config.eval_every == 0:
+                if pending is not None:
+                    metrics.eval_rows.append(pending.join())
+                    pending = None
+                args = (student_q, corpus, kb, config.eval_dialogues,
+                        np.random.default_rng([seed, 6, epoch]))
+                # The last epoch leaves no training for its evaluation to overlap.
+                if overlap and epoch < config.num_epochs:
+                    pending = _ForkedEvaluation(epoch, args)
+                else:
+                    metrics.eval_rows.append((epoch, *evaluate_policy(*args)))
+        if pending is not None:
+            metrics.eval_rows.append(pending.join())
+            pending = None
+    finally:
+        if pending is not None:
+            pending.kill()
 
     return RunResult(config, seed, metrics, student_q)
 
@@ -290,6 +373,17 @@ def write_run_logs(metrics: MetricsSeries, out_dir, suffix: str = "") -> dict[st
     return paths
 
 
+def _in_prefix(line: bytes, n: int, step: int) -> bool:
+    """Whether a cached CSV line falls in a run of ``n`` epochs that logs every
+    ``step``-th epoch. A line whose first field is no epoch is kept, so that
+    it shows as a difference."""
+    field = line.split(b",", 1)[0]
+    if not field.isdigit():
+        return True
+    epoch = int(field)
+    return epoch <= n and epoch % step == 0
+
+
 def cache_difference(run: RunResult, cache_dir) -> str | None:
     """The first line at which a run's logs differ from the cached run's, or None.
 
@@ -304,8 +398,7 @@ def cache_difference(run: RunResult, cache_dir) -> str | None:
             step = every if kind == "metrics" else 1
             fresh = path.read_bytes().splitlines(keepends=True)
             cached = (Path(cache_dir) / path.name).read_bytes().splitlines(keepends=True)
-            cached = cached[:1] + [line for line in cached[1:]
-                                   if (e := int(line.split(b",", 1)[0])) <= n and e % step == 0]
+            cached = cached[:1] + [line for line in cached[1:] if _in_prefix(line, n, step)]
             if fresh != cached:
                 i = next((i for i, (a, b) in enumerate(zip(fresh, cached)) if a != b),
                          min(len(fresh), len(cached)))
@@ -356,12 +449,17 @@ def _train_in_worker(config: TrainConfig, seed: int) -> RunResult:
     return run_training(config, seed, *_worker_environment)
 
 
+def usable_cores() -> int:
+    """The size of this process's CPU affinity mask, the one knob for how
+    many processes a comparison and a run use; 1 on a platform without
+    ``os.sched_getaffinity``, so everything there runs in one process."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def worker_count(n_runs: int) -> int:
     """Pool workers for ``n_runs`` independent runs: one per usable core, never
-    more than the runs. A platform without ``os.sched_getaffinity`` counts one
-    core, so its runs train in the calling process."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cores, n_runs)
+    more than the runs."""
+    return min(usable_cores(), n_runs)
 
 
 def iter_runs(configs, seeds, corpus: GoalCorpus, kb: KnowledgeBase) -> Iterator[RunResult]:

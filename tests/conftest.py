@@ -41,6 +41,19 @@ def usable_cores(monkeypatch):
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made in this process from here on, one entry each."""
+    calls, fork = [], os.fork
+
+    def counting():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)
 

@@ -22,7 +22,10 @@ PATCHED = (orchestrator, student, user_sim, neural.QFunction, replay.ReplayBuffe
            teacher.TeacherStateBuilder, curriculum.PhaseMachine, domain.GoalCorpus)
 
 
-def test_benchmark_hooks_record_every_layer(monkeypatch):
+def test_benchmark_hooks_record_every_layer(monkeypatch, usable_cores):
+    # One usable core keeps every evaluation in this process, where the
+    # span recorder sees it, as perfbench's trace does under `taskset -c 0`.
+    usable_cores(1)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spans = importlib.import_module("spans")

@@ -42,3 +42,13 @@ def test_fresh_prefix_matches_cached_run(agent, seed, epochs):
                                               "eval_every": epochs})
     corpus, kb = default_environment(ACCEPTANCE_ENV_SEED)
     assert cache_difference(run_training(config, seed, corpus, kb), CACHE) is None
+
+
+def test_overlapped_evaluations_match_cached_run(usable_cores, forks):
+    # At the profile's eval_every of 5 on two usable cores, the evaluations
+    # of epochs 5, 10 and 15 run in forked children while training goes on.
+    usable_cores(2)
+    config = TrainConfig(agent_kind="acl-c", **{**ACCEPTANCE_PROFILE, "num_epochs": 20})
+    corpus, kb = default_environment(ACCEPTANCE_ENV_SEED)
+    assert cache_difference(run_training(config, 3, corpus, kb), CACHE) is None
+    assert len(forks) == 3

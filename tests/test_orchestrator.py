@@ -320,7 +320,8 @@ class TestComparisonAndSweep:
             "epoch,mean_success,var_success,mean_reward,mean_turns"
 
     def test_sweep_produces_one_report_per_alpha(self, tmp_path, monkeypatch):
-        # The alpha sweep is the CLI's sweep-alpha: one run_comparison per alpha.
+        # The alpha sweep is the CLI's sweep-alpha: one run_comparison over every
+        # alpha, whose runs are split into one curve per alpha.
         reports = []
 
         def recording(*args):
@@ -328,14 +329,19 @@ class TestComparisonAndSweep:
             return reports[-1]
 
         monkeypatch.setattr(orchestrator, "run_comparison", recording)
-        assert cli.main(["sweep-alpha", "--alphas", "0.3,0.7", "--seeds", "1",
+        assert cli.main(["sweep-alpha", "--alphas", "0.3,0.7", "--seeds", "1,2",
                          "--epochs", "10", "--eval-every", "5", "--eval-dialogues", "5",
                          "--out", str(tmp_path)]) == 0
-        assert len(reports) == 2
-        for alpha, report in zip((0.3, 0.7), reports):
-            (run,) = report.runs
-            assert (run.config.agent_kind, run.config.alpha, run.seed) == ("acl-c", alpha, 1)
-            assert len(run.metrics.eval_rows) == 2
+        (report,) = reports
+        assert [(run.config.agent_kind, run.config.alpha, run.seed) for run in report.runs] \
+            == [("acl-c", alpha, seed) for alpha in (0.3, 0.7) for seed in (1, 2)]
+        assert all(len(run.metrics.eval_rows) == 2 for run in report.runs)
+        (tmp_path / "expected").mkdir()
+        for alpha in (0.3, 0.7):
+            expected = tmp_path / "expected" / f"{alpha}.csv"
+            write_curve_csv(ComparisonReport([run for run in report.runs
+                                              if run.config.alpha == alpha]), "acl-c", expected)
+            assert (tmp_path / f"curve_alpha_{alpha}.csv").read_bytes() == expected.read_bytes()
 
 
 class TestRunLoop:
@@ -490,6 +496,97 @@ class TestRunPool:
                                               getattr(b.student_q, name))
 
 
+class TestOverlappedEvaluation:
+    """With two usable cores a run's evaluations but the last run in forked
+    children while it trains on; every path out of run_training reaps them."""
+
+    CONFIG = TrainConfig(agent_kind="acl-c", num_epochs=16, eval_every=5, eval_dialogues=10)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_overlapped_run_writes_the_bytes_of_an_in_process_run(self, corpus, kb, tmp_path,
+                                                                   usable_cores, forks):
+        written = []
+        for cores in (1, 2):
+            usable_cores(cores)
+            run = run_training(self.CONFIG, 1, corpus, kb)
+            out = tmp_path / str(cores)
+            out.mkdir()
+            orchestrator.write_run_logs(run.metrics, out)
+            run.student_q.save(out / "student.qfn")
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        # The evaluations of epochs 5, 10 and 15 were forked; the one at 15
+        # is joined after the last epoch.
+        assert len(forks) == 3
+        assert [row[0] for row in run.metrics.eval_rows] == [5, 10, 15]
+        assert written[0] == written[1]
+        self.assert_no_child_left()
+
+    def test_a_childs_exception_re_raises_here_with_its_message(self, corpus, kb, monkeypatch,
+                                                               usable_cores):
+        usable_cores(2)
+        parent = os.getpid()
+
+        def failing(*args):
+            raise ValueError(f"evaluated in a child: {os.getpid() != parent}")
+
+        monkeypatch.setattr(orchestrator, "run_greedy_episodes", failing)
+        with pytest.raises(ValueError) as err:
+            run_training(dataclasses.replace(self.CONFIG, num_epochs=7), 1, corpus, kb)
+        assert str(err.value) == "evaluated in a child: True"
+        self.assert_no_child_left()
+
+    def test_a_child_that_dies_without_a_result_names_its_epoch(self, corpus, kb, monkeypatch,
+                                                                 usable_cores):
+        usable_cores(2)
+        monkeypatch.setattr(orchestrator, "run_greedy_episodes", lambda *args: os._exit(3))
+        with pytest.raises(RuntimeError) as err:
+            run_training(dataclasses.replace(self.CONFIG, num_epochs=7), 1, corpus, kb)
+        assert str(err.value) == "the evaluation of epoch 5 sent no result (exit code 3)"
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [NeuralError("student parameters became non-finite"),
+                                       KeyboardInterrupt()],
+                             ids=["NeuralError", "KeyboardInterrupt"])
+    def test_a_failed_run_leaves_no_child(self, corpus, kb, monkeypatch, usable_cores, forks,
+                                          error):
+        usable_cores(2)
+        greedy = orchestrator.run_greedy_episodes
+
+        def slow(*args):
+            time.sleep(10)  # still evaluating when training fails
+            return greedy(*args)
+
+        def fail_at_epoch_7(q, net, epoch):
+            if epoch == 7:
+                raise error
+
+        monkeypatch.setattr(orchestrator, "run_greedy_episodes", slow)
+        monkeypatch.setattr(orchestrator, "_check_finite", fail_at_epoch_7)
+        start = time.monotonic()
+        with pytest.raises(type(error)):
+            run_training(self.CONFIG, 1, corpus, kb)
+        assert len(forks) == 1
+        assert time.monotonic() - start < 5
+        self.assert_no_child_left()
+
+    def test_one_core_or_a_pool_worker_never_forks(self, corpus, kb, monkeypatch, usable_cores):
+        def refused():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refused)
+        usable_cores(1)
+        here = run_training(self.CONFIG, 1, corpus, kb)
+        usable_cores(2)
+        monkeypatch.setattr(orchestrator, "_worker_environment", (corpus, kb))
+        in_worker = run_training(self.CONFIG, 1, corpus, kb)
+        assert here.metrics == in_worker.metrics
+        assert [row[0] for row in here.metrics.eval_rows] == [5, 10, 15]
+
+
 def _bump_last_digit(line: bytes) -> bytes:
     body = line.rstrip(b"\r\n")
     assert body[-1:].isdigit()
@@ -518,7 +615,8 @@ class TestCacheDifference:
         ("metrics", 2, lambda line: b""),  # the row of epoch 10, the run's last
         ("phase_log", 1, lambda line: b"3,1,2,mastery\r\n" + line),
         ("teacher_log", 6, lambda line: line.replace(b"\r\n", b"\n")),
-    ], ids=["changed-digit", "missing-row", "extra-row", "line-ending"])
+        ("teacher_log", 5, lambda line: line.replace(b",", b";", 1)),
+    ], ids=["changed-digit", "missing-row", "extra-row", "line-ending", "no-epoch-field"])
     def test_a_planted_difference_names_file_and_line(self, run, cache, kind, index, edit):
         path = cache / f"{kind}_dqn_seed1.csv"
         lines = path.read_bytes().splitlines(keepends=True) + [b""]
