@@ -116,68 +116,97 @@ class QFunction:
         transitions: y = r + gamma * max_a' Q_target(s') * (1 - terminal).
         """
         grads = {name: np.empty(self._shapes[name]) for name in GRAD_ORDER}
-        return self._td_backprop(batch, gamma, grads), grads
+        [step] = self._checked_steps(_one_step(batch), gamma)
+        return self._td_backprop(step, gamma, self._target_w1t(), grads), grads
 
-    def _td_backprop(self, batch, gamma: float, grads: dict[str, np.ndarray]) -> float:
-        """The TD loss, with its gradients written into ``grads``."""
-        s, actions, rewards, s2, terminal = batch
-        s = np.asarray(s, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
+    def _checked_steps(self, batches, gamma: float):
+        """Each step's (states, actions, rewards, next states, terminal) of
+        ``batches``, with the checks made once for every step."""
+        states, actions, rewards, next_states, terminal = batches
+        actions = np.asarray(actions, dtype=int)
         rewards = np.asarray(rewards, dtype=float)
         terminal = np.asarray(terminal, dtype=bool)
-        actions = np.asarray(actions, dtype=int)
-        n = len(actions)
-        if n == 0:
+        if actions.size == 0:
             raise NeuralError("empty minibatch")
         if not 0.0 <= gamma <= 1.0:
             raise NeuralError("gamma must lie in [0, 1]")
         if actions.max(initial=0) >= self.output_dim:
             raise NeuralError("action index out of range")
+        return zip(states, actions, rewards, next_states, terminal)
+
+    def _target_w1t(self) -> np.ndarray:
+        """The target w1.T, contiguous: a matmul on it equals one on the
+        transposed view and takes less than half the time."""
+        return np.ascontiguousarray(self.target["w1"].T)
+
+    def _td_backprop(self, step, gamma: float, target_w1t: np.ndarray,
+                     grads: dict[str, np.ndarray]) -> float:
+        """The TD loss of one checked minibatch, with its gradients written
+        into ``grads``."""
+        s, actions, rewards, s2, terminal = step
+        n = len(actions)
         rows = np.arange(n)
 
-        q_next = self.forward(s2, use_target=True)
+        t = self.target
+        q_next = np.tanh(s2 @ target_w1t + t["b1"]) @ t["w2"].T + t["b2"]
         y = rewards + gamma * q_next.max(axis=1) * (~terminal)
 
         p = self.online
         h = np.tanh(s @ p["w1"].T + p["b1"])
         q = h @ p["w2"].T + p["b2"]
         err = q[rows, actions] - y
-        loss = float(np.mean(err * err))
+        loss = float(np.add.reduce(err * err) / n)
 
         dq = np.zeros_like(q)
         dq[rows, actions] = 2.0 * err / n
         np.matmul(dq.T, h, out=grads["w2"])
-        np.sum(dq, axis=0, out=grads["b2"])
+        np.add.reduce(dq, axis=0, out=grads["b2"])
         dpre = dq @ p["w2"]
         dpre *= 1.0 - h * h
         np.matmul(dpre.T, s, out=grads["w1"])
-        np.sum(dpre, axis=0, out=grads["b1"])
+        np.add.reduce(dpre, axis=0, out=grads["b1"])
         return loss
 
-    def td_train_step(self, batch, gamma: float) -> float:
-        """One clipped Adam step on the mean-squared TD loss; returns pre-step loss."""
-        loss = self._td_backprop(batch, gamma, self._grad_views)
-        if not math.isfinite(loss):
-            raise NeuralError(f"non-finite TD loss {loss!r}")
-        clip_gradients(self._grad_views, self.clip_norm)
-        self._adam_t += 1
-        b1c = 1.0 - 0.9 ** self._adam_t
-        b2c = 1.0 - 0.999 ** self._adam_t
+    def td_train_steps(self, batches, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """One clipped Adam step on the mean-squared TD loss per minibatch, in
+        order, against one copy of the target net. ``batches`` is a replay
+        ``Transition`` with one entry per step in each field: states and next
+        states [B, input_dim] (read once, in order), and actions, rewards and
+        terminal flags [steps, B]. Returns each step's pre-step loss and
+        pre-clip gradient norm.
+        """
+        target_w1t = self._target_w1t()
         g, m, v, tmp = self._grad, self._adam_m, self._adam_v, self._scratch
-        m *= 0.9
-        m += np.multiply(0.1, g, out=tmp)
-        v *= 0.999
-        np.multiply(0.001, g, out=tmp)
-        v += np.multiply(tmp, g, out=tmp)
-        # The step is lr * (m / b1c) / (sqrt(v / b2c) + 1e-8); g is free now.
-        np.divide(v, b2c, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += 1e-8
-        np.divide(m, b1c, out=g)
-        np.multiply(self.learning_rate, g, out=g)
-        g /= tmp
-        self.online_flat -= g
-        return loss
+        losses, norms = [], []
+        for step in self._checked_steps(batches, gamma):
+            loss = self._td_backprop(step, gamma, target_w1t, self._grad_views)
+            if not math.isfinite(loss):
+                raise NeuralError(f"non-finite TD loss {loss!r}")
+            norms.append(clip_gradients(self._grad_views, self.clip_norm, flat=g))
+            losses.append(loss)
+            self._adam_t += 1
+            b1c = 1.0 - 0.9 ** self._adam_t
+            b2c = 1.0 - 0.999 ** self._adam_t
+            m *= 0.9
+            m += np.multiply(0.1, g, out=tmp)
+            v *= 0.999
+            np.multiply(0.001, g, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            # The step is lr * (m / b1c) / (sqrt(v / b2c) + 1e-8); g is free now.
+            np.divide(v, b2c, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += 1e-8
+            np.divide(m, b1c, out=g)
+            np.multiply(self.learning_rate, g, out=g)
+            g /= tmp
+            self.online_flat -= g
+        return np.array(losses), np.array(norms)
+
+    def td_train_step(self, batch, gamma: float) -> float:
+        """One clipped Adam step on the mean-squared TD loss of one minibatch,
+        laid out as in ``td_loss_and_grads``; returns the pre-step loss."""
+        losses, _ = self.td_train_steps(_one_step(batch), gamma)
+        return float(losses[0])
 
     def sync_target(self) -> None:
         self.target_flat[...] = self.online_flat
@@ -234,6 +263,13 @@ class QFunction:
         return q
 
 
+def _one_step(batch) -> tuple:
+    """One minibatch's fields as the fields of a one-step run."""
+    s, actions, rewards, s2, terminal = batch
+    return ([np.asarray(s, dtype=float)], [actions], [rewards],
+            [np.asarray(s2, dtype=float)], [terminal])
+
+
 def _number(kind, text: str, where: str):
     """A checkpoint field converted by kind; one it refuses names where it is."""
     try:
@@ -242,13 +278,17 @@ def _number(kind, text: str, where: str):
         raise NeuralError(f"{where}: {exc}") from None
 
 
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
+def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float,
+                   flat: np.ndarray | None = None) -> float:
     """Scale gradients in place so their global norm is at most clip_norm;
-    returns the norm measured before scaling."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    returns the norm measured before scaling. Each array's squares are
+    summed on their own, and the sums added in the order of ``grads``.
+    When every array is a view of ``flat``, as a QFunction's gradients are,
+    the scaling is one pass over flat."""
+    total = math.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads.values()))
     if total > clip_norm and total > 0.0:
         scale = clip_norm / total
-        for g in grads.values():
+        for g in grads.values() if flat is None else (flat,):
             g *= scale
     return total
 

@@ -295,8 +295,8 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
             result = run_episode(goal, kb, epsilon_policy(student_q, eps, student_rng),
                                  sim_rng, on_transition=train_cb)
             if config.updates_per_epoch is not None:
-                for _ in range(config.updates_per_epoch):
-                    student_train_step(student_q, d_student, student_rng)
+                student_train_step(student_q, d_student, student_rng,
+                                   config.updates_per_epoch)
             _check_finite(student_q, "student", epoch)
 
             x_now = result.total_reward

@@ -81,23 +81,40 @@ class ReplayBuffer:
         self.rewards[row] = t.reward
         self.terminal[row] = t.terminal
 
+    def _row_index(self, ages: np.ndarray) -> np.ndarray:
+        return (ages + self.head) % self.capacity if self.head else ages
+
     def rows(self, ages: np.ndarray) -> Transition:
         """Copies of the transitions at the given ages (0 is the oldest), one
         array per field."""
-        idx = (ages + self.head) % self.capacity if self.head else ages
+        idx = self._row_index(ages)
         return Transition(self.states[idx], self.actions[idx], self.rewards[idx],
                           self.next_states[idx], self.terminal[idx])
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> Transition | None:
-        """None when underfull: the caller skips training this step."""
+    def sample(self, batch_size: int, rng: np.random.Generator,
+               steps: int = 1) -> Transition | None:
+        """``steps`` minibatches from one uniform draw of [steps, batch_size]
+        ages, with replacement; None, drawing nothing, when underfull.
+
+        Each field holds one entry per step: actions, rewards and terminal
+        flags as [steps, batch_size] arrays, states and next states as
+        iterators that gather a step's rows when they reach it, so only one
+        step's state matrices are held at a time. Read them before the next
+        push.
+        """
         if self._size < batch_size:
             return None
-        return self.rows(rng.integers(0, self._size, size=batch_size))
+        idx = self._row_index(rng.integers(0, self._size, size=(steps, batch_size)))
+        return Transition(map(self.states.__getitem__, idx), self.actions[idx],
+                          self.rewards[idx], map(self.next_states.__getitem__, idx),
+                          self.terminal[idx])
 
 
-def train_step(q: QFunction, buffer: ReplayBuffer, rng: np.random.Generator) -> float | None:
-    """One minibatch TD update from buffer; None when it is underfull."""
-    batch = buffer.sample(BATCH_SIZE, rng)
-    if batch is None:
+def train_step(q: QFunction, buffer: ReplayBuffer, rng: np.random.Generator,
+               steps: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
+    """``steps`` minibatch TD updates from one replay draw; each step's loss
+    and pre-clip gradient norm, or None when the buffer is underfull."""
+    batches = buffer.sample(BATCH_SIZE, rng, steps)
+    if batches is None:
         return None
-    return q.td_train_step(batch, GAMMA)
+    return q.td_train_steps(batches, GAMMA)

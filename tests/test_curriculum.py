@@ -61,7 +61,7 @@ class TestOrpPenalty:
             orp_penalty(-1)
 
 
-class TestOverRepetitionCounter:
+class TestGoalSampleCounts:
     """The per-phase sample counts og that PhaseMachine keeps for the ORP."""
 
     def test_first_sample_is_free_then_penalties_grow(self, corpus):

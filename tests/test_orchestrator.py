@@ -194,7 +194,7 @@ class TestRunTraining:
         assert a.metrics.teacher_log == b.metrics.teacher_log
 
     def test_poisoned_student_parameters_stop_the_run(self, corpus, kb, monkeypatch):
-        def poisoned_step(q, buffer, rng):
+        def poisoned_step(q, buffer, rng, steps=1):
             q.online["b1"][0] = np.nan
             return None
 

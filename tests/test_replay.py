@@ -1,17 +1,31 @@
 from collections import deque
 
+import pickle
+
 import numpy as np
 import pytest
 
+from acl_dqn.neural import PARAM_NAMES, QFunction, clip_gradients
 from acl_dqn.replay import (
+    BATCH_SIZE,
+    GAMMA,
     GROW_ROWS,
     STUDENT_CAPACITY,
     TEACHER_CAPACITY,
     ReplayBuffer,
     ReplayError,
     Transition,
+    train_step,
 )
-from acl_dqn.student import STATE_DIM, rbs_prefill
+from acl_dqn.student import N_ACTIONS, STATE_DIM, rbs_prefill
+
+
+def _one_step(batch):
+    """A one-step sample as a Transition of arrays: its fields hold one entry
+    per step, the states as an iterator."""
+    [state], [next_state] = batch.state, batch.next_state
+    [action], [reward], [terminal] = batch.action, batch.reward, batch.terminal
+    return Transition(state, action, reward, next_state, terminal)
 
 
 def _transition(tag, dim=3, terminal=False, reward=0.0):
@@ -42,24 +56,28 @@ class TestReplayBuffer:
         assert buf.sample(5, rng) is not None
 
     def test_sample_shapes_and_membership(self, rng):
+        """One entry per step in every field; a step's rows are whole transitions."""
         buf = ReplayBuffer(capacity=50, dim=3)
         for tag in range(20):
             buf.push(_transition(tag, reward=float(tag), terminal=tag % 2 == 0))
-        batch = buf.sample(16, rng)
-        assert batch.state.shape == (16, 3)
-        assert batch.next_state.shape == (16, 3)
-        assert batch.action.shape == (16,)
-        for i in range(16):
-            tag = int(batch.state[i, 0])
-            assert 0 <= tag < 20
-            assert batch.reward[i] == float(tag)
-            assert bool(batch.terminal[i]) == (tag % 2 == 0)
+        batches = buf.sample(16, rng, steps=3)
+        assert batches.action.shape == batches.reward.shape == batches.terminal.shape == (3, 16)
+        states, next_states = list(batches.state), list(batches.next_state)
+        assert len(states) == len(next_states) == 3
+        for step in range(3):
+            assert states[step].shape == next_states[step].shape == (16, 3)
+            for i in range(16):
+                tag = int(states[step][i, 0])
+                assert 0 <= tag < 20
+                assert next_states[step][i, 0] == tag + 0.5
+                assert batches.reward[step, i] == float(tag)
+                assert bool(batches.terminal[step, i]) == (tag % 2 == 0)
 
     def test_sampling_is_with_replacement(self):
         buf = ReplayBuffer(capacity=10, dim=3)
         for tag in range(10):
             buf.push(_transition(tag))
-        batch = buf.sample(10, np.random.default_rng(0))
+        batch = _one_step(buf.sample(10, np.random.default_rng(0)))
         tags = [int(s[0]) for s in batch.state]
         assert len(set(tags)) < len(tags)
 
@@ -67,8 +85,8 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=10, dim=3)
         for tag in range(10):
             buf.push(_transition(tag))
-        b1 = buf.sample(4, np.random.default_rng(3))
-        b2 = buf.sample(4, np.random.default_rng(3))
+        b1 = _one_step(buf.sample(4, np.random.default_rng(3)))
+        b2 = _one_step(buf.sample(4, np.random.default_rng(3)))
         np.testing.assert_array_equal(b1.state, b2.state)
         np.testing.assert_array_equal(b1.action, b2.action)
 
@@ -114,6 +132,7 @@ class TestReplayBuffer:
             if len(oracle) < 16:
                 assert batch is None
                 continue
+            batch = _one_step(batch)
             idx = np.random.default_rng(pushed).integers(0, len(oracle), size=16)
             picks = [oracle[int(i)] for i in idx]
             np.testing.assert_array_equal(batch.state, np.stack([p.state for p in picks]))
@@ -171,3 +190,70 @@ class TestRbsPrefill:
             firsts.append(buf.rows(np.arange(1)).state[0])
         assert lens[0] == lens[1]
         np.testing.assert_array_equal(firsts[0], firsts[1])
+
+
+def _random_buffer(capacity, pushes, seed=0):
+    data = np.random.default_rng(seed)
+    buf = ReplayBuffer(capacity, STATE_DIM)
+    for _ in range(pushes):
+        buf.push(Transition(data.random(STATE_DIM), int(data.integers(N_ACTIONS)),
+                            float(data.normal()), data.random(STATE_DIM),
+                            bool(data.random() < 0.2)))
+    return buf
+
+
+class TestTrainSteps:
+    @pytest.mark.parametrize("clip_norm", [1.0, 1e6], ids=["clipped", "unclipped"])
+    def test_one_draw_of_many_steps_is_the_steps_one_at_a_time(self, clip_norm):
+        """train_step(steps=120) on a wrapped buffer equals 120 reference steps
+        bit for bit, each drawing its 16 ages on its own: td_loss_and_grads,
+        clip_gradients and Adam written out per array."""
+        buf = _random_buffer(capacity=300, pushes=470)
+        assert buf.head != 0
+        q = QFunction(STATE_DIM, N_ACTIONS, clip_norm=clip_norm,
+                      rng=np.random.default_rng(1))
+        train_step(q, buf, np.random.default_rng(2), steps=7)
+        q.sync_target()  # a target behind online, and Adam moments under way
+        train_step(q, buf, np.random.default_rng(3), steps=3)
+
+        ref = pickle.loads(pickle.dumps(q))
+        m, v = ref._views(ref._adam_m.copy()), ref._views(ref._adam_v.copy())
+        t = ref._adam_t
+        ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+        ref_losses, ref_norms = [], []
+        for _ in range(120):
+            batch = buf.rows(ref_rng.integers(0, len(buf), size=BATCH_SIZE))
+            loss, grads = ref.td_loss_and_grads(batch, GAMMA)
+            ref_norms.append(clip_gradients(grads, ref.clip_norm))
+            ref_losses.append(loss)
+            t += 1
+            b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for name in PARAM_NAMES:
+                g = grads[name]
+                m[name][...] = m[name] * 0.9 + 0.1 * g
+                v[name][...] = v[name] * 0.999 + 0.001 * g * g
+                ref.online[name][...] -= (ref.learning_rate * (m[name] / b1c)
+                                          / (np.sqrt(v[name] / b2c) + 1e-8))
+
+        losses, norms = train_step(q, buf, rng, steps=120)
+        assert losses.tolist() == ref_losses
+        assert norms.tolist() == ref_norms
+        assert (q.online_flat.tobytes(), q.target_flat.tobytes()) == (
+            ref.online_flat.tobytes(), ref.target_flat.tobytes())
+        for name in PARAM_NAMES:
+            np.testing.assert_array_equal(q._views(q._adam_m)[name], m[name])
+            np.testing.assert_array_equal(q._views(q._adam_v)[name], v[name])
+        assert q._adam_t == t
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_underfull_buffer_draws_and_trains_nothing(self):
+        buf = _random_buffer(capacity=300, pushes=BATCH_SIZE - 1)
+        q = QFunction(STATE_DIM, N_ACTIONS, rng=np.random.default_rng(1))
+        before = (q.online_flat.copy(), q._adam_m.copy(), q._adam_v.copy())
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert train_step(q, buf, rng, steps=120) is None
+        assert rng.bit_generator.state == state
+        for now, then in zip((q.online_flat, q._adam_m, q._adam_v), before):
+            np.testing.assert_array_equal(now, then)
+        assert q._adam_t == 0

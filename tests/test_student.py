@@ -237,5 +237,6 @@ class TestTrainStep:
         buf = ReplayBuffer(100, STATE_DIM)
         while len(buf) < 16:
             run_episode(corpus.goals[0], kb, rule_policy(), rng, on_transition=buf.push)
-        loss = train_step(q, buf, rng)
-        assert loss is not None and loss >= 0.0
+        losses, norms = train_step(q, buf, rng)
+        assert losses.shape == norms.shape == (1,)
+        assert losses[0] >= 0.0 and norms[0] >= 0.0
