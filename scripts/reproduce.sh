@@ -5,7 +5,8 @@
 # curve per mastery threshold for the alpha sweep.
 # The CLI trains under the package defaults, not under the acceptance
 # profile (orchestrator.ACCEPTANCE_PROFILE) that the cached runs in
-# results/acceptance/ were made with; scripts/run_acceptance.py runs that.
+# results/acceptance/ were made with; scripts/verify_cache.py checks that
+# cache against a retrain, and writes it when it is absent.
 set -eu
 cd "$(dirname "$0")/.."
 

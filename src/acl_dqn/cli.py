@@ -159,26 +159,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    agents = _distinct("--agents", args.agents.split(","))
-    configs = [_config_from_args(args, a) for a in agents]
+    configs = [_config_from_args(args, a) for a in _distinct("--agents", args.agents.split(","))]
     seeds = _parse_seeds(args.seeds)
     _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
     report = orchestrator.run_comparison(configs, seeds, corpus, kb)
     out = _out_dir(args)
-    for agent in agents:
-        orchestrator.write_curve_csv(report, agent, out / f"curve_{agent}.csv")
+    for config in configs:
+        orchestrator.write_curve_csv(report, config, out / f"curve_{config.agent_kind}.csv")
     # The last curve row's mean and variance of the success rate over the seeds.
     orchestrator._write_csv(out / "stability.csv",
                             ["agent", "final_mean_success", "final_var_success"],
-                            ([agent, *report.curve(agent)[-1][1:3]]
-                             for agent in agents))
+                            ([config.agent_kind, *report.curve(config)[-1][1:3]]
+                             for config in configs))
     orchestrator._write_csv(out / "selection_counts.csv",
                             ["agent", "seed", *(f"g{g}" for g in corpus.all_ids())],
                             ([run.config.agent_kind, run.seed,
                               *orchestrator.selection_counts(run.metrics, len(corpus))]
                              for run in report.runs))
-    print(f"wrote {len(agents)} curves to {out}")
+    print(f"wrote {len(configs)} curves to {out}")
     return 0
 
 
@@ -189,13 +188,11 @@ def cmd_sweep(args) -> int:
     configs = [replace(base, alpha=alpha) for alpha in alphas]
     _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
-    # One comparison over every α, so the pool spans them all; its runs come
-    # back with the configs outer, one α's seeds at a time.
-    runs = orchestrator.run_comparison(configs, seeds, corpus, kb).runs
+    # One comparison over every α, so the pool spans them all.
+    report = orchestrator.run_comparison(configs, seeds, corpus, kb)
     out = _out_dir(args)
-    for i, alpha in enumerate(alphas):
-        report = orchestrator.ComparisonReport(runs[i * len(seeds):(i + 1) * len(seeds)])
-        orchestrator.write_curve_csv(report, "acl-c", out / f"curve_alpha_{alpha}.csv")
+    for config in configs:
+        orchestrator.write_curve_csv(report, config, out / f"curve_alpha_{config.alpha}.csv")
     print(f"wrote {len(alphas)} curves to {out}")
     return 0
 

@@ -235,7 +235,7 @@ class QFunction:
             if magic != "qfn-v1":
                 raise NeuralError(f"{path} line 1: unrecognized checkpoint header {magic!r}")
             head = fh.readline().split()
-            if len(head) < 5:
+            if len(head) != 5:
                 raise NeuralError(f"{path} line 2: {len(head)} fields, expected 5")
             dim_names = ("input_dim", "hidden_dim", "output_dim")
             dims = [_number(int, text, f"{path} line 2: {dim}")
@@ -256,10 +256,14 @@ class QFunction:
                     values = np.array([_number(float, text, field)
                                        for text in fh.readline().split()])
                     if values.size != params[name].size:
-                        raise NeuralError(f"{path} line {line}: truncated checkpoint at {name}")
+                        raise NeuralError(f"{field} holds {values.size} values, "
+                                          f"expected {params[name].size}")
                     if not np.isfinite(values).all():
                         raise NeuralError(f"{field} holds a non-finite value")
                     params[name][...] = values.reshape(params[name].shape)
+            if fh.readline():
+                raise NeuralError(f"{path} line {line + 1}: unexpected line after the "
+                                  "last parameter line")
         return q
 
 

@@ -389,15 +389,18 @@ def cache_difference(run: RunResult, cache_dir) -> str | None:
 
     The cached run of the same agent and seed is cut to the run's
     ``num_epochs`` and, for the metrics, its ``eval_every``. Lines are
-    compared as bytes, line endings included; a missing or extra line is a
-    difference. Line numbers count the compared lines.
+    compared as bytes, line endings included; a missing file or a missing
+    or extra line is a difference. Line numbers count the compared lines.
     """
     n, every = run.config.num_epochs, run.config.eval_every
     with tempfile.TemporaryDirectory() as tmp:
         for kind, path in write_run_logs(run.metrics, tmp, f"_{run.tag}").items():
             step = every if kind == "metrics" else 1
             fresh = path.read_bytes().splitlines(keepends=True)
-            cached = (Path(cache_dir) / path.name).read_bytes().splitlines(keepends=True)
+            cached_path = Path(cache_dir) / path.name
+            if not cached_path.is_file():
+                return f"{path.name} is missing from {cache_dir}"
+            cached = cached_path.read_bytes().splitlines(keepends=True)
             cached = cached[:1] + [line for line in cached[1:] if _in_prefix(line, n, step)]
             if fresh != cached:
                 i = next((i for i, (a, b) in enumerate(zip(fresh, cached)) if a != b),
@@ -415,15 +418,10 @@ def selection_counts(metrics: MetricsSeries, n_goals: int) -> np.ndarray:
 class ComparisonReport:
     runs: list[RunResult]
 
-    def by_agent(self) -> dict[str, list[RunResult]]:
-        grouped: dict[str, list[RunResult]] = {}
-        for run in self.runs:
-            grouped.setdefault(run.config.agent_kind, []).append(run)
-        return grouped
-
-    def curve(self, agent_kind: str) -> list[tuple[int, float, float, float, float]]:
-        """Per-epoch (epoch, mean success, var success, mean reward, mean turns)."""
-        runs = self.by_agent()[agent_kind]
+    def curve(self, config: TrainConfig) -> list[tuple[int, float, float, float, float]]:
+        """Per-epoch (epoch, mean success, var success, mean reward, mean turns)
+        over the seeds of the runs trained under ``config``."""
+        runs = [run for run in self.runs if run.config == config]
         epochs = [row[0] for row in runs[0].metrics.eval_rows]
         out = []
         for i, epoch in enumerate(epochs):
@@ -507,6 +505,6 @@ def run_comparison(configs, seeds, corpus: GoalCorpus,
     return ComparisonReport(list(iter_runs(configs, seeds, corpus, kb)))
 
 
-def write_curve_csv(report: ComparisonReport, agent_kind: str, path) -> None:
+def write_curve_csv(report: ComparisonReport, config: TrainConfig, path) -> None:
     _write_csv(path, ["epoch", "mean_success", "var_success", "mean_reward", "mean_turns"],
-               report.curve(agent_kind))
+               report.curve(config))

@@ -2,11 +2,11 @@
 
 Criteria 2-5 evaluate the full comparison experiment: dqn, acl-a,
 acl-a-noorp, and acl-c on the default synthetic corpus, 5 seeds x 500
-epochs.  Those runs take ~300 s in two forked workers on 2 Xeon cores
-(README.md gives 295.2 s for scripts/verify_cache.py, which trains the
-same runs), so the suite reads the cached logs produced by
-scripts/run_acceptance.py when results/acceptance/ exists and silently
-re-runs the experiment itself, in the same pool, when it does not.
+epochs.  Those runs take minutes even in two forked workers on 2 Xeon
+cores (README.md gives the wall time of scripts/verify_cache.py, which
+trains the same runs), so the suite reads the cached logs that script
+writes when results/acceptance/ exists and silently re-runs the
+experiment itself, in the same pool, when it does not.
 
 Each criterion prints a PASS/FAIL line (visible with pytest -s) in
 addition to its asserts.

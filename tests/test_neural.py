@@ -311,6 +311,16 @@ class TestCheckpoint:
             QFunction.load(path)
         assert str(err.value) == f"{path} line 2: 3 fields, expected 5"
 
+    def test_long_dims_line_rejected(self, rng, tmp_path):
+        path = tmp_path / "net.qfn"
+        _random_net(rng).save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rstrip("\n") + " 7\n"
+        path.write_text("".join(lines))
+        with pytest.raises(NeuralError) as err:
+            QFunction.load(path)
+        assert str(err.value) == f"{path} line 2: 6 fields, expected 5"
+
     def test_truncated_file_rejected(self, rng, tmp_path):
         net = _random_net(rng)
         path = tmp_path / "net.qfn"
@@ -319,7 +329,30 @@ class TestCheckpoint:
         path.write_text("".join(lines[:-2]))
         with pytest.raises(NeuralError) as err:
             QFunction.load(path)
-        assert str(err.value) == f"{path} line 9: truncated checkpoint at w2"
+        assert str(err.value) == \
+            f"{path} line 9: target w2 holds 0 values, expected {net.online['w2'].size}"
+
+    def test_parameter_line_with_a_value_too_many_rejected(self, rng, tmp_path):
+        net = _random_net(rng)
+        path = tmp_path / "net.qfn"
+        net.save(path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rstrip("\n") + " 0.5\n"
+        path.write_text("".join(lines))
+        with pytest.raises(NeuralError) as err:
+            QFunction.load(path)
+        n = net.online["w1"].size
+        assert str(err.value) == f"{path} line 3: online w1 holds {n + 1} values, expected {n}"
+
+    def test_line_after_the_last_parameter_line_rejected(self, rng, tmp_path):
+        path = tmp_path / "net.qfn"
+        _random_net(rng).save(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("0.5\n")
+        with pytest.raises(NeuralError) as err:
+            QFunction.load(path)
+        assert str(err.value) == \
+            f"{path} line 11: unexpected line after the last parameter line"
 
     def test_dims_below_one_rejected_by_name(self, rng, tmp_path):
         path = tmp_path / "net.qfn"

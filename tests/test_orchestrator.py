@@ -193,15 +193,23 @@ class TestRunTraining:
         assert a.metrics.eval_rows == b.metrics.eval_rows
         assert a.metrics.teacher_log == b.metrics.teacher_log
 
-    def test_poisoned_student_parameters_stop_the_run(self, corpus, kb, monkeypatch):
+    @pytest.mark.parametrize("updates_per_epoch", [None, 3],
+                             ids=["per-transition", "per-epoch"])
+    def test_poisoned_student_parameters_stop_the_run(self, corpus, kb, monkeypatch,
+                                                      updates_per_epoch):
+        steps_asked = []
+
         def poisoned_step(q, buffer, rng, steps=1):
+            steps_asked.append(steps)
             q.online["b1"][0] = np.nan
             return None
 
         monkeypatch.setattr(orchestrator, "student_train_step", poisoned_step)
+        config = dataclasses.replace(SMALL, updates_per_epoch=updates_per_epoch)
         with pytest.raises(NeuralError, match="student") as err:
-            run_training(SMALL, 1, corpus, kb)
+            run_training(config, 1, corpus, kb)
         assert "epoch 1" in str(err.value)
+        assert set(steps_asked) == {updates_per_epoch or 1}
 
     def test_different_seeds_differ(self, corpus, kb):
         a = run_training(SMALL, 3, corpus, kb)
@@ -312,10 +320,14 @@ class TestCsvOutput:
 class TestComparisonAndSweep:
     def test_comparison_groups_and_curves(self, small_runs, tmp_path):
         report = ComparisonReport(list(small_runs.values()))
-        assert set(report.by_agent()) == set(AGENT_KINDS)
-        curve = report.curve("dqn")
-        assert [row[0] for row in curve] == list(range(5, 31, 5))
-        write_curve_csv(report, "dqn", tmp_path / "c.csv")
+        for run in small_runs.values():
+            # One seed per config: its curve is its own eval rows, with no variance.
+            assert report.curve(run.config) == [(epoch, success, 0.0, reward, turns)
+                                                for epoch, success, reward, turns
+                                                in run.metrics.eval_rows]
+        config = small_runs["dqn"].config
+        assert [row[0] for row in report.curve(config)] == list(range(5, 31, 5))
+        write_curve_csv(report, config, tmp_path / "c.csv")
         assert (tmp_path / "c.csv").read_text().splitlines()[0] == \
             "epoch,mean_success,var_success,mean_reward,mean_turns"
 
@@ -339,8 +351,8 @@ class TestComparisonAndSweep:
         (tmp_path / "expected").mkdir()
         for alpha in (0.3, 0.7):
             expected = tmp_path / "expected" / f"{alpha}.csv"
-            write_curve_csv(ComparisonReport([run for run in report.runs
-                                              if run.config.alpha == alpha]), "acl-c", expected)
+            runs = [run for run in report.runs if run.config.alpha == alpha]
+            write_curve_csv(ComparisonReport(runs), runs[0].config, expected)
             assert (tmp_path / f"curve_alpha_{alpha}.csv").read_bytes() == expected.read_bytes()
 
 
@@ -626,6 +638,10 @@ class TestCacheDifference:
         assert difference is not None
         assert difference.startswith(f"{path.name} line {index + 1}\n  cached: ")
         assert "\n  fresh:  " in difference
+
+    def test_a_missing_file_is_a_difference(self, run, cache):
+        (cache / "phase_log_dqn_seed1.csv").unlink()
+        assert cache_difference(run, cache) == f"phase_log_dqn_seed1.csv is missing from {cache}"
 
 
 class TestDefaultEnvironment:
