@@ -171,20 +171,38 @@ def evaluate_policy(q: QFunction, corpus: GoalCorpus, kb: KnowledgeBase,
     return successes / n_dialogues, rewards / n_dialogues, turns / n_dialogues
 
 
-class _ForkedEvaluation:
-    """One ``evaluate_policy`` call in a forked child process.
+class _Evaluations:
+    """A run's greedy evaluations, each row appended to ``rows`` in epoch order.
 
-    The fork is the snapshot of the student: the child evaluates the
-    parameters as they stood when it was forked, whatever the parent
-    trains meanwhile, and pickles back only its result over a pipe. It
-    leaves with ``os._exit``, so none of the parent's ``finally`` blocks,
-    atexit hooks or stdio flushes run in it.
+    With more than one usable core, outside a pool worker (the pool fills
+    every core), an evaluation before the last epoch runs in a forked
+    child while the run trains on. The fork is the student's snapshot: the
+    child evaluates the parameters as they stood when it was forked and
+    pickles back only its result over a pipe. It leaves with ``os._exit``,
+    so none of the parent's ``finally`` blocks, atexit hooks or stdio
+    flushes run in it.
     """
 
-    def __init__(self, epoch: int, args: tuple) -> None:
-        self.epoch = epoch
+    def __init__(self, config: TrainConfig, seed: int, student_q: QFunction,
+                 corpus: GoalCorpus, kb: KnowledgeBase, rows: list) -> None:
+        self.seed, self.last_epoch, self.rows = seed, config.num_epochs, rows
+        self.args = (student_q, corpus, kb, config.eval_dialogues)
+        self.pid: int | None = None  # the child in flight; start sets its epoch and pipe
+
+    def start(self, epoch: int) -> None:
+        """Join the child in flight, then evaluate the student as it stands at ``epoch``."""
+        self.join()
+        args = (*self.args, np.random.default_rng([self.seed, 6, epoch]))
+        if _worker_environment is not None or usable_cores() < 2 or epoch == self.last_epoch:
+            self.rows.append((epoch, *evaluate_policy(*args)))
+            return
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
         if pid == 0:
             status = 1
             try:
@@ -200,11 +218,12 @@ class _ForkedEvaluation:
             finally:
                 os._exit(status)
         os.close(write_fd)
-        self.pid: int | None = pid
-        self.pipe = os.fdopen(read_fd, "rb")
+        self.epoch, self.pid, self.pipe = epoch, pid, os.fdopen(read_fd, "rb")
 
-    def join(self) -> tuple[int, float, float, float]:
-        """Wait for the child and return its eval row; its exception re-raises here."""
+    def join(self) -> None:
+        """Append the row of the child in flight, if any; its exception re-raises here."""
+        if self.pid is None:
+            return
         with self.pipe:
             data = self.pipe.read()
         _, status = os.waitpid(self.pid, 0)
@@ -215,10 +234,10 @@ class _ForkedEvaluation:
         outcome = pickle.loads(data)
         if isinstance(outcome, Exception):
             raise outcome
-        return (self.epoch, *outcome)
+        self.rows.append((self.epoch, *outcome))
 
     def kill(self) -> None:
-        """Stop and reap the child unless it has been joined."""
+        """Stop and reap the child in flight, if any."""
         if self.pid is not None:
             # Imported here: the module adds about 0.1 MB to the peak RSS of
             # every process, and only a failed run gets here.
@@ -227,7 +246,7 @@ class _ForkedEvaluation:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
-        self.pipe.close()
+            self.pipe.close()
 
 
 def _check_finite(q: QFunction, net: str, epoch: int) -> None:
@@ -239,10 +258,8 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
                  kb: KnowledgeBase) -> RunResult:
     """One full training run on the given corpus and KB, deterministic in (config, seed).
 
-    With more than one usable core, outside a pool worker, each evaluation
-    but the last runs in a forked child (``_ForkedEvaluation``) while the
-    next epochs train, and is joined before the next one is forked, so at
-    most one is in flight and the eval rows keep epoch order. That is
+    Every ``eval_every`` epochs the student is evaluated, perhaps in a
+    forked child while the next epochs train (``_Evaluations``). That is
     exact: an evaluation draws only from its own generator, reads only
     the student's parameters, corpus and KB, and training never reads the
     eval rows. However the run ends, no child is left behind.
@@ -269,8 +286,13 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
     state_builder = TeacherStateBuilder(n_goals=len(corpus))
     metrics = MetricsSeries()
     teacher_state = state_builder.build()
-    overlap = _worker_environment is None and usable_cores() > 1
-    pending: _ForkedEvaluation | None = None
+
+    def train_cb(transition):
+        d_student.push(transition)
+        if config.updates_per_epoch is None:
+            student_train_step(student_q, d_student, student_rng)
+
+    evaluations = _Evaluations(config, seed, student_q, corpus, kb, metrics.eval_rows)
     try:
         for epoch in range(1, config.num_epochs + 1):
             student_q.sync_target()
@@ -285,11 +307,6 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
                 goal_id = active[int(teacher_rng.integers(len(active)))]
             raw_r_or = machine.on_goal_sampled(goal_id)
             r_or = raw_r_or if config.uses_orp else 0.0
-
-            def train_cb(transition):
-                d_student.push(transition)
-                if config.updates_per_epoch is None:
-                    student_train_step(student_q, d_student, student_rng)
 
             goal = corpus.goal(goal_id)
             result = run_episode(goal, kb, epsilon_policy(student_q, eps, student_rng),
@@ -324,22 +341,10 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
                          moved.old_phase, moved.new_phase, epoch, moved.trigger)
 
             if epoch % config.eval_every == 0:
-                if pending is not None:
-                    metrics.eval_rows.append(pending.join())
-                    pending = None
-                args = (student_q, corpus, kb, config.eval_dialogues,
-                        np.random.default_rng([seed, 6, epoch]))
-                # The last epoch leaves no training for its evaluation to overlap.
-                if overlap and epoch < config.num_epochs:
-                    pending = _ForkedEvaluation(epoch, args)
-                else:
-                    metrics.eval_rows.append((epoch, *evaluate_policy(*args)))
-        if pending is not None:
-            metrics.eval_rows.append(pending.join())
-            pending = None
+                evaluations.start(epoch)
+        evaluations.join()
     finally:
-        if pending is not None:
-            pending.kill()
+        evaluations.kill()
 
     return RunResult(config, seed, metrics, student_q)
 
@@ -490,12 +495,6 @@ def iter_runs(configs, seeds, corpus: GoalCorpus, kb: KnowledgeBase) -> Iterator
         yield from pool.map(_train_in_worker, *zip(*matrix))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def acceptance_runs() -> Iterator[RunResult]:
-    """The cached comparison's runs, retrained in the cache's order."""
-    configs = [TrainConfig(agent_kind=a, **ACCEPTANCE_PROFILE) for a in ACCEPTANCE_AGENTS]
-    return iter_runs(configs, ACCEPTANCE_SEEDS, *default_environment(ACCEPTANCE_ENV_SEED))
 
 
 def run_comparison(configs, seeds, corpus: GoalCorpus,

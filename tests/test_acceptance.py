@@ -22,9 +22,12 @@ from acl_dqn.curriculum import PhaseMachine, orp_penalty
 from acl_dqn.domain import TIERS
 from acl_dqn.orchestrator import (
     ACCEPTANCE_AGENTS,
+    ACCEPTANCE_ENV_SEED,
+    ACCEPTANCE_PROFILE,
     ACCEPTANCE_SEEDS,
     TrainConfig,
-    acceptance_runs,
+    default_environment,
+    iter_runs,
     run_training,
     write_metrics_csv,
 )
@@ -62,7 +65,9 @@ def comparison():
     if (CACHE / "manifest.json").exists():
         return {(agent, seed): _load_cached_run(agent, seed)
                 for agent in ACCEPTANCE_AGENTS for seed in ACCEPTANCE_SEEDS}
-    return {(run.config.agent_kind, run.seed): _fresh_run(run) for run in acceptance_runs()}
+    configs = [TrainConfig(agent_kind=a, **ACCEPTANCE_PROFILE) for a in ACCEPTANCE_AGENTS]
+    runs = iter_runs(configs, ACCEPTANCE_SEEDS, *default_environment(ACCEPTANCE_ENV_SEED))
+    return {(run.config.agent_kind, run.seed): _fresh_run(run) for run in runs}
 
 
 def _success_at(runs, agent, epoch):

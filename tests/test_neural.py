@@ -372,7 +372,7 @@ class TestCheckpoint:
         path = tmp_path / "net.qfn"
         net.save(path)
         lines = path.read_text().splitlines(keepends=True)
-        # Lines 2-5 hold the online w1, b1, w2, b2; lines 6-9 the target's.
+        # Lines 3-6 hold the online w1, b1, w2, b2; lines 7-10 the target's.
         target_w2 = lines[8].split()
         target_w2[-1] = value
         lines[8] = " ".join(target_w2) + "\n"

@@ -1,9 +1,11 @@
 import argparse
 import concurrent.futures
 import dataclasses
+import errno
 import multiprocessing
 import os
 import shutil
+import signal
 import time
 from pathlib import Path
 
@@ -15,10 +17,8 @@ from acl_dqn.cli import _config_from_args
 from acl_dqn.curriculum import orp_penalty
 from acl_dqn.neural import NeuralError, QFunction
 from acl_dqn.orchestrator import (
-    ACCEPTANCE_AGENTS,
     ACCEPTANCE_ENV_SEED,
     ACCEPTANCE_PROFILE,
-    ACCEPTANCE_SEEDS,
     AGENT_KINDS,
     AGENTS,
     ComparisonReport,
@@ -27,7 +27,6 @@ from acl_dqn.orchestrator import (
     RunResult,
     TeacherLogRow,
     TrainConfig,
-    acceptance_runs,
     cache_difference,
     default_environment,
     evaluate_policy,
@@ -359,7 +358,6 @@ class TestComparisonAndSweep:
 class TestRunLoop:
     CONFIGS = [TrainConfig(agent_kind="acl-c"), TrainConfig(agent_kind="dqn")]
     TAGS = ["acl-c_seed3", "acl-c_seed1", "dqn_seed3", "dqn_seed1"]
-    MATRIX = [(a, s) for a in ACCEPTANCE_AGENTS for s in ACCEPTANCE_SEEDS]
 
     @pytest.fixture
     def stub_runs(self, monkeypatch, tmp_path):
@@ -398,19 +396,6 @@ class TestRunLoop:
         assert [run.tag for run in iter_runs(self.CONFIGS, [3, 1], corpus, kb)] == self.TAGS
         assert sorted(stub_runs()) == sorted(
             (c.agent_kind, s) for c in self.CONFIGS for s in (3, 1))
-
-    def test_acceptance_runs_are_the_cached_matrix(self, stub_runs, usable_cores):
-        usable_cores(2)
-        runs = list(acceptance_runs())
-        assert sorted(stub_runs()) == sorted(self.MATRIX)
-        assert [(run.config.agent_kind, run.seed) for run in runs] == self.MATRIX
-        assert {run.config for run in runs} == {
-            TrainConfig(agent_kind=a, **ACCEPTANCE_PROFILE) for a in ACCEPTANCE_AGENTS}
-
-    def test_acceptance_runs_in_process_start_in_matrix_order(self, stub_runs, usable_cores):
-        usable_cores(1)
-        list(acceptance_runs())
-        assert stub_runs() == self.MATRIX
 
     @pytest.mark.parametrize("cores, seeds, workers", [
         (2, [1, 2, 3], 2), (8, [1, 2, 3], 3), (8, [1], None), (1, [1, 2], None),
@@ -584,6 +569,49 @@ class TestOverlappedEvaluation:
         assert len(forks) == 1
         assert time.monotonic() - start < 5
         self.assert_no_child_left()
+
+    def test_an_interrupt_while_waiting_at_a_join_leaves_no_child(self, corpus, kb,
+                                                                 monkeypatch, usable_cores,
+                                                                 forks):
+        usable_cores(2)
+        greedy = orchestrator.run_greedy_episodes
+        landed = []
+
+        def slow(*args):
+            time.sleep(10)  # the epoch-10 join waits on this child
+            return greedy(*args)
+
+        def interrupt(signum, frame):
+            landed.append(frame.f_code.co_name)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(orchestrator, "run_greedy_episodes", slow)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_training(self.CONFIG, 1, corpus, kb)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert landed == ["join"]
+        assert len(forks) == 1
+        assert time.monotonic() - start < 5
+        self.assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_failed_fork_leaves_no_open_pipe(self, corpus, kb, monkeypatch, usable_cores):
+        def failing():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        usable_cores(2)
+        monkeypatch.setattr(os, "fork", failing)
+        before = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError) as err:
+            run_training(self.CONFIG, 1, corpus, kb)
+        assert err.value.errno == errno.EAGAIN
+        assert set(os.listdir("/proc/self/fd")) == before
 
     def test_one_core_or_a_pool_worker_never_forks(self, corpus, kb, monkeypatch, usable_cores):
         def refused():
