@@ -86,7 +86,7 @@ class QFunction:
             offset += size
         return out
 
-    def forward(self, states: np.ndarray, use_target: bool = False) -> np.ndarray:
+    def forward(self, states: np.ndarray) -> np.ndarray:
         """Action values of one state vector, a [B, input_dim] batch, or a
         [N, 1, input_dim] stack of single rows.
 
@@ -100,7 +100,7 @@ class QFunction:
         if states.shape[-1] != self.input_dim:
             raise NeuralError(
                 f"state dim {states.shape[-1]} != input_dim {self.input_dim}")
-        params = self.target if use_target else self.online
+        params = self.online
         x = states[None, :] if single else states
         h = np.tanh(x @ params["w1"].T + params["b1"])
         q = h @ params["w2"].T + params["b2"]
@@ -116,34 +116,28 @@ class QFunction:
         transitions: y = r + gamma * max_a' Q_target(s') * (1 - terminal).
         """
         grads = {name: np.empty(self._shapes[name]) for name in GRAD_ORDER}
-        [step] = self._checked_steps(_one_step(batch), gamma)
-        return self._td_backprop(step, gamma, self._target_w1t(), grads), grads
+        return self._td_backprop(batch, gamma, self._target_w1t(), grads), grads
 
-    def _checked_steps(self, batches, gamma: float):
-        """Each step's (states, actions, rewards, next states, terminal) of
-        ``batches``, with the checks made once for every step."""
-        states, actions, rewards, next_states, terminal = batches
-        actions = np.asarray(actions, dtype=int)
-        rewards = np.asarray(rewards, dtype=float)
-        terminal = np.asarray(terminal, dtype=bool)
-        if actions.size == 0:
+    def _checked(self, batch, gamma: float):
+        """``batch``, once its minibatch and ``gamma`` pass the checks."""
+        if len(batch.action) == 0:
             raise NeuralError("empty minibatch")
         if not 0.0 <= gamma <= 1.0:
             raise NeuralError("gamma must lie in [0, 1]")
-        if actions.max(initial=0) >= self.output_dim:
+        if batch.action.max() >= self.output_dim:
             raise NeuralError("action index out of range")
-        return zip(states, actions, rewards, next_states, terminal)
+        return batch
 
     def _target_w1t(self) -> np.ndarray:
         """The target w1.T, contiguous: a matmul on it equals one on the
         transposed view and takes less than half the time."""
         return np.ascontiguousarray(self.target["w1"].T)
 
-    def _td_backprop(self, step, gamma: float, target_w1t: np.ndarray,
+    def _td_backprop(self, batch, gamma: float, target_w1t: np.ndarray,
                      grads: dict[str, np.ndarray]) -> float:
-        """The TD loss of one checked minibatch, with its gradients written
-        into ``grads``."""
-        s, actions, rewards, s2, terminal = step
+        """The TD loss of one minibatch, checked first, with its gradients
+        written into ``grads``."""
+        s, actions, rewards, s2, terminal = self._checked(batch, gamma)
         n = len(actions)
         rows = np.arange(n)
 
@@ -168,18 +162,17 @@ class QFunction:
         return loss
 
     def td_train_steps(self, batches, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-        """One clipped Adam step on the mean-squared TD loss per minibatch, in
-        order, against one copy of the target net. ``batches`` is a replay
-        ``Transition`` with one entry per step in each field: states and next
-        states [B, input_dim] (read once, in order), and actions, rewards and
-        terminal flags [steps, B]. Returns each step's pre-step loss and
-        pre-clip gradient norm.
+        """One clipped Adam step on the mean-squared TD loss per minibatch of
+        ``batches``, in order, against one copy of the target net. Each
+        minibatch is laid out as in ``td_loss_and_grads`` and checked before
+        its own step: one that fails raises with the steps before it applied.
+        Returns each step's pre-step loss and pre-clip gradient norm.
         """
         target_w1t = self._target_w1t()
         g, m, v, tmp = self._grad, self._adam_m, self._adam_v, self._scratch
         losses, norms = [], []
-        for step in self._checked_steps(batches, gamma):
-            loss = self._td_backprop(step, gamma, target_w1t, self._grad_views)
+        for batch in batches:
+            loss = self._td_backprop(batch, gamma, target_w1t, self._grad_views)
             if not math.isfinite(loss):
                 raise NeuralError(f"non-finite TD loss {loss!r}")
             norms.append(clip_gradients(self._grad_views, self.clip_norm, flat=g))
@@ -201,12 +194,6 @@ class QFunction:
             g /= tmp
             self.online_flat -= g
         return np.array(losses), np.array(norms)
-
-    def td_train_step(self, batch, gamma: float) -> float:
-        """One clipped Adam step on the mean-squared TD loss of one minibatch,
-        laid out as in ``td_loss_and_grads``; returns the pre-step loss."""
-        losses, _ = self.td_train_steps(_one_step(batch), gamma)
-        return float(losses[0])
 
     def sync_target(self) -> None:
         self.target_flat[...] = self.online_flat
@@ -237,15 +224,16 @@ class QFunction:
             head = fh.readline().split()
             if len(head) != 5:
                 raise NeuralError(f"{path} line 2: {len(head)} fields, expected 5")
-            dim_names = ("input_dim", "hidden_dim", "output_dim")
-            dims = [_number(int, text, f"{path} line 2: {dim}")
-                    for dim, text in zip(dim_names, head)]
-            for dim, value in zip(dim_names, dims):
-                if value < 1:
-                    raise NeuralError(f"{path} line 2: {dim} must be >= 1, got {value}")
-            input_dim, hidden_dim, output_dim = dims
-            lr, clip = (_number(float, text, f"{path} line 2: {name}")
-                        for name, text in zip(("learning_rate", "clip_norm"), head[3:5]))
+            # Line 2's fields, each with its kind and least value; a float must be finite.
+            fields = (("input_dim", int, 1), ("hidden_dim", int, 1), ("output_dim", int, 1),
+                      ("learning_rate", float, 0), ("clip_norm", float, 0))
+            values = [_number(kind, text, f"{path} line 2: {name}")
+                      for (name, kind, _), text in zip(fields, head)]
+            for (name, kind, least), value in zip(fields, values):
+                if not least <= value < math.inf:
+                    bound = f">= {least}" if kind is int else f"finite and >= {least}"
+                    raise NeuralError(f"{path} line 2: {name} must be {bound}, got {value}")
+            input_dim, hidden_dim, output_dim, lr, clip = values
             q = cls(input_dim, output_dim, hidden_dim, lr, clip,
                     rng=np.random.default_rng(0))
             line = 2
@@ -265,13 +253,6 @@ class QFunction:
                 raise NeuralError(f"{path} line {line + 1}: unexpected line after the "
                                   "last parameter line")
         return q
-
-
-def _one_step(batch) -> tuple:
-    """One minibatch's fields as the fields of a one-step run."""
-    s, actions, rewards, s2, terminal = batch
-    return ([np.asarray(s, dtype=float)], [actions], [rewards],
-            [np.asarray(s2, dtype=float)], [terminal])
 
 
 def _number(kind, text: str, where: str):

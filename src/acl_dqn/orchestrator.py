@@ -254,6 +254,15 @@ def _check_finite(q: QFunction, net: str, epoch: int) -> None:
         raise NeuralError(f"{net} parameters became non-finite in epoch {epoch}")
 
 
+def _train(net: str, epoch: int, *args) -> None:
+    """The net's TD update through its module attribute, read when called; a
+    NeuralError it raises is raised again naming the net and the epoch."""
+    try:
+        (student_train_step if net == "student" else teacher_train_step)(*args)
+    except NeuralError as exc:
+        raise NeuralError(f"{net} TD update in epoch {epoch}: {exc}") from None
+
+
 def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
                  kb: KnowledgeBase) -> RunResult:
     """One full training run on the given corpus and KB, deterministic in (config, seed).
@@ -290,15 +299,14 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
     def train_cb(transition):
         d_student.push(transition)
         if config.updates_per_epoch is None:
-            student_train_step(student_q, d_student, student_rng)
+            _train("student", epoch, student_q, d_student, student_rng)
 
     evaluations = _Evaluations(config, seed, student_q, corpus, kb, metrics.eval_rows)
     try:
         for epoch in range(1, config.num_epochs + 1):
             student_q.sync_target()
             teacher_q.sync_target()
-            eps = epsilon_at(epoch - 1, end=config.epsilon_end,
-                             decay_epochs=config.epsilon_decay_epochs)
+            eps = epsilon_at(epoch - 1, config.epsilon_end, config.epsilon_decay_epochs)
 
             active = machine.active_goal_ids()
             if config.uses_teacher:
@@ -312,8 +320,8 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
             result = run_episode(goal, kb, epsilon_policy(student_q, eps, student_rng),
                                  sim_rng, on_transition=train_cb)
             if config.updates_per_epoch is not None:
-                student_train_step(student_q, d_student, student_rng,
-                                   config.updates_per_epoch)
+                _train("student", epoch, student_q, d_student, student_rng,
+                       config.updates_per_epoch)
             _check_finite(student_q, "student", epoch)
 
             x_now = result.total_reward
@@ -330,7 +338,7 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
             if config.uses_teacher:
                 d_teacher.push(Transition(teacher_state, goal_id, r,
                                           next_teacher_state, False))
-                teacher_train_step(teacher_q, d_teacher, teacher_rng)
+                _train("teacher", epoch, teacher_q, d_teacher, teacher_rng)
                 _check_finite(teacher_q, "teacher", epoch)
             teacher_state = next_teacher_state
 

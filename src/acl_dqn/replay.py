@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -92,22 +93,22 @@ class ReplayBuffer:
                           self.next_states[idx], self.terminal[idx])
 
     def sample(self, batch_size: int, rng: np.random.Generator,
-               steps: int = 1) -> Transition | None:
+               steps: int = 1) -> Iterator[Transition] | None:
         """``steps`` minibatches from one uniform draw of [steps, batch_size]
         ages, with replacement; None, drawing nothing, when underfull.
 
-        Each field holds one entry per step: actions, rewards and terminal
-        flags as [steps, batch_size] arrays, states and next states as
-        iterators that gather a step's rows when they reach it, so only one
-        step's state matrices are held at a time. Read them before the next
-        push.
+        Each minibatch is a ``Transition`` of [batch_size] arrays, its states
+        [batch_size, dim]. Actions, rewards and terminal flags are gathered
+        for every step at once, a step's two state matrices only when the
+        iterator reaches it, so one step's are held at a time. Read the
+        minibatches before the next push.
         """
         if self._size < batch_size:
             return None
         idx = self._row_index(rng.integers(0, self._size, size=(steps, batch_size)))
-        return Transition(map(self.states.__getitem__, idx), self.actions[idx],
-                          self.rewards[idx], map(self.next_states.__getitem__, idx),
-                          self.terminal[idx])
+        return map(Transition, map(self.states.__getitem__, idx), self.actions[idx],
+                   self.rewards[idx], map(self.next_states.__getitem__, idx),
+                   self.terminal[idx])
 
 
 def train_step(q: QFunction, buffer: ReplayBuffer, rng: np.random.Generator,

@@ -33,6 +33,9 @@ FAILURE_PENALTY = -float(MAX_TURNS)
 RBS_DIALOGUES = 100
 RBS_MAX_RETRIES = 20
 
+# Exploration rate at epoch 0, from which epsilon_at decays.
+EPSILON_START = 0.3
+
 
 # Fixed-order system actions (act type, slot or None); index = Q-output index.
 SYSTEM_ACTIONS: tuple[tuple[ActType, str | None], ...] = (
@@ -117,13 +120,12 @@ def step_reward(status: str) -> float:
     return r
 
 
-def epsilon_at(epoch: int, start: float = 0.3, end: float = 0.01,
-               decay_epochs: int = 200) -> float:
-    """Linear decay over the first decay_epochs epochs, then constant."""
+def epsilon_at(epoch: int, end: float, decay_epochs: int) -> float:
+    """Linear decay from EPSILON_START to end over decay_epochs epochs, then end."""
     if epoch >= decay_epochs:
         return end
     frac = epoch / decay_epochs
-    return start + (end - start) * frac
+    return EPSILON_START + (end - EPSILON_START) * frac
 
 
 @dataclass

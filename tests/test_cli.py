@@ -222,7 +222,9 @@ class TestEval:
 
     @pytest.mark.parametrize("command", ["eval", "chat"])
     @pytest.mark.parametrize("case", ["30 outputs", "nan weight", "negative dim",
-                                      "word for a dim", "typo in a weight"])
+                                      "word for a dim", "typo in a weight",
+                                      "nan learning rate", "negative learning rate",
+                                      "nan clip norm", "-inf clip norm"])
     def test_checkpoint_it_cannot_run_exits_1(self, tmp_path, capsys, command, case):
         checkpoint = tmp_path / "student.qfn"
         n_outputs = 30 if case == "30 outputs" else N_ACTIONS
@@ -237,6 +239,13 @@ class TestEval:
             lines[1] = lines[1].replace(" 8 ", " eighty ")
         if case == "typo in a weight":
             lines[2] = "0.1x " + lines[2].split(" ", 1)[1]
+        hyperparameter = {"nan learning rate": (3, "nan"), "negative learning rate": (3, "-0.5"),
+                          "nan clip norm": (4, "nan"), "-inf clip norm": (4, "-inf")}
+        if case in hyperparameter:
+            column, text = hyperparameter[case]
+            fields = lines[1].split()
+            fields[column] = text
+            lines[1] = " ".join(fields) + "\n"
         checkpoint.write_text("".join(lines))
         message = {
             "30 outputs": f"{checkpoint} maps {STATE_DIM} inputs to 30 outputs; "
@@ -247,6 +256,13 @@ class TestEval:
                               "invalid literal for int() with base 10: 'eighty'",
             "typo in a weight": f"{checkpoint} line 3: online w1: "
                                 "could not convert string to float: '0.1x'",
+            "nan learning rate": f"{checkpoint} line 2: learning_rate must be finite "
+                                 "and >= 0, got nan",
+            "negative learning rate": f"{checkpoint} line 2: learning_rate must be finite "
+                                      "and >= 0, got -0.5",
+            "nan clip norm": f"{checkpoint} line 2: clip_norm must be finite and >= 0, got nan",
+            "-inf clip norm": f"{checkpoint} line 2: clip_norm must be finite and >= 0, "
+                              "got -inf",
         }[case]
         out = ["--out", str(tmp_path / "out")] if command == "chat" else []
         assert main([command, "--checkpoint", str(checkpoint), *out]) == 1

@@ -69,12 +69,11 @@ class TestForward:
 
     def test_target_starts_equal_then_diverges(self, rng):
         net = _random_net(rng)
-        s = rng.normal(size=(3, net.input_dim))
-        np.testing.assert_array_equal(net.forward(s), net.forward(s, use_target=True))
-        net.td_train_step(_random_batch(rng, net), 0.9)
-        assert not np.array_equal(net.forward(s), net.forward(s, use_target=True))
+        np.testing.assert_array_equal(net.online_flat, net.target_flat)
+        net.td_train_steps([_random_batch(rng, net)], 0.9)
+        assert not np.array_equal(net.online_flat, net.target_flat)
         net.sync_target()
-        np.testing.assert_array_equal(net.forward(s), net.forward(s, use_target=True))
+        np.testing.assert_array_equal(net.online_flat, net.target_flat)
 
 
 class TestGradients:
@@ -127,7 +126,8 @@ class TestTdTargets:
         q = net.forward(batch.state)
         q_sel = q[np.arange(6), batch.action]
         expected = float(np.mean((q_sel - batch.reward) ** 2))
-        assert net.td_train_step(batch, 0.0) == pytest.approx(expected)
+        [loss], _ = net.td_train_steps([batch], 0.0)
+        assert loss == pytest.approx(expected)
 
     def test_terminal_transitions_ignore_bootstrap(self, rng):
         net = _random_net(rng)
@@ -141,11 +141,12 @@ class TestTdTargets:
 
     def test_nonterminal_bootstrap_uses_target_max(self, rng):
         net = _random_net(rng)
+        target = pickle.loads(pickle.dumps(net))  # fresh: its online weights are net's target
+        net.td_train_steps([_random_batch(rng, net)], 0.9)
         batch = _random_batch(rng, net, size=4)
         batch.terminal[:] = False
         gamma = 0.9
-        y = batch.reward + gamma * net.forward(
-            batch.next_state, use_target=True).max(axis=1)
+        y = batch.reward + gamma * target.forward(batch.next_state).max(axis=1)
         q_sel = net.forward(batch.state)[np.arange(4), batch.action]
         expected = float(np.mean((q_sel - y) ** 2))
         loss, _ = net.td_loss_and_grads(batch, gamma)
@@ -154,37 +155,49 @@ class TestTdTargets:
     def test_training_reduces_loss_on_a_fixed_batch(self, rng):
         net = _random_net(rng)
         batch = _random_batch(rng, net, size=8)
-        first = net.td_train_step(batch, 0.9)
-        for _ in range(200):
-            last = net.td_train_step(batch, 0.9)
-        assert last < first
+        losses, _ = net.td_train_steps([batch] * 201, 0.9)
+        assert losses[-1] < losses[0]
 
     def test_empty_batch_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
         empty = Transition(np.zeros((0, 3)), np.zeros(0, dtype=int),
                            np.zeros(0), np.zeros((0, 3)), np.zeros(0, dtype=bool))
         with pytest.raises(NeuralError):
-            net.td_train_step(empty, 0.9)
+            net.td_train_steps([empty], 0.9)
 
     def test_bad_gamma_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
         with pytest.raises(NeuralError):
-            net.td_train_step(_random_batch(rng, net, size=2), 1.5)
+            net.td_train_steps([_random_batch(rng, net, size=2)], 1.5)
 
     def test_out_of_range_action_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
         batch = _random_batch(rng, net, size=2)
         batch.action[0] = 2
         with pytest.raises(NeuralError):
-            net.td_train_step(batch, 0.9)
+            net.td_train_steps([batch], 0.9)
 
+    def test_a_refused_minibatch_keeps_the_steps_before_it(self, rng):
+        """Each minibatch is checked before its own step: the first step of
+        three stays applied when the second is refused, and the third never runs."""
+        net = _random_net(rng)
+        twin = pickle.loads(pickle.dumps(net))
+        first, bad, third = (_random_batch(rng, net) for _ in range(3))
+        bad.action[0] = net.output_dim
+        with pytest.raises(NeuralError, match="action index out of range"):
+            net.td_train_steps([first, bad, third], 0.9)
+        twin.td_train_steps([first], 0.9)
+        assert not np.array_equal(net.online_flat, net.target_flat)
+        for name in ("online_flat", "_adam_m", "_adam_v"):
+            np.testing.assert_array_equal(getattr(net, name), getattr(twin, name))
+        assert net._adam_t == twin._adam_t == 1
 
     def test_nan_parameter_makes_the_step_raise(self, rng):
         net = _random_net(rng)
         net.online["w2"][0, 0] = np.nan
         before = net.online_flat.copy()
         with pytest.raises(NeuralError, match="non-finite TD loss"):
-            net.td_train_step(_random_batch(rng, net), 0.9)
+            net.td_train_steps([_random_batch(rng, net)], 0.9)
         np.testing.assert_array_equal(net.online_flat, before)
 
 
@@ -225,26 +238,28 @@ class TestFlatLayout:
 
     def test_sync_target_copies_rather_than_aliases(self, rng):
         net = _random_net(rng)
-        net.td_train_step(_random_batch(rng, net), 0.9)
+        net.td_train_steps([_random_batch(rng, net)], 0.9)
         net.sync_target()
         synced = net.target_flat.copy()
         np.testing.assert_array_equal(synced, net.online_flat)
         assert not np.shares_memory(net.target_flat, net.online_flat)
-        net.td_train_step(_random_batch(rng, net), 0.9)
+        net.td_train_steps([_random_batch(rng, net)], 0.9)
         net.online["b2"][0] += 1.0
         np.testing.assert_array_equal(net.target_flat, synced)
 
     def test_pickled_net_keeps_its_views_and_trains_bit_for_bit(self, rng):
         net = _random_net(rng)
         for _ in range(3):
-            net.td_train_step(_random_batch(rng, net), 0.9)
+            net.td_train_steps([_random_batch(rng, net)], 0.9)
         copy = pickle.loads(pickle.dumps(net))
         for views, flat in ((copy.online, copy.online_flat), (copy.target, copy.target_flat),
                             (copy._grad_views, copy._grad)):
             for name in PARAM_NAMES:
                 assert np.shares_memory(views[name], flat)
         batch = _random_batch(rng, net)
-        assert copy.td_train_step(batch, 0.9) == net.td_train_step(batch, 0.9)
+        [copy_loss], _ = copy.td_train_steps([batch], 0.9)
+        [loss], _ = net.td_train_steps([batch], 0.9)
+        assert copy_loss == loss
         for name in ("online_flat", "target_flat", "_adam_m", "_adam_v"):
             np.testing.assert_array_equal(getattr(copy, name), getattr(net, name))
         assert copy._adam_t == net._adam_t
@@ -263,7 +278,8 @@ class TestFlatLayout:
             for t in range(1, 6):
                 batch = _random_batch(rng, net)
                 expected = _per_array_step(net, params, adam_m, adam_v, t, batch, 0.9)
-                assert net.td_train_step(batch, 0.9) == expected
+                [loss], _ = net.td_train_steps([batch], 0.9)
+                assert loss == expected
                 for name in PARAM_NAMES:
                     np.testing.assert_array_equal(net.online[name], params[name])
 
@@ -271,9 +287,9 @@ class TestFlatLayout:
 class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, rng, tmp_path):
         net = _random_net(rng)
-        net.td_train_step(_random_batch(rng, net), 0.9)
+        net.td_train_steps([_random_batch(rng, net)], 0.9)
         net.sync_target()
-        net.td_train_step(_random_batch(rng, net), 0.9)
+        net.td_train_steps([_random_batch(rng, net)], 0.9)
         path = tmp_path / "net.qfn"
         net.save(path)
         loaded = QFunction.load(path)
@@ -285,14 +301,12 @@ class TestCheckpoint:
 
     def test_round_trip_is_exact(self, rng, tmp_path):
         net = _random_net(rng)
-        net.td_train_step(_random_batch(rng, net), 0.9)
+        net.td_train_steps([_random_batch(rng, net)], 0.9)
         path = tmp_path / "net.qfn"
         net.save(path)
         loaded = QFunction.load(path)
         s = rng.normal(size=(5, net.input_dim))
         np.testing.assert_array_equal(net.forward(s), loaded.forward(s))
-        np.testing.assert_array_equal(net.forward(s, use_target=True),
-                                      loaded.forward(s, use_target=True))
         assert (loaded.learning_rate, loaded.clip_norm) == (
             net.learning_rate, net.clip_norm)
 

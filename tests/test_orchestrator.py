@@ -39,6 +39,7 @@ from acl_dqn.orchestrator import (
     write_phase_log_csv,
     write_teacher_log_csv,
 )
+from acl_dqn.replay import BATCH_SIZE
 from acl_dqn.student import N_ACTIONS, STATE_DIM, epsilon_policy, run_episode, run_greedy_episodes
 from acl_dqn.user_sim import KnowledgeBase
 
@@ -209,6 +210,34 @@ class TestRunTraining:
             run_training(config, 1, corpus, kb)
         assert "epoch 1" in str(err.value)
         assert set(steps_asked) == {updates_per_epoch or 1}
+
+    @pytest.mark.parametrize("net, agent_kind, updates_per_epoch, epoch", [
+        ("student", "dqn", None, 1),
+        ("student", "dqn", 3, 3),
+        ("teacher", "acl-c", None, 18),
+    ], ids=["per-transition", "per-epoch", "teacher"])
+    def test_non_finite_td_loss_names_the_net_and_the_epoch(self, corpus, kb, monkeypatch,
+                                                            net, agent_kind,
+                                                            updates_per_epoch, epoch):
+        """A NaN poisoned into the net before its third TD update from a full
+        minibatch makes that update's loss non-finite."""
+        real_step = getattr(orchestrator, f"{net}_train_step")
+        updates = []
+
+        def poisoning_step(q, buffer, rng, steps=1):
+            if len(buffer) >= BATCH_SIZE:
+                updates.append(steps)
+                if len(updates) == 3:
+                    q.online["b1"][0] = np.nan
+            return real_step(q, buffer, rng, steps)
+
+        monkeypatch.setattr(orchestrator, f"{net}_train_step", poisoning_step)
+        config = dataclasses.replace(SMALL, agent_kind=agent_kind,
+                                     updates_per_epoch=updates_per_epoch)
+        with pytest.raises(NeuralError) as err:
+            run_training(config, 1, corpus, kb)
+        assert str(err.value) == f"{net} TD update in epoch {epoch}: non-finite TD loss nan"
+        assert len(updates) == 3
 
     def test_different_seeds_differ(self, corpus, kb):
         a = run_training(SMALL, 3, corpus, kb)

@@ -20,14 +20,6 @@ from acl_dqn.replay import (
 from acl_dqn.student import N_ACTIONS, STATE_DIM, rbs_prefill
 
 
-def _one_step(batch):
-    """A one-step sample as a Transition of arrays: its fields hold one entry
-    per step, the states as an iterator."""
-    [state], [next_state] = batch.state, batch.next_state
-    [action], [reward], [terminal] = batch.action, batch.reward, batch.terminal
-    return Transition(state, action, reward, next_state, terminal)
-
-
 def _transition(tag, dim=3, terminal=False, reward=0.0):
     state = np.full(dim, float(tag))
     return Transition(state, 0, reward, state + 0.5, terminal)
@@ -56,28 +48,27 @@ class TestReplayBuffer:
         assert buf.sample(5, rng) is not None
 
     def test_sample_shapes_and_membership(self, rng):
-        """One entry per step in every field; a step's rows are whole transitions."""
+        """One minibatch per step, of [16] arrays; its rows are whole transitions."""
         buf = ReplayBuffer(capacity=50, dim=3)
         for tag in range(20):
             buf.push(_transition(tag, reward=float(tag), terminal=tag % 2 == 0))
-        batches = buf.sample(16, rng, steps=3)
-        assert batches.action.shape == batches.reward.shape == batches.terminal.shape == (3, 16)
-        states, next_states = list(batches.state), list(batches.next_state)
-        assert len(states) == len(next_states) == 3
-        for step in range(3):
-            assert states[step].shape == next_states[step].shape == (16, 3)
+        batches = list(buf.sample(16, rng, steps=3))
+        assert len(batches) == 3
+        for batch in batches:
+            assert batch.state.shape == batch.next_state.shape == (16, 3)
+            assert batch.action.shape == batch.reward.shape == batch.terminal.shape == (16,)
             for i in range(16):
-                tag = int(states[step][i, 0])
+                tag = int(batch.state[i, 0])
                 assert 0 <= tag < 20
-                assert next_states[step][i, 0] == tag + 0.5
-                assert batches.reward[step, i] == float(tag)
-                assert bool(batches.terminal[step, i]) == (tag % 2 == 0)
+                assert batch.next_state[i, 0] == tag + 0.5
+                assert batch.reward[i] == float(tag)
+                assert bool(batch.terminal[i]) == (tag % 2 == 0)
 
     def test_sampling_is_with_replacement(self):
         buf = ReplayBuffer(capacity=10, dim=3)
         for tag in range(10):
             buf.push(_transition(tag))
-        batch = _one_step(buf.sample(10, np.random.default_rng(0)))
+        [batch] = buf.sample(10, np.random.default_rng(0))
         tags = [int(s[0]) for s in batch.state]
         assert len(set(tags)) < len(tags)
 
@@ -85,8 +76,8 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=10, dim=3)
         for tag in range(10):
             buf.push(_transition(tag))
-        b1 = _one_step(buf.sample(4, np.random.default_rng(3)))
-        b2 = _one_step(buf.sample(4, np.random.default_rng(3)))
+        [b1] = buf.sample(4, np.random.default_rng(3))
+        [b2] = buf.sample(4, np.random.default_rng(3))
         np.testing.assert_array_equal(b1.state, b2.state)
         np.testing.assert_array_equal(b1.action, b2.action)
 
@@ -128,11 +119,11 @@ class TestReplayBuffer:
             np.testing.assert_array_equal(held.state, np.stack([o.state for o in oracle]))
             np.testing.assert_array_equal(held.next_state,
                                           np.stack([o.next_state for o in oracle]))
-            batch = buf.sample(16, np.random.default_rng(pushed))
+            batches = buf.sample(16, np.random.default_rng(pushed))
             if len(oracle) < 16:
-                assert batch is None
+                assert batches is None
                 continue
-            batch = _one_step(batch)
+            [batch] = batches
             idx = np.random.default_rng(pushed).integers(0, len(oracle), size=16)
             picks = [oracle[int(i)] for i in idx]
             np.testing.assert_array_equal(batch.state, np.stack([p.state for p in picks]))

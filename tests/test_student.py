@@ -6,6 +6,7 @@ from acl_dqn.neural import QFunction
 from acl_dqn.replay import ReplayBuffer, train_step
 from acl_dqn.student import (
     ACTION_INDEX,
+    EPSILON_START,
     FAILURE_PENALTY,
     N_ACTIONS,
     STATE_DIM,
@@ -164,13 +165,15 @@ class TestRewards:
 
 class TestEpsilonSchedule:
     def test_linear_decay_then_floor(self):
-        assert epsilon_at(0) == 0.3
-        assert epsilon_at(100) == pytest.approx(0.155)
-        assert epsilon_at(200) == 0.01
-        assert epsilon_at(10_000) == 0.01
+        assert EPSILON_START == 0.3
+        assert epsilon_at(0, 0.01, 200) == 0.3
+        assert epsilon_at(100, 0.01, 200) == pytest.approx(0.155)
+        assert epsilon_at(200, 0.01, 200) == 0.01
+        assert epsilon_at(10_000, 0.01, 200) == 0.01
+        assert epsilon_at(150, 0.1, 300) == pytest.approx(0.2)
 
     def test_monotone_nonincreasing(self):
-        values = [epsilon_at(e) for e in range(300)]
+        values = [epsilon_at(e, 0.01, 200) for e in range(300)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
