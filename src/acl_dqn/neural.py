@@ -108,43 +108,53 @@ class QFunction:
 
     def td_loss_and_grads(self, batch, gamma: float) -> tuple[float, dict[str, np.ndarray]]:
         """Mean-squared TD loss and its unclipped gradients w.r.t. the online
-        parameters, in fresh arrays. ``batch`` is a replay ``Transition`` of
-        arrays: states [B, input_dim], actions [B], rewards [B], next states
-        [B, input_dim] and terminal flags [B].
+        parameters, in fresh arrays. ``batch`` is one minibatch, a replay
+        ``Transition`` of arrays: states [B, input_dim], actions [B], rewards
+        [B], next states [B, input_dim] and terminal flags [B].
 
         Targets bootstrap from the target copy and are masked on terminal
         transitions: y = r + gamma * max_a' Q_target(s') * (1 - terminal).
         """
         grads = {name: np.empty(self._shapes[name]) for name in GRAD_ORDER}
-        return self._td_backprop(batch, gamma, self._target_w1t(), grads), grads
+        y = self._td_targets(batch, gamma, self._target_w1t())
+        actions = batch.action
+        self._check(len(actions), actions.min(initial=0), actions.max(initial=0))
+        return self._td_backprop(batch.state, actions, y, grads), grads
 
-    def _checked(self, batch, gamma: float):
-        """``batch``, once its minibatch and ``gamma`` pass the checks."""
-        if len(batch.action) == 0:
+    def _check(self, size: int, low: int, high: int) -> None:
+        """Refuse a minibatch of ``size`` transitions, its action indices
+        spanning [low, high], when it is empty or an index names no output."""
+        if size == 0:
             raise NeuralError("empty minibatch")
-        if not 0.0 <= gamma <= 1.0:
-            raise NeuralError("gamma must lie in [0, 1]")
-        if batch.action.max() >= self.output_dim:
-            raise NeuralError("action index out of range")
-        return batch
+        if low < 0:
+            raise NeuralError(f"action index out of range: {low} is negative")
+        if high >= self.output_dim:
+            raise NeuralError(
+                f"action index out of range: {high} >= {self.output_dim} outputs")
 
     def _target_w1t(self) -> np.ndarray:
         """The target w1.T, contiguous: a matmul on it equals one on the
         transposed view and takes less than half the time."""
         return np.ascontiguousarray(self.target["w1"].T)
 
-    def _td_backprop(self, batch, gamma: float, target_w1t: np.ndarray,
+    def _td_targets(self, batch, gamma: float, target_w1t: np.ndarray) -> np.ndarray:
+        """The TD targets of a minibatch, or of a block with a leading step
+        axis, from one forward of the target net. Numpy computes a block's
+        [k, B, input_dim] stack one minibatch at a time, with the matmul a
+        lone minibatch takes, so each row equals its minibatch's targets bit
+        for bit."""
+        if not 0.0 <= gamma <= 1.0:
+            raise NeuralError("gamma must lie in [0, 1]")
+        t = self.target
+        q_next = np.tanh(batch.next_state @ target_w1t + t["b1"]) @ t["w2"].T + t["b2"]
+        return batch.reward + gamma * q_next.max(axis=-1) * (~batch.terminal)
+
+    def _td_backprop(self, s: np.ndarray, actions: np.ndarray, y: np.ndarray,
                      grads: dict[str, np.ndarray]) -> float:
-        """The TD loss of one minibatch, checked first, with its gradients
-        written into ``grads``."""
-        s, actions, rewards, s2, terminal = self._checked(batch, gamma)
+        """The TD loss of one minibatch's states and actions against its
+        targets ``y``, with its gradients written into ``grads``."""
         n = len(actions)
         rows = np.arange(n)
-
-        t = self.target
-        q_next = np.tanh(s2 @ target_w1t + t["b1"]) @ t["w2"].T + t["b2"]
-        y = rewards + gamma * q_next.max(axis=1) * (~terminal)
-
         p = self.online
         h = np.tanh(s @ p["w1"].T + p["b1"])
         q = h @ p["w2"].T + p["b2"]
@@ -161,38 +171,49 @@ class QFunction:
         np.add.reduce(dpre, axis=0, out=grads["b1"])
         return loss
 
-    def td_train_steps(self, batches, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    def td_train_steps(self, blocks, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """One clipped Adam step on the mean-squared TD loss per minibatch of
-        ``batches``, in order, against one copy of the target net. Each
-        minibatch is laid out as in ``td_loss_and_grads`` and checked before
-        its own step: one that fails raises with the steps before it applied.
+        ``blocks``, in order, against one copy of the target net. A block is a
+        replay ``Transition`` whose fields have a leading step axis, states
+        [k, B, input_dim] and the rest [k, B]: row i is the minibatch of one
+        step, laid out as in ``td_loss_and_grads``, and a lone minibatch is a
+        block with k = 1. Each block's targets take one stacked target
+        forward; each minibatch is checked just before its own step, and one
+        that fails raises with the steps before it applied.
         Returns each step's pre-step loss and pre-clip gradient norm.
         """
         target_w1t = self._target_w1t()
         g, m, v, tmp = self._grad, self._adam_m, self._adam_v, self._scratch
         losses, norms = [], []
-        for batch in batches:
-            loss = self._td_backprop(batch, gamma, target_w1t, self._grad_views)
-            if not math.isfinite(loss):
-                raise NeuralError(f"non-finite TD loss {loss!r}")
-            norms.append(clip_gradients(self._grad_views, self.clip_norm, flat=g))
-            losses.append(loss)
-            self._adam_t += 1
-            b1c = 1.0 - 0.9 ** self._adam_t
-            b2c = 1.0 - 0.999 ** self._adam_t
-            m *= 0.9
-            m += np.multiply(0.1, g, out=tmp)
-            v *= 0.999
-            np.multiply(0.001, g, out=tmp)
-            v += np.multiply(tmp, g, out=tmp)
-            # The step is lr * (m / b1c) / (sqrt(v / b2c) + 1e-8); g is free now.
-            np.divide(v, b2c, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += 1e-8
-            np.divide(m, b1c, out=g)
-            np.multiply(self.learning_rate, g, out=g)
-            g /= tmp
-            self.online_flat -= g
+        for block in blocks:
+            ys = self._td_targets(block, gamma, target_w1t)
+            actions = block.action
+            lows = actions.min(axis=1, initial=0).tolist()
+            highs = actions.max(axis=1, initial=0).tolist()
+            for s, a, y, low, high in zip(block.state, actions, ys, lows, highs):
+                self._check(len(a), low, high)
+                loss = self._td_backprop(s, a, y, self._grad_views)
+                if not math.isfinite(loss):
+                    raise NeuralError(f"non-finite TD loss {loss!r}")
+                norms.append(clip_gradients(self._grad_views, self.clip_norm, flat=g))
+                losses.append(loss)
+                self._adam_t += 1
+                b1c = 1.0 - 0.9 ** self._adam_t
+                b2c = 1.0 - 0.999 ** self._adam_t
+                m *= 0.9
+                m += np.multiply(0.1, g, out=tmp)
+                v *= 0.999
+                np.multiply(0.001, g, out=tmp)
+                v += np.multiply(tmp, g, out=tmp)
+                # The step is lr * (m / b1c) / (sqrt(v / b2c) + 1e-8); g is free
+                # now. A correction that has rounded to exactly 1.0 (b1c from
+                # t = 356 on, b2c from t = 37 412 on) divides by nothing.
+                np.sqrt(v if b2c == 1.0 else np.divide(v, b2c, out=tmp), out=tmp)
+                tmp += 1e-8
+                np.multiply(self.learning_rate,
+                            m if b1c == 1.0 else np.divide(m, b1c, out=g), out=g)
+                g /= tmp
+                self.online_flat -= g
         return np.array(losses), np.array(norms)
 
     def sync_target(self) -> None:

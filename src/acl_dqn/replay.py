@@ -16,6 +16,9 @@ BATCH_SIZE = 16
 # The ring grows by this many rows at a time up to its capacity, so a
 # buffer that never fills never holds the memory of a full one.
 GROW_ROWS = 512
+# Steps per block of a replay draw. A block's two state stacks are
+# [8, 16, dim], 115 KB each for the student, gathered when it is read.
+BLOCK_STEPS = 8
 
 
 class ReplayError(Exception):
@@ -87,7 +90,7 @@ class ReplayBuffer:
 
     def rows(self, ages: np.ndarray) -> Transition:
         """Copies of the transitions at the given ages (0 is the oldest), one
-        array per field."""
+        array per field, shaped as ``ages``; states add a trailing dim."""
         idx = self._row_index(ages)
         return Transition(self.states[idx], self.actions[idx], self.rewards[idx],
                           self.next_states[idx], self.terminal[idx])
@@ -95,20 +98,18 @@ class ReplayBuffer:
     def sample(self, batch_size: int, rng: np.random.Generator,
                steps: int = 1) -> Iterator[Transition] | None:
         """``steps`` minibatches from one uniform draw of [steps, batch_size]
-        ages, with replacement; None, drawing nothing, when underfull.
+        ages, with replacement, in blocks of up to BLOCK_STEPS steps; None,
+        drawing nothing, when underfull.
 
-        Each minibatch is a ``Transition`` of [batch_size] arrays, its states
-        [batch_size, dim]. Actions, rewards and terminal flags are gathered
-        for every step at once, a step's two state matrices only when the
-        iterator reaches it, so one step's are held at a time. Read the
-        minibatches before the next push.
+        A block is a ``Transition`` of [k, batch_size] arrays, its states
+        [k, batch_size, dim]: row i is one step's minibatch. Each block is
+        gathered when the iterator reaches it, so the whole draw's rows are
+        never held at once. Read the blocks before the next push.
         """
         if self._size < batch_size:
             return None
-        idx = self._row_index(rng.integers(0, self._size, size=(steps, batch_size)))
-        return map(Transition, map(self.states.__getitem__, idx), self.actions[idx],
-                   self.rewards[idx], map(self.next_states.__getitem__, idx),
-                   self.terminal[idx])
+        ages = rng.integers(0, self._size, size=(steps, batch_size))
+        return map(self.rows, np.split(ages, range(BLOCK_STEPS, steps, BLOCK_STEPS)))
 
 
 def train_step(q: QFunction, buffer: ReplayBuffer, rng: np.random.Generator,

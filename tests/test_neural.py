@@ -34,6 +34,11 @@ def _random_batch(rng, net, size=None):
     )
 
 
+def _block(*minibatches):
+    """The minibatches stacked as one block, a step per row."""
+    return Transition(*map(np.stack, zip(*minibatches)))
+
+
 def _fd_gradient(net, batch, gamma, name, index):
     original = net.online[name].flat[index]
     net.online[name].flat[index] = original + FD_EPS
@@ -70,7 +75,7 @@ class TestForward:
     def test_target_starts_equal_then_diverges(self, rng):
         net = _random_net(rng)
         np.testing.assert_array_equal(net.online_flat, net.target_flat)
-        net.td_train_steps([_random_batch(rng, net)], 0.9)
+        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         assert not np.array_equal(net.online_flat, net.target_flat)
         net.sync_target()
         np.testing.assert_array_equal(net.online_flat, net.target_flat)
@@ -126,7 +131,7 @@ class TestTdTargets:
         q = net.forward(batch.state)
         q_sel = q[np.arange(6), batch.action]
         expected = float(np.mean((q_sel - batch.reward) ** 2))
-        [loss], _ = net.td_train_steps([batch], 0.0)
+        [loss], _ = net.td_train_steps([_block(batch)], 0.0)
         assert loss == pytest.approx(expected)
 
     def test_terminal_transitions_ignore_bootstrap(self, rng):
@@ -142,7 +147,7 @@ class TestTdTargets:
     def test_nonterminal_bootstrap_uses_target_max(self, rng):
         net = _random_net(rng)
         target = pickle.loads(pickle.dumps(net))  # fresh: its online weights are net's target
-        net.td_train_steps([_random_batch(rng, net)], 0.9)
+        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         batch = _random_batch(rng, net, size=4)
         batch.terminal[:] = False
         gamma = 0.9
@@ -155,7 +160,7 @@ class TestTdTargets:
     def test_training_reduces_loss_on_a_fixed_batch(self, rng):
         net = _random_net(rng)
         batch = _random_batch(rng, net, size=8)
-        losses, _ = net.td_train_steps([batch] * 201, 0.9)
+        losses, _ = net.td_train_steps([_block(batch)] * 201, 0.9)
         assert losses[-1] < losses[0]
 
     def test_empty_batch_rejected(self, rng):
@@ -163,30 +168,30 @@ class TestTdTargets:
         empty = Transition(np.zeros((0, 3)), np.zeros(0, dtype=int),
                            np.zeros(0), np.zeros((0, 3)), np.zeros(0, dtype=bool))
         with pytest.raises(NeuralError):
-            net.td_train_steps([empty], 0.9)
+            net.td_train_steps([_block(empty)], 0.9)
 
     def test_bad_gamma_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
         with pytest.raises(NeuralError):
-            net.td_train_steps([_random_batch(rng, net, size=2)], 1.5)
+            net.td_train_steps([_block(_random_batch(rng, net, size=2))], 1.5)
 
     def test_out_of_range_action_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
         batch = _random_batch(rng, net, size=2)
         batch.action[0] = 2
         with pytest.raises(NeuralError):
-            net.td_train_steps([batch], 0.9)
+            net.td_train_steps([_block(batch)], 0.9)
 
     def test_a_refused_minibatch_keeps_the_steps_before_it(self, rng):
         """Each minibatch is checked before its own step: the first step of
         three stays applied when the second is refused, and the third never runs."""
         net = _random_net(rng)
         twin = pickle.loads(pickle.dumps(net))
-        first, bad, third = (_random_batch(rng, net) for _ in range(3))
+        first, bad, third = (_random_batch(rng, net, size=4) for _ in range(3))
         bad.action[0] = net.output_dim
         with pytest.raises(NeuralError, match="action index out of range"):
-            net.td_train_steps([first, bad, third], 0.9)
-        twin.td_train_steps([first], 0.9)
+            net.td_train_steps([_block(first, bad, third)], 0.9)
+        twin.td_train_steps([_block(first)], 0.9)
         assert not np.array_equal(net.online_flat, net.target_flat)
         for name in ("online_flat", "_adam_m", "_adam_v"):
             np.testing.assert_array_equal(getattr(net, name), getattr(twin, name))
@@ -197,8 +202,46 @@ class TestTdTargets:
         net.online["w2"][0, 0] = np.nan
         before = net.online_flat.copy()
         with pytest.raises(NeuralError, match="non-finite TD loss"):
-            net.td_train_steps([_random_batch(rng, net)], 0.9)
+            net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         np.testing.assert_array_equal(net.online_flat, before)
+
+    def test_a_negative_action_is_refused_after_the_steps_before_it(self, rng):
+        """Numpy would read action -1 from the end of the outputs: the second
+        minibatch is refused, naming the fault, with the first step applied."""
+        net = QFunction(3, 2, rng=rng)
+        twin = pickle.loads(pickle.dumps(net))
+        first, bad = (_random_batch(rng, net, size=2) for _ in range(2))
+        bad.action[:] = [-1, 0]
+        with pytest.raises(NeuralError, match="action index out of range: -1 is negative"):
+            net.td_train_steps([_block(first), _block(bad)], 0.9)
+        twin.td_train_steps([_block(first)], 0.9)
+        for name in ("online_flat", "_adam_m", "_adam_v"):
+            np.testing.assert_array_equal(getattr(net, name), getattr(twin, name))
+        assert net._adam_t == twin._adam_t == 1
+
+    def test_nan_in_the_target_weights_alone_makes_the_first_step_raise(self, rng):
+        net = _random_net(rng)
+        net.target["w2"][0, 0] = np.nan
+        before = [getattr(net, name).copy() for name in ("online_flat", "_adam_m", "_adam_v")]
+        block = _block(*(_random_batch(rng, net, size=4) for _ in range(3)))
+        with pytest.raises(NeuralError, match="non-finite TD loss"):
+            net.td_train_steps([block], 0.9)
+        for name, then in zip(("online_flat", "_adam_m", "_adam_v"), before):
+            np.testing.assert_array_equal(getattr(net, name), then)
+        assert net._adam_t == 0
+
+    @pytest.mark.parametrize("steps", [1, 5, 8])
+    def test_a_blocks_stacked_targets_equal_each_minibatchs_bit_for_bit(self, rng, steps):
+        """A block's targets take one stacked target forward."""
+        net = QFunction(112, 23, rng=rng)  # the student's shape
+        net.online_flat += rng.normal(scale=0.1, size=net.online_flat.size)
+        net.sync_target()
+        minibatches = [_random_batch(rng, net, size=16) for _ in range(steps)]
+        w1t = net._target_w1t()
+        stacked = net._td_targets(_block(*minibatches), 0.9, w1t)
+        assert stacked.shape == (steps, 16)
+        for row, minibatch in zip(stacked, minibatches):
+            assert row.tobytes() == net._td_targets(minibatch, 0.9, w1t).tobytes()
 
 
 def _per_array_step(net, params, adam_m, adam_v, t, batch, gamma):
@@ -238,27 +281,27 @@ class TestFlatLayout:
 
     def test_sync_target_copies_rather_than_aliases(self, rng):
         net = _random_net(rng)
-        net.td_train_steps([_random_batch(rng, net)], 0.9)
+        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         net.sync_target()
         synced = net.target_flat.copy()
         np.testing.assert_array_equal(synced, net.online_flat)
         assert not np.shares_memory(net.target_flat, net.online_flat)
-        net.td_train_steps([_random_batch(rng, net)], 0.9)
+        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         net.online["b2"][0] += 1.0
         np.testing.assert_array_equal(net.target_flat, synced)
 
     def test_pickled_net_keeps_its_views_and_trains_bit_for_bit(self, rng):
         net = _random_net(rng)
         for _ in range(3):
-            net.td_train_steps([_random_batch(rng, net)], 0.9)
+            net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         copy = pickle.loads(pickle.dumps(net))
         for views, flat in ((copy.online, copy.online_flat), (copy.target, copy.target_flat),
                             (copy._grad_views, copy._grad)):
             for name in PARAM_NAMES:
                 assert np.shares_memory(views[name], flat)
         batch = _random_batch(rng, net)
-        [copy_loss], _ = copy.td_train_steps([batch], 0.9)
-        [loss], _ = net.td_train_steps([batch], 0.9)
+        [copy_loss], _ = copy.td_train_steps([_block(batch)], 0.9)
+        [loss], _ = net.td_train_steps([_block(batch)], 0.9)
         assert copy_loss == loss
         for name in ("online_flat", "target_flat", "_adam_m", "_adam_v"):
             np.testing.assert_array_equal(getattr(copy, name), getattr(net, name))
@@ -278,7 +321,7 @@ class TestFlatLayout:
             for t in range(1, 6):
                 batch = _random_batch(rng, net)
                 expected = _per_array_step(net, params, adam_m, adam_v, t, batch, 0.9)
-                [loss], _ = net.td_train_steps([batch], 0.9)
+                [loss], _ = net.td_train_steps([_block(batch)], 0.9)
                 assert loss == expected
                 for name in PARAM_NAMES:
                     np.testing.assert_array_equal(net.online[name], params[name])
@@ -287,9 +330,9 @@ class TestFlatLayout:
 class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, rng, tmp_path):
         net = _random_net(rng)
-        net.td_train_steps([_random_batch(rng, net)], 0.9)
+        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         net.sync_target()
-        net.td_train_steps([_random_batch(rng, net)], 0.9)
+        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         path = tmp_path / "net.qfn"
         net.save(path)
         loaded = QFunction.load(path)
@@ -301,7 +344,7 @@ class TestCheckpoint:
 
     def test_round_trip_is_exact(self, rng, tmp_path):
         net = _random_net(rng)
-        net.td_train_steps([_random_batch(rng, net)], 0.9)
+        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
         path = tmp_path / "net.qfn"
         net.save(path)
         loaded = QFunction.load(path)

@@ -8,6 +8,7 @@ import pytest
 from acl_dqn.neural import PARAM_NAMES, QFunction, clip_gradients
 from acl_dqn.replay import (
     BATCH_SIZE,
+    BLOCK_STEPS,
     GAMMA,
     GROW_ROWS,
     STUDENT_CAPACITY,
@@ -23,6 +24,11 @@ from acl_dqn.student import N_ACTIONS, STATE_DIM, rbs_prefill
 def _transition(tag, dim=3, terminal=False, reward=0.0):
     state = np.full(dim, float(tag))
     return Transition(state, 0, reward, state + 0.5, terminal)
+
+
+def _minibatches(blocks):
+    """Each step's minibatch of sampled blocks, in step order."""
+    return [Transition(*fields) for block in blocks for fields in zip(*block)]
 
 
 class TestReplayBuffer:
@@ -52,7 +58,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=50, dim=3)
         for tag in range(20):
             buf.push(_transition(tag, reward=float(tag), terminal=tag % 2 == 0))
-        batches = list(buf.sample(16, rng, steps=3))
+        batches = _minibatches(buf.sample(16, rng, steps=3))
         assert len(batches) == 3
         for batch in batches:
             assert batch.state.shape == batch.next_state.shape == (16, 3)
@@ -68,7 +74,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=10, dim=3)
         for tag in range(10):
             buf.push(_transition(tag))
-        [batch] = buf.sample(10, np.random.default_rng(0))
+        [batch] = _minibatches(buf.sample(10, np.random.default_rng(0)))
         tags = [int(s[0]) for s in batch.state]
         assert len(set(tags)) < len(tags)
 
@@ -123,7 +129,7 @@ class TestReplayBuffer:
             if len(oracle) < 16:
                 assert batches is None
                 continue
-            [batch] = batches
+            [batch] = _minibatches(batches)
             idx = np.random.default_rng(pushed).integers(0, len(oracle), size=16)
             picks = [oracle[int(i)] for i in idx]
             np.testing.assert_array_equal(batch.state, np.stack([p.state for p in picks]))
@@ -132,6 +138,21 @@ class TestReplayBuffer:
             assert batch.action.tolist() == [p.action for p in picks]
             assert batch.reward.tolist() == [p.reward for p in picks]
             assert batch.terminal.tolist() == [p.terminal for p in picks]
+
+    def test_sample_yields_blocks_of_up_to_eight_steps(self, rng):
+        """13 steps come as blocks of 8 and 5, each row the step's rows of one
+        draw of [13, 16] ages."""
+        buf = _random_buffer(capacity=300, pushes=470)
+        state = rng.bit_generator.state
+        blocks = list(buf.sample(BATCH_SIZE, rng, steps=13))
+        assert BLOCK_STEPS == 8
+        assert [block.state.shape for block in blocks] == [(8, 16, STATE_DIM),
+                                                          (5, 16, STATE_DIM)]
+        assert [block.action.shape for block in blocks] == [(8, 16), (5, 16)]
+        rng.bit_generator.state = state
+        expected = buf.rows(rng.integers(0, len(buf), size=(13, BATCH_SIZE)))
+        for field, got in zip(expected, zip(*blocks)):
+            np.testing.assert_array_equal(np.concatenate(got), field)
 
     def test_a_reused_next_state_array_is_copied_on_push(self):
         """A caller may refill its next-state array in place between pushes:
@@ -193,49 +214,74 @@ def _random_buffer(capacity, pushes, seed=0):
     return buf
 
 
+def _reference_steps(q, buf, rng, steps):
+    """``steps`` TD steps on a copy of q, each drawing its 16 ages on its own:
+    td_loss_and_grads, clip_gradients and Adam written out per array, both
+    bias corrections divided at every t. Returns the copy, losses and norms."""
+    ref = pickle.loads(pickle.dumps(q))
+    m, v = ref._views(ref._adam_m), ref._views(ref._adam_v)
+    losses, norms = [], []
+    for _ in range(steps):
+        batch = buf.rows(rng.integers(0, len(buf), size=BATCH_SIZE))
+        loss, grads = ref.td_loss_and_grads(batch, GAMMA)
+        norms.append(clip_gradients(grads, ref.clip_norm))
+        losses.append(loss)
+        ref._adam_t += 1
+        t = ref._adam_t
+        b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for name in PARAM_NAMES:
+            g = grads[name]
+            m[name][...] = m[name] * 0.9 + 0.1 * g
+            v[name][...] = v[name] * 0.999 + 0.001 * g * g
+            ref.online[name][...] -= (ref.learning_rate * (m[name] / b1c)
+                                      / (np.sqrt(v[name] / b2c) + 1e-8))
+    return ref, losses, norms
+
+
+def _assert_trains_as_the_reference(q, buf, steps):
+    """train_step(steps) on q equals ``steps`` reference steps bit for bit."""
+    ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+    ref, ref_losses, ref_norms = _reference_steps(q, buf, ref_rng, steps)
+    losses, norms = train_step(q, buf, rng, steps=steps)
+    assert losses.tolist() == ref_losses
+    assert norms.tolist() == ref_norms
+    for name in ("online_flat", "target_flat", "_adam_m", "_adam_v"):
+        assert getattr(q, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert q._adam_t == ref._adam_t
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _trained_net(buf, clip_norm=1.0, adam_t=0):
+    """A net whose target is behind online, its Adam moments under way from
+    step ``adam_t``."""
+    q = QFunction(STATE_DIM, N_ACTIONS, clip_norm=clip_norm, rng=np.random.default_rng(1))
+    q._adam_t = adam_t
+    train_step(q, buf, np.random.default_rng(2), steps=7)
+    q.sync_target()
+    train_step(q, buf, np.random.default_rng(3), steps=3)
+    return q
+
+
 class TestTrainSteps:
     @pytest.mark.parametrize("clip_norm", [1.0, 1e6], ids=["clipped", "unclipped"])
     def test_one_draw_of_many_steps_is_the_steps_one_at_a_time(self, clip_norm):
         """train_step(steps=120) on a wrapped buffer equals 120 reference steps
-        bit for bit, each drawing its 16 ages on its own: td_loss_and_grads,
-        clip_gradients and Adam written out per array."""
+        bit for bit."""
         buf = _random_buffer(capacity=300, pushes=470)
         assert buf.head != 0
-        q = QFunction(STATE_DIM, N_ACTIONS, clip_norm=clip_norm,
-                      rng=np.random.default_rng(1))
-        train_step(q, buf, np.random.default_rng(2), steps=7)
-        q.sync_target()  # a target behind online, and Adam moments under way
-        train_step(q, buf, np.random.default_rng(3), steps=3)
+        _assert_trains_as_the_reference(_trained_net(buf, clip_norm), buf, 120)
 
-        ref = pickle.loads(pickle.dumps(q))
-        m, v = ref._views(ref._adam_m.copy()), ref._views(ref._adam_v.copy())
-        t = ref._adam_t
-        ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
-        ref_losses, ref_norms = [], []
-        for _ in range(120):
-            batch = buf.rows(ref_rng.integers(0, len(buf), size=BATCH_SIZE))
-            loss, grads = ref.td_loss_and_grads(batch, GAMMA)
-            ref_norms.append(clip_gradients(grads, ref.clip_norm))
-            ref_losses.append(loss)
-            t += 1
-            b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-            for name in PARAM_NAMES:
-                g = grads[name]
-                m[name][...] = m[name] * 0.9 + 0.1 * g
-                v[name][...] = v[name] * 0.999 + 0.001 * g * g
-                ref.online[name][...] -= (ref.learning_rate * (m[name] / b1c)
-                                          / (np.sqrt(v[name] / b2c) + 1e-8))
-
-        losses, norms = train_step(q, buf, rng, steps=120)
-        assert losses.tolist() == ref_losses
-        assert norms.tolist() == ref_norms
-        assert (q.online_flat.tobytes(), q.target_flat.tobytes()) == (
-            ref.online_flat.tobytes(), ref.target_flat.tobytes())
-        for name in PARAM_NAMES:
-            np.testing.assert_array_equal(q._views(q._adam_m)[name], m[name])
-            np.testing.assert_array_equal(q._views(q._adam_v)[name], v[name])
-        assert q._adam_t == t
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    @pytest.mark.parametrize("steps", [120, 13])
+    @pytest.mark.parametrize("adam_t", [0, 340, 400, 37_395, 40_000])
+    def test_steps_past_each_exact_bias_correction_match_the_reference(self, adam_t, steps):
+        """From t = 356 on 1 - 0.9**t is exactly 1.0, and from t = 37 412 on so
+        is 1 - 0.999**t: the step skips each divide there, the reference never
+        does. The compared steps start at adam_t + 11, so 340 and 37 395 cross
+        a threshold; 13 steps end in a partial block."""
+        assert (1.0 - 0.9 ** 356, 1.0 - 0.999 ** 37_412) == (1.0, 1.0)
+        assert 1.0 - 0.9 ** 355 < 1.0 and 1.0 - 0.999 ** 37_411 < 1.0
+        buf = _random_buffer(capacity=300, pushes=470)
+        _assert_trains_as_the_reference(_trained_net(buf, adam_t=adam_t), buf, steps)
 
     def test_underfull_buffer_draws_and_trains_nothing(self):
         buf = _random_buffer(capacity=300, pushes=BATCH_SIZE - 1)
