@@ -3,10 +3,8 @@
 # Outputs land under results/: learning curves and stability table for the
 # agent comparison, goal-selection counts for the ORP ablation, and one
 # curve per mastery threshold for the alpha sweep.
-# The CLI trains under the package defaults, not under the acceptance
-# profile (orchestrator.ACCEPTANCE_PROFILE) that the cached runs in
-# results/acceptance/ were made with; scripts/verify_cache.py checks that
-# cache against a retrain, and writes it when it is absent.
+# The comparison's dqn, acl-a, acl-a-noorp and acl-c runs are the cached runs
+# in results/acceptance/, which scripts/verify_cache.py checks.
 set -eu
 cd "$(dirname "$0")/.."
 

@@ -263,7 +263,7 @@ def test_criterion_10_reward_accounting(corpus, kb):
 
 
 def test_criterion_11_determinism(corpus, kb, tmp_path):
-    config = TrainConfig(num_epochs=25, eval_every=5, eval_dialogues=10)
+    config = TrainConfig(num_epochs=25, eval_every=5, eval_dialogues=10, updates_per_epoch=30)
     digests = []
     for i in range(2):
         result = run_training(config, 9, corpus, kb)

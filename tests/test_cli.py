@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from acl_dqn import cli
 from acl_dqn.cli import main, render_act, run_chat_session
 from acl_dqn.domain import ActType, DialogueAct, inform_act, request_act
 from acl_dqn.neural import QFunction
+from acl_dqn.orchestrator import (ACCEPTANCE_AGENTS, ACCEPTANCE_ENV_SEED, ACCEPTANCE_PROFILE,
+                                  ACCEPTANCE_SEEDS, TrainConfig)
 from acl_dqn.student import N_ACTIONS, STATE_DIM
 from acl_dqn.user_sim import designated_row
 
+REPO = Path(__file__).resolve().parent.parent
 FAST = ["--epochs", "12", "--eval-every", "4", "--eval-dialogues", "4"]
 
 
@@ -370,6 +375,21 @@ class TestCompare:
                      "--goals", str(goals), "--out", str(tmp_path / "cmp"), *FAST])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_reproduce_script_builds_the_cached_runs_configs(self):
+        """scripts/reproduce.sh's comparison trains each cached agent under the
+        cached run's config, on the cached run's corpus and KB. A run is
+        deterministic in (config, seed), so nothing needs training here."""
+        script = (REPO / "scripts" / "reproduce.sh").read_text(encoding="utf-8")
+        command = next(c for c in script.replace("\\\n", " ").splitlines()
+                       if c.startswith("acl-dqn compare "))
+        args = cli.build_parser().parse_args(shlex.split(command)[1:])
+        configs = {a: cli._config_from_args(args, a) for a in args.agents.split(",")}
+        for agent in ACCEPTANCE_AGENTS:
+            assert configs[agent] == TrainConfig(agent_kind=agent, **ACCEPTANCE_PROFILE)
+        seeds = cli._parse_seeds(args.seeds)
+        assert seeds[0] == ACCEPTANCE_ENV_SEED
+        assert set(ACCEPTANCE_SEEDS) <= set(seeds)
 
 
 class TestSweepAlpha:

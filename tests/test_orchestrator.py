@@ -45,7 +45,7 @@ from acl_dqn.user_sim import KnowledgeBase
 
 REPO = Path(__file__).resolve().parent.parent
 CACHE = REPO / "results" / "acceptance"
-SMALL = TrainConfig(num_epochs=30, eval_every=5, eval_dialogues=5)
+SMALL = TrainConfig(num_epochs=30, eval_every=5, eval_dialogues=5, updates_per_epoch=30)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +68,9 @@ class TestConfig:
             TrainConfig(num_epochs=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("epoch_size", 0), ("updates_per_epoch", 0), ("updates_per_epoch", -3),
-        ("alpha", -1.0), ("alpha", 2.0), ("alpha", float("nan")), ("epsilon_end", 1.5)])
+        ("epoch_size", 0), ("epoch_size", None), ("updates_per_epoch", 0),
+        ("updates_per_epoch", -3), ("updates_per_epoch", None), ("alpha", -1.0),
+        ("alpha", 2.0), ("alpha", float("nan")), ("epsilon_end", 1.5)])
     def test_out_of_range_value_names_its_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
@@ -193,10 +194,7 @@ class TestRunTraining:
         assert a.metrics.eval_rows == b.metrics.eval_rows
         assert a.metrics.teacher_log == b.metrics.teacher_log
 
-    @pytest.mark.parametrize("updates_per_epoch", [None, 3],
-                             ids=["per-transition", "per-epoch"])
-    def test_poisoned_student_parameters_stop_the_run(self, corpus, kb, monkeypatch,
-                                                      updates_per_epoch):
+    def test_poisoned_student_parameters_stop_the_run(self, corpus, kb, monkeypatch):
         steps_asked = []
 
         def poisoned_step(q, buffer, rng, steps=1):
@@ -205,22 +203,21 @@ class TestRunTraining:
             return None
 
         monkeypatch.setattr(orchestrator, "student_train_step", poisoned_step)
-        config = dataclasses.replace(SMALL, updates_per_epoch=updates_per_epoch)
         with pytest.raises(NeuralError, match="student") as err:
-            run_training(config, 1, corpus, kb)
+            run_training(SMALL, 1, corpus, kb)
         assert "epoch 1" in str(err.value)
-        assert set(steps_asked) == {updates_per_epoch or 1}
+        assert steps_asked == [SMALL.updates_per_epoch]
 
-    @pytest.mark.parametrize("net, agent_kind, updates_per_epoch, epoch", [
-        ("student", "dqn", None, 1),
-        ("student", "dqn", 3, 3),
-        ("teacher", "acl-c", None, 18),
-    ], ids=["per-transition", "per-epoch", "teacher"])
+    @pytest.mark.parametrize("net, agent_kind, epoch", [
+        ("student", "dqn", 3),
+        ("teacher", "acl-c", 18),
+    ], ids=["student", "teacher"])
     def test_non_finite_td_loss_names_the_net_and_the_epoch(self, corpus, kb, monkeypatch,
-                                                            net, agent_kind,
-                                                            updates_per_epoch, epoch):
+                                                            net, agent_kind, epoch):
         """A NaN poisoned into the net before its third TD update from a full
-        minibatch makes that update's loss non-finite."""
+        minibatch makes that update's loss non-finite. The student updates
+        once per epoch from its prefilled buffer; the teacher's buffer holds
+        one transition per epoch, so its third update is in epoch 18."""
         real_step = getattr(orchestrator, f"{net}_train_step")
         updates = []
 
@@ -232,10 +229,8 @@ class TestRunTraining:
             return real_step(q, buffer, rng, steps)
 
         monkeypatch.setattr(orchestrator, f"{net}_train_step", poisoning_step)
-        config = dataclasses.replace(SMALL, agent_kind=agent_kind,
-                                     updates_per_epoch=updates_per_epoch)
         with pytest.raises(NeuralError) as err:
-            run_training(config, 1, corpus, kb)
+            run_training(dataclasses.replace(SMALL, agent_kind=agent_kind), 1, corpus, kb)
         assert str(err.value) == f"{net} TD update in epoch {epoch}: non-finite TD loss nan"
         assert len(updates) == 3
 
@@ -526,7 +521,8 @@ class TestOverlappedEvaluation:
     """With two usable cores a run's evaluations but the last run in forked
     children while it trains on; every path out of run_training reaps them."""
 
-    CONFIG = TrainConfig(agent_kind="acl-c", num_epochs=16, eval_every=5, eval_dialogues=10)
+    CONFIG = TrainConfig(agent_kind="acl-c", num_epochs=16, eval_every=5, eval_dialogues=10,
+                         updates_per_epoch=30)
 
     @staticmethod
     def assert_no_child_left():
