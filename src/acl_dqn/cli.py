@@ -17,9 +17,8 @@ from .domain import ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
 from .neural import NeuralError, QFunction, epsilon_greedy
 from .orchestrator import TrainConfig
 from .replay import ReplayError
-from .student import N_ACTIONS, STATE_DIM, featurize, materialize
-from .user_sim import (FAILURE, ONGOING, SUCCESS, DialogueContext, KnowledgeBase,
-                       session_reset, session_step)
+from .student import N_ACTIONS, STATE_DIM, featurize, materialize, start_dialogue
+from .user_sim import FAILURE, ONGOING, SUCCESS, KnowledgeBase, session_step
 
 
 class CliError(Exception):
@@ -104,12 +103,8 @@ def _out_dir(args) -> Path:
 
 
 def _config_from_args(args, agent: str) -> TrainConfig:
-    config = TrainConfig(agent_kind=agent, num_epochs=args.epochs,
-                         eval_every=args.eval_every,
-                         eval_dialogues=args.eval_dialogues)
-    if getattr(args, "alpha", None) is not None:
-        config = replace(config, alpha=args.alpha)
-    return config
+    return TrainConfig(agent_kind=agent, num_epochs=args.epochs, alpha=args.alpha,
+                       eval_every=args.eval_every, eval_dialogues=args.eval_dialogues)
 
 
 def cmd_gen_goals(args) -> int:
@@ -158,15 +153,24 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    configs = [_config_from_args(args, a) for a in _distinct("--agents", args.agents.split(","))]
+def _compare(args, configs: list[TrainConfig], curve_name):
+    """Every config on every --seeds seed, on the environment of the first seed,
+    with one curve per config written to --out as curve_{curve_name(config)}.csv."""
     seeds = _parse_seeds(args.seeds)
     _check_evaluated(args)
     corpus, kb = _load_environment(args, seeds[0])
+    # One comparison over every config, so the pool spans them all.
     report = orchestrator.run_comparison(configs, seeds, corpus, kb)
     out = _out_dir(args)
     for config in configs:
-        orchestrator.write_curve_csv(report, config, out / f"curve_{config.agent_kind}.csv")
+        orchestrator.write_curve_csv(report, config, out / f"curve_{curve_name(config)}.csv")
+    print(f"wrote {len(configs)} curves to {out}")
+    return report, corpus, out
+
+
+def cmd_compare(args) -> int:
+    configs = [_config_from_args(args, a) for a in _distinct("--agents", args.agents.split(","))]
+    report, corpus, out = _compare(args, configs, lambda config: config.agent_kind)
     # The last curve row's mean and variance of the success rate over the seeds.
     orchestrator._write_csv(out / "stability.csv",
                             ["agent", "final_mean_success", "final_var_success"],
@@ -177,23 +181,13 @@ def cmd_compare(args) -> int:
                             ([run.config.agent_kind, run.seed,
                               *orchestrator.selection_counts(run.metrics, len(corpus))]
                              for run in report.runs))
-    print(f"wrote {len(configs)} curves to {out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
     alphas = _distinct("--alphas", _parse_floats(args.alphas))
-    seeds = _parse_seeds(args.seeds)
-    base = _config_from_args(args, "acl-c")
-    configs = [replace(base, alpha=alpha) for alpha in alphas]
-    _check_evaluated(args)
-    corpus, kb = _load_environment(args, seeds[0])
-    # One comparison over every α, so the pool spans them all.
-    report = orchestrator.run_comparison(configs, seeds, corpus, kb)
-    out = _out_dir(args)
-    for config in configs:
-        orchestrator.write_curve_csv(report, config, out / f"curve_alpha_{config.alpha}.csv")
-    print(f"wrote {len(alphas)} curves to {out}")
+    configs = [replace(_config_from_args(args, "acl-c"), alpha=a) for a in alphas]
+    _compare(args, configs, lambda config: f"alpha_{config.alpha}")
     return 0
 
 
@@ -262,16 +256,14 @@ def _read_act(choice: str, stdin, stdout) -> DialogueAct:
 def run_chat_session(q: QFunction, goal, kb: KnowledgeBase, rng,
                      stdin=sys.stdin, stdout=sys.stdout) -> dict:
     """One human-driven dialogue; returns the transcript record."""
-    session, first_act = session_reset(goal, kb, rng)
-    ctx = DialogueContext(kb=kb)
+    session, ctx = start_dialogue(goal, kb, rng)
+    first_act = ctx.last_user_act
     stdout.write("Your goal:\n")
     stdout.write(f"  constraints: {goal.inform_dict}\n")
     stdout.write(f"  find out:    {', '.join(goal.request_slots)}\n")
     stdout.write(f"you: {render_act(first_act)}\n")
-    ctx.observe_user(first_act)
     transcript = [("user", first_act.act_type.value, dict(first_act.payload))]
     while session.status == ONGOING:
-        ctx.turn = session.turn
         action = epsilon_greedy(q, featurize(ctx), 0.0, rng)
         system_act = materialize(action, ctx)
         ctx.observe_system(system_act)
@@ -284,6 +276,7 @@ def run_chat_session(q: QFunction, goal, kb: KnowledgeBase, rng,
             break
         session_step(session, system_act)  # bookkeeping for turn cap / booking
         ctx.observe_user(user_act)
+        ctx.turn = session.turn
         transcript.append(("user", user_act.act_type.value, dict(user_act.payload)))
     success = session.status == SUCCESS
     score = None
@@ -321,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kb": dict(default=None, help="knowledge base file"),
         "--out": dict(default=".", help="output directory"),
         "--seed": dict(type=int, default=1),
-        "--eval-every": dict(type=int, default=5),
-        "--eval-dialogues": dict(type=int, default=50),
-        "--epochs": dict(type=int, default=500),
+        "--eval-every": dict(type=int, default=TrainConfig.eval_every),
+        "--eval-dialogues": dict(type=int, default=TrainConfig.eval_dialogues),
+        "--epochs": dict(type=int, default=TrainConfig.num_epochs),
         "--checkpoint": dict(required=True),
     }
 
@@ -332,18 +325,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name, **shared[name])
 
     p = sub.add_parser("gen-goals", help="generate a synthetic goal corpus")
-    p.add_argument("--sizes", default="30,72,26")
+    p.add_argument("--sizes", default=",".join(map(str, domain.TIER_SIZES)))
     add_flags(p, "--seed", "--out")
     p.set_defaults(func=cmd_gen_goals)
 
     p = sub.add_parser("gen-kb", help="generate the synthetic knowledge base")
-    p.add_argument("--rows", type=int, default=200)
+    p.add_argument("--rows", type=int, default=domain.KB_ROWS)
     add_flags(p, "--seed", "--out")
     p.set_defaults(func=cmd_gen_kb)
 
     p = sub.add_parser("train", help="train one agent")
-    p.add_argument("--agent", default="dqn")
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--agent", default=TrainConfig.agent_kind)
+    p.add_argument("--alpha", type=float, default=TrainConfig.alpha)
     add_flags(p, "--epochs", "--goals", "--kb", "--out", "--seed", "--eval-every",
               "--eval-dialogues")
     p.set_defaults(func=cmd_train)
@@ -356,13 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agents", default="dqn,acl-a,acl-b,acl-c")
     p.add_argument("--seeds", default="1..5")
     add_flags(p, "--epochs", "--goals", "--kb", "--out", "--eval-every", "--eval-dialogues")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, alpha=TrainConfig.alpha)  # no --alpha flag
 
     p = sub.add_parser("sweep-alpha", help="mastery threshold sweep (acl-c)")
     p.add_argument("--alphas", default="0.3,0.4,0.5,0.6,0.7,0.8")
     p.add_argument("--seeds", default="1..3")
     add_flags(p, "--epochs", "--goals", "--kb", "--out", "--eval-every", "--eval-dialogues")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, alpha=TrainConfig.alpha)  # no --alpha flag
 
     p = sub.add_parser("chat", help="talk to a trained agent at act level")
     add_flags(p, "--checkpoint", "--goals", "--kb", "--out", "--seed")

@@ -54,6 +54,10 @@ TIER_BANDS: dict[str, tuple[int, int]] = {
 
 TIERS: tuple[str, ...] = tuple(TIER_BANDS)
 
+# The generated environment's size: goals per tier, in TIERS order, and KB rows.
+TIER_SIZES: tuple[int, int, int] = (30, 72, 26)
+KB_ROWS = 200
+
 
 class DomainError(Exception):
     """Invalid goal, act, or corpus construction."""
@@ -210,7 +214,7 @@ class GoalCorpus:
         return tuple(g.id for g in self.goals)
 
 
-def generate_kb_rows(seed: int, n_rows: int = 200) -> tuple[dict[str, str], ...]:
+def generate_kb_rows(seed: int, n_rows: int = KB_ROWS) -> tuple[dict[str, str], ...]:
     """Synthetic movie/showtime table; deterministic in seed."""
     rng = np.random.default_rng([seed, 101])
     rows = []
@@ -220,7 +224,7 @@ def generate_kb_rows(seed: int, n_rows: int = 200) -> tuple[dict[str, str], ...]
 
 
 def generate_corpus(seed: int, kb_rows: Sequence[Mapping[str, str]],
-                    sizes: tuple[int, int, int] = (30, 72, 26)) -> GoalCorpus:
+                    sizes: tuple[int, int, int] = TIER_SIZES) -> GoalCorpus:
     """Deterministic synthetic goal corpus, satisfiable against the KB.
 
     Each tier's goals draw their difficulties inside its band, so tier t

@@ -88,11 +88,8 @@ class TrainConfig:
         if self.agent_kind not in AGENT_KINDS:
             raise ConfigError(
                 f"unknown agent kind {self.agent_kind!r}; valid: {', '.join(AGENT_KINDS)}")
-        if self.num_epochs < 1:
-            raise ConfigError("num_epochs must be >= 1")
-        if self.eval_every < 1 or self.eval_dialogues < 1:
-            raise ConfigError("eval cadence and dialogue count must be >= 1")
-        for name in ("epoch_size", "updates_per_epoch"):
+        for name in ("num_epochs", "epoch_size", "eval_every", "eval_dialogues",
+                     "updates_per_epoch"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
@@ -247,18 +244,16 @@ class _Evaluations:
             self.pipe.close()
 
 
-def _check_finite(q: QFunction, net: str, epoch: int) -> None:
-    if not np.isfinite(q.online_flat).all():
-        raise NeuralError(f"{net} parameters became non-finite in epoch {epoch}")
-
-
-def _train(net: str, epoch: int, *args) -> None:
-    """The net's TD update through its module attribute, read when called; a
-    NeuralError it raises is raised again naming the net and the epoch."""
+def _train(net: str, epoch: int, q: QFunction, *args) -> None:
+    """One update stage of a net: its TD steps through its module attribute, read
+    when called, then a check that its parameters are still finite. A NeuralError
+    the steps raise is raised again naming the net and the epoch."""
     try:
-        (student_train_step if net == "student" else teacher_train_step)(*args)
+        (student_train_step if net == "student" else teacher_train_step)(q, *args)
     except NeuralError as exc:
         raise NeuralError(f"{net} TD update in epoch {epoch}: {exc}") from None
+    if not np.isfinite(q.online_flat).all():
+        raise NeuralError(f"{net} parameters became non-finite in epoch {epoch}")
 
 
 def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
@@ -313,7 +308,6 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
                                  sim_rng, on_transition=d_student.push)
             _train("student", epoch, student_q, d_student, student_rng,
                    config.updates_per_epoch)
-            _check_finite(student_q, "student", epoch)
 
             x_now = result.total_reward
             x_prev = x_last.get(goal_id, FAILURE_PENALTY)
@@ -330,7 +324,6 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
                 d_teacher.push(Transition(teacher_state, goal_id, r,
                                           next_teacher_state, False))
                 _train("teacher", epoch, teacher_q, d_teacher, teacher_rng)
-                _check_finite(teacher_q, "teacher", epoch)
             teacher_state = next_teacher_state
 
             moved = machine.on_episode(epoch, result.success)

@@ -138,11 +138,11 @@ class EpisodeResult:
 Policy = Callable[[np.ndarray, DialogueContext], int]
 
 
-# A dialogue's start and one turn, for run_episode and run_greedy_episodes.
-# They look up materialize and the simulator as module globals, which
-# perfbench's wrappers replace.
-def _start(goal: UserGoal, kb: KnowledgeBase,
-           rng: np.random.Generator) -> tuple[SimulatorSession, DialogueContext]:
+# A dialogue's start and one turn, for run_episode and run_greedy_episodes;
+# chat starts its dialogues with start_dialogue too. They look up materialize
+# and the simulator as module globals, which perfbench's wrappers replace.
+def start_dialogue(goal: UserGoal, kb: KnowledgeBase,
+                   rng: np.random.Generator) -> tuple[SimulatorSession, DialogueContext]:
     session, user_act = session_reset(goal, kb, rng)
     ctx = DialogueContext(kb=kb)
     ctx.observe_user(user_act)
@@ -168,7 +168,7 @@ def run_episode(goal: UserGoal, kb: KnowledgeBase, policy: Policy,
     Each turn's transition goes to on_transition, and is built only when
     one is given.
     """
-    session, ctx = _start(goal, kb, rng)
+    session, ctx = start_dialogue(goal, kb, rng)
     total = 0.0
     # ctx does not change between turns: a turn's next_state is the next turn's state.
     state = featurize(ctx)
@@ -196,7 +196,7 @@ def run_greedy_episodes(q: QFunction, goals: Iterable[UserGoal], kb: KnowledgeBa
     bit, so each result is the one ``run_episode`` plays under
     ``epsilon_policy(q, 0.0, rng)``.
     """
-    games = [_start(goal, kb, rng) for goal in goals]
+    games = [start_dialogue(goal, kb, rng) for goal in goals]
     states = np.empty((len(games), 1, STATE_DIM))
     totals = [0.0] * len(games)
     results: list = [None] * len(games)

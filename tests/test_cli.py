@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import shlex
@@ -34,6 +35,15 @@ def _goals_nowhere_in_the_kb(tmp_path):
         json.dumps(dict(r, inform_slots=dict.fromkeys(r["inform_slots"], "nowhere")))
         + "\n" for r in records))
     return goals
+
+
+@pytest.fixture
+def few_updates(monkeypatch):
+    """CLI runs train 30 student TD steps per epoch, not 120, as SMALL does in
+    test_orchestrator.py: for runs checked for files, bytes or exit codes."""
+    config_from_args = cli._config_from_args
+    monkeypatch.setattr(cli, "_config_from_args", lambda args, agent: dataclasses.replace(
+        config_from_args(args, agent), updates_per_epoch=30))
 
 
 def _train(tmp_path, *extra):
@@ -89,6 +99,7 @@ class TestGeneration:
 
 
 class TestTrain:
+    @pytest.mark.usefixtures("few_updates")
     def test_writes_expected_artifacts(self, tmp_path):
         out = _train(tmp_path)
         for name in ("metrics.csv", "teacher_log.csv", "phase_log.csv",
@@ -97,6 +108,7 @@ class TestTrain:
         rows = (out / "metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + 12 // 4
 
+    @pytest.mark.usefixtures("few_updates")
     def test_no_writes_outside_out_dir(self, tmp_path, monkeypatch):
         cwd = tmp_path / "cwd"
         cwd.mkdir()
@@ -104,6 +116,7 @@ class TestTrain:
         _train(tmp_path)
         assert list(cwd.iterdir()) == []
 
+    @pytest.mark.usefixtures("few_updates")
     def test_repeat_run_is_byte_identical(self, tmp_path):
         a = _train(tmp_path / "a")
         b = _train(tmp_path / "b")
@@ -122,6 +135,7 @@ class TestTrain:
         assert code == 2
         assert "unknown agent kind" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("few_updates")
     def test_explicit_corpus_and_kb_files(self, tmp_path):
         main(["gen-goals", "--seed", "1", "--out", str(tmp_path)])
         main(["gen-kb", "--seed", "1", "--out", str(tmp_path)])
@@ -179,6 +193,7 @@ class TestTrain:
 
 
 class TestEval:
+    @pytest.mark.usefixtures("few_updates")
     def test_eval_prints_metrics_and_leaves_checkpoint_untouched(
             self, tmp_path, capsys):
         out = _train(tmp_path)
@@ -281,6 +296,7 @@ class TestEval:
 
 
 class TestCompare:
+    @pytest.mark.usefixtures("few_updates")
     def test_writes_one_curve_per_agent(self, tmp_path, capsys):
         out = tmp_path / "cmp"
         code = main(["compare", "--agents", "dqn,acl-c", "--seeds", "1,2",
@@ -294,6 +310,7 @@ class TestCompare:
         assert stability[0] == "agent,final_mean_success,final_var_success"
         assert len(stability) == 3
 
+    @pytest.mark.usefixtures("few_updates")
     def test_stability_values_are_the_last_curve_rows(self, tmp_path):
         out = tmp_path / "cmp"
         assert main(["compare", "--agents", "dqn,acl-c", "--seeds", "1,2",
@@ -307,6 +324,7 @@ class TestCompare:
             assert last[0] == "12"
             assert (float(mean), float(var)) == (float(last[1]), float(last[2]))
 
+    @pytest.mark.usefixtures("few_updates")
     def test_pooled_and_in_process_comparisons_write_the_same_bytes(self, tmp_path,
                                                                     usable_cores):
         argv = ["compare", "--agents", "dqn,acl-c", "--seeds", "1,2", *FAST]
@@ -321,6 +339,7 @@ class TestCompare:
             assert (tmp_path / "here" / name).read_bytes() == \
                 (tmp_path / "pooled" / name).read_bytes()
 
+    @pytest.mark.usefixtures("few_updates")
     def test_seed_range_syntax(self, tmp_path):
         out = tmp_path / "cmp"
         code = main(["compare", "--agents", "dqn", "--seeds", "1..2",
@@ -391,8 +410,29 @@ class TestCompare:
         assert seeds[0] == ACCEPTANCE_ENV_SEED
         assert set(ACCEPTANCE_SEEDS) <= set(seeds)
 
+    def test_bare_flags_build_the_default_configs(self, tmp_path, monkeypatch):
+        """train, compare and sweep-alpha with no run flag train under TrainConfig's
+        defaults; nothing trains here."""
+        built = []
+
+        def stop(configs, *args):
+            built.append(configs)
+            raise _Built
+
+        monkeypatch.setattr(cli.orchestrator, "run_training", lambda c, *a: stop([c]))
+        monkeypatch.setattr(cli.orchestrator, "run_comparison", stop)
+        for command in ("train", "compare", "sweep-alpha"):
+            with pytest.raises(_Built):
+                main([command, "--out", str(tmp_path / command)])
+        assert built == [
+            [TrainConfig(agent_kind="dqn")],
+            [TrainConfig(agent_kind=a) for a in ("dqn", "acl-a", "acl-b", "acl-c")],
+            [TrainConfig(agent_kind="acl-c", alpha=a) for a in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)]]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepAlpha:
+    @pytest.mark.usefixtures("few_updates")
     def test_one_curve_per_alpha(self, tmp_path):
         out = tmp_path / "sweep"
         code = main(["sweep-alpha", "--alphas", "0.3,0.7", "--seeds", "1",
@@ -422,6 +462,10 @@ class TestSweepAlpha:
 
 def _no_training(*args, **kwargs):
     raise AssertionError("training started")
+
+
+class _Built(Exception):
+    """Raised in place of training once a command has built its configs."""
 
 
 @pytest.mark.parametrize("argv", [["compare", "--agents", "dqn", "--seeds", "1"],

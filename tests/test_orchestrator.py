@@ -70,7 +70,9 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("epoch_size", 0), ("epoch_size", None), ("updates_per_epoch", 0),
         ("updates_per_epoch", -3), ("updates_per_epoch", None), ("alpha", -1.0),
-        ("alpha", 2.0), ("alpha", float("nan")), ("epsilon_end", 1.5)])
+        ("alpha", 2.0), ("alpha", float("nan")), ("epsilon_end", 1.5),
+        ("num_epochs", None), ("num_epochs", 2.5), ("eval_every", 2.5),
+        ("eval_dialogues", "5")])
     def test_out_of_range_value_names_its_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
@@ -582,12 +584,17 @@ class TestOverlappedEvaluation:
             time.sleep(10)  # still evaluating when training fails
             return greedy(*args)
 
-        def fail_at_epoch_7(q, net, epoch):
-            if epoch == 7:
+        calls = []
+        student_step = orchestrator.student_train_step
+
+        def fail_at_epoch_7(*args):
+            calls.append(None)
+            if len(calls) == 7:  # the student trains once per epoch
                 raise error
+            return student_step(*args)
 
         monkeypatch.setattr(orchestrator, "run_greedy_episodes", slow)
-        monkeypatch.setattr(orchestrator, "_check_finite", fail_at_epoch_7)
+        monkeypatch.setattr(orchestrator, "student_train_step", fail_at_epoch_7)
         start = time.monotonic()
         with pytest.raises(type(error)):
             run_training(self.CONFIG, 1, corpus, kb)
