@@ -142,8 +142,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.eval_dialogues < 1:
-        raise CliError("--eval-dialogues must be >= 1")
     corpus, kb = _load_environment(args, args.seed)
     q = _load_student(args.checkpoint)
     rng = np.random.default_rng([args.seed, 6])

@@ -69,6 +69,11 @@ class ConfigError(Exception):
     pass
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """One run's settings; refused with ConfigError when built, replace() included."""
@@ -90,9 +95,7 @@ class TrainConfig:
                 f"unknown agent kind {self.agent_kind!r}; valid: {', '.join(AGENT_KINDS)}")
         for name in ("num_epochs", "epoch_size", "eval_every", "eval_dialogues",
                      "updates_per_epoch"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_count(name, getattr(self, name))
         for name in ("alpha", "epsilon_end"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -146,7 +149,7 @@ def default_environment(seed: int) -> tuple[GoalCorpus, KnowledgeBase]:
 
 
 def evaluate_policy(q: QFunction, corpus: GoalCorpus, kb: KnowledgeBase,
-                    n_dialogues: int, rng: np.random.Generator) -> tuple[float, float, float]:
+                    eval_dialogues: int, rng: np.random.Generator) -> tuple[float, float, float]:
     """Greedy rollouts on uniformly drawn goals; no learning, no buffers.
 
     The dialogues run in lockstep (``run_greedy_episodes``), one stacked
@@ -155,15 +158,14 @@ def evaluate_policy(q: QFunction, corpus: GoalCorpus, kb: KnowledgeBase,
     only other draws, and the stacked forward equals each row's own
     forward bit for bit. Means are summed in dialogue order.
     """
-    if n_dialogues < 1:
-        raise ValueError(f"n_dialogues must be >= 1, got {n_dialogues}")
+    _check_count("eval_dialogues", eval_dialogues)
     n = len(corpus.goals)
-    goals = (corpus.goals[int(rng.integers(n))] for _ in range(n_dialogues))
+    goals = (corpus.goals[int(rng.integers(n))] for _ in range(eval_dialogues))
     results = run_greedy_episodes(q, goals, kb, rng)
     successes = sum(r.success for r in results)
     rewards = sum(r.total_reward for r in results)
     turns = sum(r.turns for r in results)
-    return successes / n_dialogues, rewards / n_dialogues, turns / n_dialogues
+    return successes / eval_dialogues, rewards / eval_dialogues, turns / eval_dialogues
 
 
 class _Evaluations:

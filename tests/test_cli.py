@@ -217,8 +217,21 @@ class TestEval:
                      "--eval-dialogues", count])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: --eval-dialogues must be >= 1\n"
+        assert captured.err == f"error: eval_dialogues must be an integer >= 1, got {count}\n"
         assert captured.out == ""
+
+    def test_eval_dialogues_below_one_is_the_error_train_prints(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.setattr(cli.orchestrator, "run_training", _no_training)
+        checkpoint = tmp_path / "student.qfn"
+        TestChat._net().save(checkpoint)
+        errors = []
+        for argv in (["train", "--out", str(tmp_path / "out")],
+                     ["eval", "--checkpoint", str(checkpoint)]):
+            assert main([*argv, "--eval-dialogues", "0"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: eval_dialogues must be an integer >= 1, got 0\n"] * 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "chat"])
     def test_empty_goals_file_exits_1(self, tmp_path, capsys, command):

@@ -4,7 +4,6 @@ import pytest
 from acl_dqn.curriculum import (
     L_MAX,
     MASTERY_WINDOW,
-    ORP_K,
     PHASE_ALL,
     CurriculumError,
     PhaseMachine,

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +12,6 @@ from acl_dqn.domain import (
     DialogueAct,
     DomainError,
     GoalCorpus,
-    UserGoal,
     generate_corpus,
     generate_kb_rows,
     inform_act,

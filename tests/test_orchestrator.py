@@ -250,11 +250,11 @@ class TestEvaluate:
         for k, v in q.online.items():
             np.testing.assert_array_equal(v, before[k])
 
-    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("n", [0, -2, 2.5, None])
     def test_fewer_than_one_dialogue_refused_before_drawing(self, small_runs, corpus, kb, n):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"n_dialogues must be >= 1, got {n}"):
+        with pytest.raises(ConfigError, match=f"eval_dialogues must be an integer >= 1, got {n!r}"):
             evaluate_policy(small_runs["dqn"].student_q, corpus, kb, n, rng)
         assert rng.bit_generator.state == before
 
