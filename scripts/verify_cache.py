@@ -16,8 +16,12 @@ only written whole. To regenerate the cache, remove it first.
 The runs train in a pool of forked workers, one per usable core, and
 arrive in the cache's order; a single run trains in this process and
 evaluates in forked children while it trains on (orchestrator.run_training).
-Each run is printed as it arrives, and the total wall time and the number
-of workers at the end.
+Each run is printed as it arrives, with the sha256 of its final student
+weights (student_q.online_flat), and the total wall time and the number of
+workers at the end. The CSVs cannot show a last-bit change to the weights,
+so compare these digests to check that a change keeps the weights bit for
+bit: run two checkouts on one machine and diff their output. The digests
+are not cached, because they differ between BLAS kernels.
 
     python3 scripts/verify_cache.py
     python3 scripts/verify_cache.py --agent acl-c --seed 3 --epochs 50
@@ -28,6 +32,7 @@ of the test suite: by default it trains all 20 runs at full length.
 
 import argparse
 import contextlib
+import hashlib
 import json
 import sys
 import time
@@ -82,7 +87,9 @@ def main(argv=None) -> int:
             elif (difference := cache_difference(run, CACHE)) is not None:
                 print(f"MISMATCH run {run.tag}: {difference}", file=sys.stderr)
                 return 1
-            print(f"{run.tag}: {'written' if writing else 'ok'}", flush=True)
+            digest = hashlib.sha256(run.student_q.online_flat.tobytes()).hexdigest()
+            print(f"{run.tag}: {'written' if writing else 'ok'}, final weights sha256 {digest}",
+                  flush=True)
     if writing:
         manifest.write_text(json.dumps({
             "profile": ACCEPTANCE_PROFILE, "seeds": list(ACCEPTANCE_SEEDS),

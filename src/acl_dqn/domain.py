@@ -89,12 +89,22 @@ class ActType(str, Enum):
 
 @dataclass(frozen=True)
 class DialogueAct:
-    """A typed act with a slot-value payload; UNK marks requested slots."""
+    """A typed act with a slot-value payload; UNK marks requested slots.
+
+    Checked once, when built. ``slots`` and ``columns`` are stored beside
+    the payload and take no part in equality, hashing or repr; ``columns``
+    are the act's one-hot positions in a featurizer act block: its ActType
+    member position, then len(ActType) plus each slot's ontology position.
+    """
 
     act_type: ActType
     payload: tuple[tuple[str, str], ...] = ()
+    slots: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.act_type, ActType):
+            raise DomainError(f"act type {self.act_type!r} is not an ActType")
         for slot, value in self.payload:
             if slot not in SLOT_INDEX:
                 raise DomainError(f"slot {slot!r} not in ontology")
@@ -102,10 +112,11 @@ class DialogueAct:
                 raise DomainError(f"request slot {slot!r} carries {value!r}, not {UNK!r}")
             if self.act_type is ActType.INFORM and value == UNK:
                 raise DomainError(f"inform slot {slot!r} carries {UNK!r}, not a value")
-
-    @property
-    def slots(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.payload)
+        slots = tuple(s for s, _ in self.payload)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "columns", (
+            tuple(ActType).index(self.act_type),
+            *(len(ActType) + SLOT_INDEX[s] for s in slots)))
 
 
 def _slot_order(slot: str) -> int:
@@ -113,13 +124,29 @@ def _slot_order(slot: str) -> int:
     return SLOT_INDEX.get(slot, N_SLOTS)
 
 
+# Request and inform acts are shared: each distinct act is built, and so
+# checked, once. Up to SHARED_ACTS of each kind are kept, far more than a
+# generated environment makes; past that an act is built per call.
+SHARED_ACTS = 4096
+_REQUESTS: dict[tuple[str, ...], DialogueAct] = {}
+_INFORMS: dict[tuple[tuple[str, str], ...], DialogueAct] = {}
+
+
+def _share(table: dict, key, act: DialogueAct) -> DialogueAct:
+    if len(table) < SHARED_ACTS:
+        table[key] = act
+    return act
+
+
 def request_act(*slots: str) -> DialogueAct:
-    return DialogueAct(ActType.REQUEST, tuple((s, UNK) for s in slots))
+    return _REQUESTS.get(slots) or _share(
+        _REQUESTS, slots, DialogueAct(ActType.REQUEST, tuple((s, UNK) for s in slots)))
 
 
 def inform_act(**values: str) -> DialogueAct:
     payload = tuple(sorted(values.items(), key=lambda kv: _slot_order(kv[0])))
-    return DialogueAct(ActType.INFORM, payload)
+    return _INFORMS.get(payload) or _share(
+        _INFORMS, payload, DialogueAct(ActType.INFORM, payload))
 
 
 @dataclass(frozen=True)
@@ -129,6 +156,8 @@ class UserGoal:
     id: int
     inform_slots: tuple[tuple[str, str], ...]
     request_slots: tuple[str, ...]
+    # The constraints as a dict, built once; like the goal, it is read-only.
+    inform_dict: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.id < 0:
@@ -148,10 +177,7 @@ class UserGoal:
                 raise DomainError(f"inform slot {s!r} holds the reserved value {UNK!r}")
         if informed & set(self.request_slots):
             raise DomainError("inform and request slots must be disjoint")
-
-    @property
-    def inform_dict(self) -> dict[str, str]:
-        return dict(self.inform_slots)
+        object.__setattr__(self, "inform_dict", dict(self.inform_slots))
 
     @property
     def difficulty(self) -> int:

@@ -9,6 +9,7 @@ import pickle
 import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from numbers import Real
 from pathlib import Path
 from typing import NamedTuple
 
@@ -70,7 +71,7 @@ class ConfigError(Exception):
 
 
 def _check_count(name: str, value) -> None:
-    if not isinstance(value, int) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -94,12 +95,12 @@ class TrainConfig:
             raise ConfigError(
                 f"unknown agent kind {self.agent_kind!r}; valid: {', '.join(AGENT_KINDS)}")
         for name in ("num_epochs", "epoch_size", "eval_every", "eval_dialogues",
-                     "updates_per_epoch"):
+                     "updates_per_epoch", "epsilon_decay_epochs"):
             _check_count(name, getattr(self, name))
         for name in ("alpha", "epsilon_end"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {value!r}")
 
     @property
     def schedule(self) -> str:

@@ -8,7 +8,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .domain import (N_SLOTS, ONTOLOGY, SLOT_INDEX, ActType, DialogueAct, UserGoal,
+from .domain import (N_SLOTS, ONTOLOGY, ActType, DialogueAct, UserGoal,
                      inform_act, request_act)
 from .neural import QFunction, epsilon_greedy
 from .replay import ReplayBuffer, ReplayError, Transition
@@ -50,19 +50,15 @@ N_ACTIONS = len(SYSTEM_ACTIONS)
 # Feature layout: user act block (11 + 9), system act block (11 + 9),
 # per-slot belief flags (constraint known / request open / request answered)
 # plus three belief summaries (any open, all answered, open fraction),
-# turn scalar + one-hot over 40 buckets, KB count scalar.  Act types take
-# their ActType member position, slots their ontology position.
-_ACT_POSITION = {act_type: i for i, act_type in enumerate(ActType)}
+# turn scalar + one-hot over 40 buckets, KB count scalar.  An act block holds
+# the act's own DialogueAct.columns.
 _ACT_BLOCK = len(ActType) + N_SLOTS
 STATE_DIM = 2 * _ACT_BLOCK + 3 * N_SLOTS + 3 + 1 + MAX_TURNS + 1
-
-
-def _act_block(vec: np.ndarray, offset: int, act: DialogueAct | None) -> None:
-    if act is None:
-        return
-    vec[offset + _ACT_POSITION[act.act_type]] = 1.0
-    for slot in act.slots:
-        vec[offset + len(ActType) + SLOT_INDEX[slot]] = 1.0
+# Each slot's column in the three belief-flag groups.
+_KNOWN, _OPEN, _ANSWERED = ({slot: 2 * _ACT_BLOCK + group * N_SLOTS + i
+                             for i, slot in enumerate(ONTOLOGY)} for group in range(3))
+_SUMMARY = 2 * _ACT_BLOCK + 3 * N_SLOTS
+_TURN = _SUMMARY + 3
 
 
 def featurize(ctx: DialogueContext, out: np.ndarray | None = None) -> np.ndarray:
@@ -73,25 +69,35 @@ def featurize(ctx: DialogueContext, out: np.ndarray | None = None) -> np.ndarray
     else:
         vec = out
         vec.fill(0.0)
-    _act_block(vec, 0, ctx.last_user_act)
-    _act_block(vec, _ACT_BLOCK, ctx.last_system_act)
-    base = 2 * _ACT_BLOCK
+    if ctx.last_user_act is not None:
+        for column in ctx.last_user_act.columns:
+            vec[column] = 1.0
+    if ctx.last_system_act is not None:
+        for column in ctx.last_system_act.columns:
+            vec[_ACT_BLOCK + column] = 1.0
     for slot in ctx.known_constraints:
-        vec[base + SLOT_INDEX[slot]] = 1.0
+        vec[_KNOWN[slot]] = 1.0
     for slot in ctx.open_requests:
-        vec[base + N_SLOTS + SLOT_INDEX[slot]] = 1.0
+        vec[_OPEN[slot]] = 1.0
     for slot in ctx.answered_requests:
-        vec[base + 2 * N_SLOTS + SLOT_INDEX[slot]] = 1.0
-    base += 3 * N_SLOTS
-    vec[base] = 1.0 if ctx.open_requests else 0.0
-    vec[base + 1] = 1.0 if not ctx.open_requests and ctx.answered_requests else 0.0
-    vec[base + 2] = len(ctx.open_requests) / N_SLOTS
-    base += 3
+        vec[_ANSWERED[slot]] = 1.0
+    vec[_SUMMARY] = 1.0 if ctx.open_requests else 0.0
+    vec[_SUMMARY + 1] = 1.0 if not ctx.open_requests and ctx.answered_requests else 0.0
+    vec[_SUMMARY + 2] = len(ctx.open_requests) / N_SLOTS
     turn = min(ctx.turn, MAX_TURNS)
-    vec[base] = turn / MAX_TURNS
-    vec[base + 1 + (turn - 1)] = 1.0
-    vec[base + 1 + MAX_TURNS] = min(ctx.kb_count / len(ctx.kb), 1.0)
+    vec[_TURN] = turn / MAX_TURNS
+    vec[_TURN + turn] = 1.0
+    vec[_TURN + 1 + MAX_TURNS] = min(ctx.kb_count / len(ctx.kb.rows), 1.0)
     return vec
+
+
+# The system act of each action index, None where it is an inform, whose
+# value comes from the KB; an inform with no matching row is not_sure.
+_SYSTEM_ACTS = tuple(None if act_type is ActType.INFORM
+                     else request_act(slot) if act_type is ActType.REQUEST
+                     else DialogueAct(act_type)
+                     for act_type, slot in SYSTEM_ACTIONS)
+_NOT_SURE = DialogueAct(ActType.NOT_SURE)
 
 
 def materialize(action_index: int, ctx: DialogueContext) -> DialogueAct:
@@ -100,14 +106,13 @@ def materialize(action_index: int, ctx: DialogueContext) -> DialogueAct:
     inform(slot) draws its value from the first KB row matching the known
     constraints; with no matching row it degrades to not_sure.
     """
-    act_type, slot = SYSTEM_ACTIONS[action_index]
-    if act_type is ActType.REQUEST:
-        return request_act(slot)
-    if act_type is ActType.INFORM:
-        if ctx.kb_row is None:
-            return DialogueAct(ActType.NOT_SURE)
-        return inform_act(**{slot: ctx.kb_row[slot]})
-    return DialogueAct(act_type)
+    act = _SYSTEM_ACTS[action_index]
+    if act is not None:
+        return act
+    if ctx.kb_row is None:
+        return _NOT_SURE
+    slot = SYSTEM_ACTIONS[action_index][1]
+    return inform_act(**{slot: ctx.kb_row[slot]})
 
 
 def step_reward(status: str) -> float:
@@ -198,17 +203,18 @@ def run_greedy_episodes(q: QFunction, goals: Iterable[UserGoal], kb: KnowledgeBa
     """
     games = [start_dialogue(goal, kb, rng) for goal in goals]
     states = np.empty((len(games), 1, STATE_DIM))
+    rows = list(states[:, 0])  # row k of the stack, as a view
     totals = [0.0] * len(games)
     results: list = [None] * len(games)
     live = list(range(len(games)))
     while live:
-        for row, i in zip(states, live):
-            featurize(games[i][1], out=row[0])
-        actions = q.forward(states[:len(live)]).argmax(axis=-1)[:, 0]
+        for row, i in zip(rows, live):
+            featurize(games[i][1], out=row)
+        actions = q.forward(states[:len(live)]).argmax(axis=-1)[:, 0].tolist()
         still = []
         for i, action in zip(live, actions):
             session, ctx = games[i]
-            status = _turn(session, ctx, int(action))
+            status = _turn(session, ctx, action)
             totals[i] += step_reward(status)
             if status == ONGOING:
                 still.append(i)

@@ -136,6 +136,12 @@ def _booking_valid(session: SimulatorSession) -> bool:
     return all(session.filled_requests[s] == row[s] for s in goal.request_slots)
 
 
+# The user's replies that carry no payload, built once.
+_THANKS, _DENY, _CLOSING, _CONFIRM_ANSWER, _NOT_SURE = (
+    DialogueAct(act_type) for act_type in (ActType.THANKS, ActType.DENY, ActType.CLOSING,
+                                           ActType.CONFIRM_ANSWER, ActType.NOT_SURE))
+
+
 def session_step(session: SimulatorSession,
                  system_act: DialogueAct) -> tuple[DialogueAct, str]:
     """Advance one exchange: system act in, user act and status out."""
@@ -143,34 +149,34 @@ def session_step(session: SimulatorSession,
         raise SessionError("session_step after terminal status")
 
     goal = session.goal
-    user_act: DialogueAct | None = None
-
-    if system_act.act_type is ActType.REQUEST:
-        known = {s: goal.inform_dict[s] for s in system_act.slots if s in goal.inform_dict}
+    act_type = system_act.act_type
+    if act_type is ActType.REQUEST:
+        constraints = goal.inform_dict
+        known = {s: constraints[s] for s in system_act.slots if s in constraints}
         if known:
             user_act = inform_act(**known)
         else:
             # Can't answer; pursue own agenda instead of stalling.
-            user_act = _pop_agenda(session) or DialogueAct(ActType.NOT_SURE)
-    elif system_act.act_type is ActType.INFORM:
+            user_act = _pop_agenda(session) or _NOT_SURE
+    elif act_type is ActType.INFORM:
         for slot, value in system_act.payload:
             if slot in goal.request_slots:
                 session.filled_requests[slot] = value
-        user_act = _pop_agenda(session) or DialogueAct(ActType.CONFIRM_ANSWER)
-    elif system_act.act_type is ActType.BOOK:
+        user_act = _pop_agenda(session) or _CONFIRM_ANSWER
+    elif act_type is ActType.BOOK:
         if _booking_valid(session):
             session.status = SUCCESS
-            user_act = DialogueAct(ActType.THANKS)
+            user_act = _THANKS
         else:
             # A booking that contradicts the goal or leaves questions
             # unanswered ends the dialogue: the user walks away.
             session.status = FAILURE
-            user_act = DialogueAct(ActType.DENY)
-    elif system_act.act_type is ActType.CLOSING:
+            user_act = _DENY
+    elif act_type is ActType.CLOSING:
         session.status = FAILURE
-        user_act = DialogueAct(ActType.CLOSING)
+        user_act = _CLOSING
     else:
-        user_act = _pop_agenda(session) or DialogueAct(ActType.NOT_SURE)
+        user_act = _pop_agenda(session) or _NOT_SURE
 
     if session.status == ONGOING:
         if session.turn >= MAX_TURNS:

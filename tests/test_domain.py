@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acl_dqn import domain
 from acl_dqn.domain import (
     ONTOLOGY,
     TIER_BANDS,
@@ -49,6 +50,50 @@ class TestDialogueAct:
     def test_slot_must_be_in_ontology(self):
         with pytest.raises(DomainError):
             inform_act(color="red")
+
+    def test_act_type_must_be_an_act_type(self):
+        with pytest.raises(DomainError, match="not an ActType"):
+            DialogueAct("inform", (("city", "boston"),))
+
+    def test_an_invalid_act_raises_on_every_build(self):
+        """A refused act is never shared, so asking again raises again."""
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                inform_act(color="red")
+            with pytest.raises(DomainError):
+                request_act("color")
+            with pytest.raises(DomainError):
+                inform_act(city="UNK")
+
+    def test_stored_slots_and_columns_follow_the_payload(self):
+        act = inform_act(rating="R", city="boston")
+        assert act.payload == (("city", "boston"), ("rating", "R"))
+        assert act.slots == ("city", "rating")
+        types = list(ActType)
+        assert act.columns == (types.index(ActType.INFORM),
+                               len(types) + ONTOLOGY.index("city"),
+                               len(types) + ONTOLOGY.index("rating"))
+        assert DialogueAct(ActType.THANKS).columns == (types.index(ActType.THANKS),)
+
+    def test_equality_hash_and_repr_ignore_stored_fields(self):
+        act = request_act("city")
+        fresh = DialogueAct(ActType.REQUEST, (("city", "UNK"),))
+        assert act == fresh and hash(act) == hash(fresh)
+        assert repr(act) == "DialogueAct(act_type=<ActType.REQUEST: 'request'>, " \
+                            "payload=(('city', 'UNK'),))"
+
+    def test_request_and_inform_acts_are_shared(self):
+        assert request_act("city") is request_act("city")
+        assert inform_act(city="boston", rating="R") is inform_act(rating="R", city="boston")
+        assert inform_act(city="boston") is not inform_act(city="austin")
+
+    def test_past_the_bound_acts_are_built_per_call(self, monkeypatch):
+        monkeypatch.setattr(domain, "SHARED_ACTS", len(domain._INFORMS))
+        held = len(domain._INFORMS)
+        act = inform_act(movie_name="never shared")
+        assert act == inform_act(movie_name="never shared")
+        assert act is not inform_act(movie_name="never shared")
+        assert len(domain._INFORMS) == held
 
 
 class TestUserGoal:

@@ -70,16 +70,19 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("epoch_size", 0), ("epoch_size", None), ("updates_per_epoch", 0),
         ("updates_per_epoch", -3), ("updates_per_epoch", None), ("alpha", -1.0),
-        ("alpha", 2.0), ("alpha", float("nan")), ("epsilon_end", 1.5),
-        ("num_epochs", None), ("num_epochs", 2.5), ("eval_every", 2.5),
-        ("eval_dialogues", "5")])
+        ("alpha", 2.0), ("alpha", float("nan")), ("alpha", None), ("alpha", "0.5"),
+        ("alpha", True), ("epsilon_end", 1.5), ("epsilon_end", None), ("epsilon_end", "0.5"),
+        ("num_epochs", None), ("num_epochs", 2.5), ("num_epochs", True), ("eval_every", 2.5),
+        ("eval_dialogues", "5"), ("epsilon_decay_epochs", None), ("epsilon_decay_epochs", 0),
+        ("epsilon_decay_epochs", False)])
     def test_out_of_range_value_names_its_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("epoch_size", 1), ("updates_per_epoch", 1), ("alpha", 0.0), ("alpha", 1.0),
-        ("epsilon_end", 0.0), ("epsilon_end", 1.0)])
+        ("alpha", 1), ("alpha", np.float32(0.25)), ("epsilon_end", 0.0), ("epsilon_end", 1.0),
+        ("epsilon_decay_epochs", 1)])
     def test_range_bounds_are_accepted(self, field, value):
         TrainConfig(**{field: value})
 

@@ -1,5 +1,6 @@
 from collections import deque
 
+import hashlib
 import pickle
 
 import numpy as np
@@ -18,6 +19,7 @@ from acl_dqn.replay import (
     Transition,
     train_step,
 )
+from acl_dqn.orchestrator import default_environment
 from acl_dqn.student import N_ACTIONS, STATE_DIM, rbs_prefill
 
 
@@ -202,6 +204,23 @@ class TestRbsPrefill:
             firsts.append(buf.rows(np.arange(1)).state[0])
         assert lens[0] == lens[1]
         np.testing.assert_array_equal(firsts[0], firsts[1])
+
+    def test_warm_start_of_the_default_environment_is_pinned(self):
+        """The warm start run_training makes for seed 1, byte for byte.
+
+        The digest covers the buffer's five columns in Transition order, as
+        little-endian float64, int64, float64, float64 and bool. Filling the
+        buffer takes no BLAS call, so it holds on any machine."""
+        corpus, kb = default_environment(1)
+        buf = ReplayBuffer(STUDENT_CAPACITY, STATE_DIM)
+        assert rbs_prefill(buf, corpus, kb, np.random.default_rng([1, 5])) == 100
+        held = buf.rows(np.arange(len(buf)))
+        digest = hashlib.sha256(b"".join(
+            np.ascontiguousarray(column, dtype=dtype).tobytes()
+            for column, dtype in zip(held, ("<f8", "<i8", "<f8", "<f8", "|b1"))))
+        assert len(buf) == 447
+        assert digest.hexdigest() == \
+            "f3274504048864b42dd3cd306e353bdfb7198c1aa58a6f654530b08bfb3ce84b"
 
 
 def _random_buffer(capacity, pushes, seed=0):

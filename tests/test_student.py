@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from acl_dqn.domain import ONTOLOGY, ActType, inform_act, request_act
+from acl_dqn import student
+from acl_dqn.domain import ONTOLOGY, ActType, DialogueAct, inform_act, request_act
 from acl_dqn.neural import QFunction
 from acl_dqn.replay import ReplayBuffer, train_step
 from acl_dqn.student import (
@@ -26,6 +27,8 @@ from acl_dqn.user_sim import (
     ONGOING,
     SUCCESS,
     DialogueContext,
+    session_reset,
+    session_step,
 )
 
 
@@ -44,6 +47,39 @@ class TestActionSet:
             assert act.slots == (() if slot is None else (slot,))
             if act_type is ActType.INFORM:
                 assert act.payload == ((slot, kb.rows[0][slot]),)
+
+    def test_every_act_played_equals_a_freshly_built_act(self, corpus, kb, monkeypatch):
+        """Each act materialize returns for every index, with and without a KB
+        row, and each user act of rule-agent and random dialogues on every goal,
+        equals the act built and checked anew from its type and payload."""
+        played = []
+
+        def recorded(function):
+            def call(*args):
+                result = function(*args)
+                played.append(result[1] if function is session_reset else result[0])
+                return result
+            return call
+
+        monkeypatch.setattr(student, "session_reset", recorded(session_reset))
+        monkeypatch.setattr(student, "session_step", recorded(session_step))
+        rng = np.random.default_rng(3)
+        q = QFunction(STATE_DIM, N_ACTIONS, hidden_dim=8, rng=rng)
+        for goal in corpus.goals:
+            for policy in (rule_policy(), epsilon_policy(q, 1.0, rng)):
+                run_episode(goal, kb, policy, rng)
+        assert {act.act_type for act in played} == {
+            ActType.REQUEST, ActType.INFORM, ActType.THANKS, ActType.DENY, ActType.CLOSING,
+            ActType.CONFIRM_ANSWER, ActType.NOT_SURE}
+        with_row = DialogueContext(kb=kb)
+        without_row = DialogueContext(kb=kb)
+        without_row.observe_user(inform_act(city="nowhere"))
+        for index in range(N_ACTIONS):
+            played += [materialize(index, with_row), materialize(index, without_row)]
+        for act in played:
+            fresh = DialogueAct(act.act_type, act.payload)
+            assert act == fresh and hash(act) == hash(fresh)
+            assert act.slots == fresh.slots and act.columns == fresh.columns
 
     def test_inform_without_matching_row_degrades_to_not_sure(self, kb):
         ctx = DialogueContext(kb=kb)

@@ -1,5 +1,6 @@
 """scripts/verify_cache.py on a one-run matrix: dqn seed 1 over 5 epochs."""
 
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -43,9 +44,22 @@ def _snapshot(cache: Path) -> dict:
 
 
 def test_a_prefix_of_the_committed_cache_matches(script, capsys):
+    """Each run's line gives the sha256 of its final student weights."""
     _copy_committed_run(script.CACHE)
+    runs = []
+    iter_runs = script.iter_runs
+
+    def recorded(*args):
+        for run in iter_runs(*args):
+            runs.append(run)
+            yield run
+
+    script.iter_runs = recorded
     assert script.main([]) == 0
-    assert "dqn_seed1: ok" in capsys.readouterr().out
+    [run] = runs
+    digest = hashlib.sha256(run.student_q.online_flat.tobytes()).hexdigest()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"dqn_seed1: ok, final weights sha256 {digest}"
 
 
 def test_without_a_manifest_it_writes_the_cache_then_checks_it(script, capsys):
