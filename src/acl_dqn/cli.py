@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import domain, orchestrator
-from .domain import ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
+from .domain import PLAIN_ACTS, ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
 from .neural import NeuralError, QFunction, epsilon_greedy
 from .orchestrator import TrainConfig
 from .replay import ReplayError
@@ -248,7 +248,7 @@ def _read_act(choice: str, stdin, stdout) -> DialogueAct:
         if not eq or not value:
             raise domain.DomainError(f"expected slot=value, got {line!r}")
         return inform_act(**{slot: value})
-    return DialogueAct(ActType(choice))
+    return PLAIN_ACTS[ActType(choice)]
 
 
 def run_chat_session(q: QFunction, goal, kb: KnowledgeBase, rng,
@@ -363,13 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("ACLDQN_LOG", "WARNING").upper())
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        level = os.environ.get("ACLDQN_LOG", "WARNING").upper()
+        if level not in logging.getLevelNamesMapping():
+            raise CliError(f"ACLDQN_LOG names no log level: {level!r}")
+        logging.basicConfig(level=level)
         if getattr(args, "seed", 0) < 0:  # numpy seeds only from non-negative integers
             raise CliError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -87,14 +88,17 @@ class ActType(str, Enum):
     BOOK = "book"
 
 
+ACT_BLOCK = len(ActType) + N_SLOTS
+
+
 @dataclass(frozen=True)
 class DialogueAct:
     """A typed act with a slot-value payload; UNK marks requested slots.
 
     Checked once, when built. ``slots`` and ``columns`` are stored beside
     the payload and take no part in equality, hashing or repr; ``columns``
-    are the act's one-hot positions in a featurizer act block: its ActType
-    member position, then len(ActType) plus each slot's ontology position.
+    are the act's one-hot positions in its featurizer block, ACT_BLOCK wide:
+    its ActType member position, then len(ActType) plus each slot's position.
     """
 
     act_type: ActType
@@ -124,29 +128,27 @@ def _slot_order(slot: str) -> int:
     return SLOT_INDEX.get(slot, N_SLOTS)
 
 
-# Request and inform acts are shared: each distinct act is built, and so
-# checked, once. Up to SHARED_ACTS of each kind are kept, far more than a
-# generated environment makes; past that an act is built per call.
+# Every act the dialogue reuses is built, and so checked, once. PLAIN_ACTS
+# holds the payload-free act of each type. Request and inform acts are
+# shared by payload: the SHARED_ACTS most recently used of each kind are
+# kept, far more than a generated environment makes. A refused payload is
+# never kept, so it raises on every call.
+PLAIN_ACTS: dict[ActType, DialogueAct] = {act_type: DialogueAct(act_type) for act_type in ActType}
 SHARED_ACTS = 4096
-_REQUESTS: dict[tuple[str, ...], DialogueAct] = {}
-_INFORMS: dict[tuple[tuple[str, str], ...], DialogueAct] = {}
 
 
-def _share(table: dict, key, act: DialogueAct) -> DialogueAct:
-    if len(table) < SHARED_ACTS:
-        table[key] = act
-    return act
-
-
+@lru_cache(maxsize=SHARED_ACTS)
 def request_act(*slots: str) -> DialogueAct:
-    return _REQUESTS.get(slots) or _share(
-        _REQUESTS, slots, DialogueAct(ActType.REQUEST, tuple((s, UNK) for s in slots)))
+    return DialogueAct(ActType.REQUEST, tuple((s, UNK) for s in slots))
 
 
 def inform_act(**values: str) -> DialogueAct:
-    payload = tuple(sorted(values.items(), key=lambda kv: _slot_order(kv[0])))
-    return _INFORMS.get(payload) or _share(
-        _INFORMS, payload, DialogueAct(ActType.INFORM, payload))
+    return _inform_act(tuple(sorted(values.items(), key=lambda kv: _slot_order(kv[0]))))
+
+
+@lru_cache(maxsize=SHARED_ACTS)
+def _inform_act(payload: tuple[tuple[str, str], ...]) -> DialogueAct:
+    return DialogueAct(ActType.INFORM, payload)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,15 @@ class NeuralError(Exception):
     pass
 
 
+def _param_shapes(input_dim: int, hidden_dim: int, output_dim: int) -> dict[str, tuple]:
+    return {
+        "w1": (hidden_dim, input_dim),
+        "b1": (hidden_dim,),
+        "w2": (output_dim, hidden_dim),
+        "b2": (output_dim,),
+    }
+
+
 class QFunction:
     """W2 . tanh(W1 s + b1) + b2, with online and target parameter sets.
 
@@ -37,12 +46,7 @@ class QFunction:
         self.output_dim = output_dim
         self.learning_rate = learning_rate
         self.clip_norm = clip_norm
-        self._shapes = {
-            "w1": (hidden_dim, input_dim),
-            "b1": (hidden_dim,),
-            "w2": (output_dim, hidden_dim),
-            "b2": (output_dim,),
-        }
+        self._shapes = _param_shapes(input_dim, hidden_dim, output_dim)
         size = sum(int(np.prod(shape)) for shape in self._shapes.values())
         self.online_flat = np.zeros(size)
         self.target_flat = np.empty(size)
@@ -255,24 +259,28 @@ class QFunction:
                     bound = f">= {least}" if kind is int else f"finite and >= {least}"
                     raise NeuralError(f"{path} line 2: {name} must be {bound}, got {value}")
             input_dim, hidden_dim, output_dim, lr, clip = values
-            q = cls(input_dim, output_dim, hidden_dim, lr, clip,
-                    rng=np.random.default_rng(0))
+            # All lines are checked before the net is built: a huge claimed net allocates nothing.
+            shapes = _param_shapes(input_dim, hidden_dim, output_dim)
+            flats = []
             line = 2
-            for kind, params in (("online", q.online), ("target", q.target)):
+            for kind in ("online", "target"):
                 for name in PARAM_NAMES:
                     line += 1
                     field = f"{path} line {line}: {kind} {name}"
                     values = np.array([_number(float, text, field)
                                        for text in fh.readline().split()])
-                    if values.size != params[name].size:
+                    size = math.prod(shapes[name])
+                    if values.size != size:
                         raise NeuralError(f"{field} holds {values.size} values, "
-                                          f"expected {params[name].size}")
+                                          f"expected {size}")
                     if not np.isfinite(values).all():
                         raise NeuralError(f"{field} holds a non-finite value")
-                    params[name][...] = values.reshape(params[name].shape)
+                    flats.append(values)
             if fh.readline():
                 raise NeuralError(f"{path} line {line + 1}: unexpected line after the "
                                   "last parameter line")
+        q = cls(input_dim, output_dim, hidden_dim, lr, clip, rng=np.random.default_rng(0))
+        q.online_flat[...], q.target_flat[...] = np.split(np.concatenate(flats), 2)
         return q
 
 

@@ -8,8 +8,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .domain import (N_SLOTS, ONTOLOGY, ActType, DialogueAct, UserGoal,
-                     inform_act, request_act)
+from .domain import (ACT_BLOCK, N_SLOTS, ONTOLOGY, PLAIN_ACTS, ActType, DialogueAct,
+                     UserGoal, inform_act, request_act)
 from .neural import QFunction, epsilon_greedy
 from .replay import ReplayBuffer, ReplayError, Transition
 from .user_sim import (
@@ -52,12 +52,11 @@ N_ACTIONS = len(SYSTEM_ACTIONS)
 # plus three belief summaries (any open, all answered, open fraction),
 # turn scalar + one-hot over 40 buckets, KB count scalar.  An act block holds
 # the act's own DialogueAct.columns.
-_ACT_BLOCK = len(ActType) + N_SLOTS
-STATE_DIM = 2 * _ACT_BLOCK + 3 * N_SLOTS + 3 + 1 + MAX_TURNS + 1
+STATE_DIM = 2 * ACT_BLOCK + 3 * N_SLOTS + 3 + 1 + MAX_TURNS + 1
 # Each slot's column in the three belief-flag groups.
-_KNOWN, _OPEN, _ANSWERED = ({slot: 2 * _ACT_BLOCK + group * N_SLOTS + i
+_KNOWN, _OPEN, _ANSWERED = ({slot: 2 * ACT_BLOCK + group * N_SLOTS + i
                              for i, slot in enumerate(ONTOLOGY)} for group in range(3))
-_SUMMARY = 2 * _ACT_BLOCK + 3 * N_SLOTS
+_SUMMARY = 2 * ACT_BLOCK + 3 * N_SLOTS
 _TURN = _SUMMARY + 3
 
 
@@ -74,7 +73,7 @@ def featurize(ctx: DialogueContext, out: np.ndarray | None = None) -> np.ndarray
             vec[column] = 1.0
     if ctx.last_system_act is not None:
         for column in ctx.last_system_act.columns:
-            vec[_ACT_BLOCK + column] = 1.0
+            vec[ACT_BLOCK + column] = 1.0
     for slot in ctx.known_constraints:
         vec[_KNOWN[slot]] = 1.0
     for slot in ctx.open_requests:
@@ -95,9 +94,8 @@ def featurize(ctx: DialogueContext, out: np.ndarray | None = None) -> np.ndarray
 # value comes from the KB; an inform with no matching row is not_sure.
 _SYSTEM_ACTS = tuple(None if act_type is ActType.INFORM
                      else request_act(slot) if act_type is ActType.REQUEST
-                     else DialogueAct(act_type)
+                     else PLAIN_ACTS[act_type]
                      for act_type, slot in SYSTEM_ACTIONS)
-_NOT_SURE = DialogueAct(ActType.NOT_SURE)
 
 
 def materialize(action_index: int, ctx: DialogueContext) -> DialogueAct:
@@ -110,7 +108,7 @@ def materialize(action_index: int, ctx: DialogueContext) -> DialogueAct:
     if act is not None:
         return act
     if ctx.kb_row is None:
-        return _NOT_SURE
+        return PLAIN_ACTS[ActType.NOT_SURE]
     slot = SYSTEM_ACTIONS[action_index][1]
     return inform_act(**{slot: ctx.kb_row[slot]})
 

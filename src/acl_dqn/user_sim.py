@@ -15,13 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .domain import (
-    ActType,
-    DialogueAct,
-    UserGoal,
-    inform_act,
-    request_act,
-)
+from .domain import PLAIN_ACTS, ActType, DialogueAct, UserGoal, inform_act, request_act
 
 MAX_TURNS = 40
 
@@ -136,12 +130,6 @@ def _booking_valid(session: SimulatorSession) -> bool:
     return all(session.filled_requests[s] == row[s] for s in goal.request_slots)
 
 
-# The user's replies that carry no payload, built once.
-_THANKS, _DENY, _CLOSING, _CONFIRM_ANSWER, _NOT_SURE = (
-    DialogueAct(act_type) for act_type in (ActType.THANKS, ActType.DENY, ActType.CLOSING,
-                                           ActType.CONFIRM_ANSWER, ActType.NOT_SURE))
-
-
 def session_step(session: SimulatorSession,
                  system_act: DialogueAct) -> tuple[DialogueAct, str]:
     """Advance one exchange: system act in, user act and status out."""
@@ -157,26 +145,26 @@ def session_step(session: SimulatorSession,
             user_act = inform_act(**known)
         else:
             # Can't answer; pursue own agenda instead of stalling.
-            user_act = _pop_agenda(session) or _NOT_SURE
+            user_act = _pop_agenda(session) or PLAIN_ACTS[ActType.NOT_SURE]
     elif act_type is ActType.INFORM:
         for slot, value in system_act.payload:
             if slot in goal.request_slots:
                 session.filled_requests[slot] = value
-        user_act = _pop_agenda(session) or _CONFIRM_ANSWER
+        user_act = _pop_agenda(session) or PLAIN_ACTS[ActType.CONFIRM_ANSWER]
     elif act_type is ActType.BOOK:
         if _booking_valid(session):
             session.status = SUCCESS
-            user_act = _THANKS
+            user_act = PLAIN_ACTS[ActType.THANKS]
         else:
             # A booking that contradicts the goal or leaves questions
             # unanswered ends the dialogue: the user walks away.
             session.status = FAILURE
-            user_act = _DENY
+            user_act = PLAIN_ACTS[ActType.DENY]
     elif act_type is ActType.CLOSING:
         session.status = FAILURE
-        user_act = _CLOSING
+        user_act = PLAIN_ACTS[ActType.CLOSING]
     else:
-        user_act = _pop_agenda(session) or _NOT_SURE
+        user_act = _pop_agenda(session) or PLAIN_ACTS[ActType.NOT_SURE]
 
     if session.status == ONGOING:
         if session.turn >= MAX_TURNS:

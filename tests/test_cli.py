@@ -649,3 +649,11 @@ class TestLogging:
                        timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert "warm start done" in proc.stderr
+
+    def test_unknown_log_level_exits_2_naming_the_variable(self, tmp_path, run_cli):
+        out = tmp_path / "kb"
+        proc = run_cli("gen-kb", "--out", str(out),
+                       env={"ACLDQN_LOG": "verbose", "PATH": "/usr/bin:/bin"})
+        assert proc.returncode == 2
+        assert proc.stderr == "error: ACLDQN_LOG names no log level: 'VERBOSE'\n"
+        assert not out.exists()

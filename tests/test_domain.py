@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from acl_dqn import domain
 from acl_dqn.domain import (
     ONTOLOGY,
+    PLAIN_ACTS,
     TIER_BANDS,
     ActType,
     CorpusFormatError,
@@ -87,13 +88,25 @@ class TestDialogueAct:
         assert inform_act(city="boston", rating="R") is inform_act(rating="R", city="boston")
         assert inform_act(city="boston") is not inform_act(city="austin")
 
-    def test_past_the_bound_acts_are_built_per_call(self, monkeypatch):
-        monkeypatch.setattr(domain, "SHARED_ACTS", len(domain._INFORMS))
-        held = len(domain._INFORMS)
-        act = inform_act(movie_name="never shared")
-        assert act == inform_act(movie_name="never shared")
-        assert act is not inform_act(movie_name="never shared")
-        assert len(domain._INFORMS) == held
+    def test_past_the_bound_the_least_recently_used_act_is_dropped(self):
+        """Each kind keeps SHARED_ACTS acts; one more drops the least recently
+        used, and the act built anew for it equals the one dropped."""
+        for shared in (request_act, domain._inform_act):
+            assert shared.cache_info().maxsize == domain.SHARED_ACTS
+        first = inform_act(movie_name="past the bound 0")
+        for i in range(1, domain.SHARED_ACTS + 1):
+            assert inform_act(movie_name=f"past the bound {i}") is \
+                inform_act(movie_name=f"past the bound {i}")
+        assert domain._inform_act.cache_info().currsize == domain.SHARED_ACTS
+        again = inform_act(movie_name="past the bound 0")
+        assert again is not first
+        assert again == first and hash(again) == hash(first)
+        assert again.slots == first.slots and again.columns == first.columns
+
+    def test_each_plain_act_is_the_payload_free_act_of_its_type(self):
+        assert list(PLAIN_ACTS) == list(ActType)
+        for act_type, act in PLAIN_ACTS.items():
+            assert act == DialogueAct(act_type) and act.payload == ()
 
 
 class TestUserGoal:

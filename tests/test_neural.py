@@ -401,6 +401,21 @@ class TestCheckpoint:
         n = net.online["w1"].size
         assert str(err.value) == f"{path} line 3: online w1 holds {n + 1} values, expected {n}"
 
+    def test_parameter_counts_are_checked_before_the_net_is_built(self, tmp_path,
+                                                                  monkeypatch):
+        """A header claiming a large net over a short parameter line is refused
+        from the counts alone: no net of the claimed size is ever allocated."""
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("QFunction built before its parameter lines were checked")
+
+        monkeypatch.setattr(QFunction, "__init__", unbuilt)
+        path = tmp_path / "net.qfn"
+        path.write_text("qfn-v1\n112 20000 23 0.001 1.0\n0.1 0.2 0.3\n")
+        with pytest.raises(NeuralError) as err:
+            QFunction.load(path)
+        assert str(err.value) == \
+            f"{path} line 3: online w1 holds 3 values, expected {20000 * 112}"
+
     def test_line_after_the_last_parameter_line_rejected(self, rng, tmp_path):
         path = tmp_path / "net.qfn"
         _random_net(rng).save(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acl_dqn import student
-from acl_dqn.domain import ONTOLOGY, ActType, DialogueAct, inform_act, request_act
+from acl_dqn.domain import ONTOLOGY, PLAIN_ACTS, ActType, DialogueAct, inform_act, request_act
 from acl_dqn.neural import QFunction
 from acl_dqn.replay import ReplayBuffer, train_step
 from acl_dqn.student import (
@@ -51,7 +51,8 @@ class TestActionSet:
     def test_every_act_played_equals_a_freshly_built_act(self, corpus, kb, monkeypatch):
         """Each act materialize returns for every index, with and without a KB
         row, and each user act of rule-agent and random dialogues on every goal,
-        equals the act built and checked anew from its type and payload."""
+        equals the act built and checked anew from its type and payload; a
+        payload-free one is the shared act of its type."""
         played = []
 
         def recorded(function):
@@ -80,6 +81,8 @@ class TestActionSet:
             fresh = DialogueAct(act.act_type, act.payload)
             assert act == fresh and hash(act) == hash(fresh)
             assert act.slots == fresh.slots and act.columns == fresh.columns
+            if not act.payload:
+                assert act is PLAIN_ACTS[act.act_type]
 
     def test_inform_without_matching_row_degrades_to_not_sure(self, kb):
         ctx = DialogueContext(kb=kb)
