@@ -370,7 +370,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         level = os.environ.get("ACLDQN_LOG", "WARNING").upper()
-        if level not in logging.getLevelNamesMapping():
+        if not isinstance(logging.getLevelName(level), int):  # a name it knows maps to its level
             raise CliError(f"ACLDQN_LOG names no log level: {level!r}")
         logging.basicConfig(level=level)
         if getattr(args, "seed", 0) < 0:  # numpy seeds only from non-negative integers

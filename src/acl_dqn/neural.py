@@ -8,6 +8,7 @@ the one epsilon-greedy rule here.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -262,25 +263,23 @@ class QFunction:
             # All lines are checked before the net is built: a huge claimed net allocates nothing.
             shapes = _param_shapes(input_dim, hidden_dim, output_dim)
             flats = []
-            line = 2
-            for kind in ("online", "target"):
-                for name in PARAM_NAMES:
-                    line += 1
-                    field = f"{path} line {line}: {kind} {name}"
-                    values = np.array([_number(float, text, field)
-                                       for text in fh.readline().split()])
-                    size = math.prod(shapes[name])
-                    if values.size != size:
-                        raise NeuralError(f"{field} holds {values.size} values, "
-                                          f"expected {size}")
-                    if not np.isfinite(values).all():
-                        raise NeuralError(f"{field} holds a non-finite value")
-                    flats.append(values)
+            for line, (kind, name) in enumerate(
+                    itertools.product(("online", "target"), PARAM_NAMES), start=3):
+                field = f"{path} line {line}: {kind} {name}"
+                values = np.array([_number(float, text, field)
+                                   for text in fh.readline().split()])
+                size = math.prod(shapes[name])
+                if values.size != size:
+                    raise NeuralError(f"{field} holds {values.size} values, expected {size}")
+                if not np.isfinite(values).all():
+                    raise NeuralError(f"{field} holds a non-finite value")
+                flats.append(values)
             if fh.readline():
                 raise NeuralError(f"{path} line {line + 1}: unexpected line after the "
                                   "last parameter line")
         q = cls(input_dim, output_dim, hidden_dim, lr, clip, rng=np.random.default_rng(0))
-        q.online_flat[...], q.target_flat[...] = np.split(np.concatenate(flats), 2)
+        for view, values in zip([*q.online.values(), *q.target.values()], flats):
+            view[...] = values.reshape(view.shape)
         return q
 
 

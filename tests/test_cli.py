@@ -657,3 +657,17 @@ class TestLogging:
         assert proc.returncode == 2
         assert proc.stderr == "error: ACLDQN_LOG names no log level: 'VERBOSE'\n"
         assert not out.exists()
+
+    def test_log_level_is_checked_without_the_3_11_logging_api(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # Python 3.10, which the package supports, has no logging.getLevelNamesMapping.
+        monkeypatch.delattr("logging.getLevelNamesMapping", raising=False)
+        levels = []
+        monkeypatch.setattr("logging.basicConfig", lambda level: levels.append(level))
+        monkeypatch.setenv("ACLDQN_LOG", "verbose")
+        assert main(["gen-kb", "--out", str(tmp_path / "bad")]) == 2
+        assert capsys.readouterr().err == "error: ACLDQN_LOG names no log level: 'VERBOSE'\n"
+        for name in ("info", "warn", "DEBUG"):
+            monkeypatch.setenv("ACLDQN_LOG", name)
+            assert main(["gen-kb", "--out", str(tmp_path / name)]) == 0
+        assert levels == ["INFO", "WARN", "DEBUG"]
