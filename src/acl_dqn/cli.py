@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import domain, orchestrator
-from .domain import PLAIN_ACTS, ActType, DialogueAct, ONTOLOGY, UNK, inform_act, request_act
+from .domain import PLAIN_ACTS, ActType, DialogueAct, ONTOLOGY, UNK, inform_slot_act, request_act
 from .neural import NeuralError, QFunction, epsilon_greedy
 from .orchestrator import TrainConfig
 from .replay import ReplayError
@@ -247,7 +247,7 @@ def _read_act(choice: str, stdin, stdout) -> DialogueAct:
         slot, eq, value = line.partition("=")
         if not eq or not value:
             raise domain.DomainError(f"expected slot=value, got {line!r}")
-        return inform_act(**{slot: value})
+        return inform_slot_act(slot, value)
     return PLAIN_ACTS[ActType(choice)]
 
 

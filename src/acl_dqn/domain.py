@@ -143,7 +143,15 @@ def request_act(*slots: str) -> DialogueAct:
 
 
 def inform_act(**values: str) -> DialogueAct:
-    return _inform_act(tuple(sorted(values.items(), key=lambda kv: _slot_order(kv[0]))))
+    payload = tuple(values.items())
+    if len(payload) > 1:  # one pair is in ontology order as it stands
+        payload = tuple(sorted(payload, key=lambda kv: _slot_order(kv[0])))
+    return _inform_act(payload)
+
+
+def inform_slot_act(slot: str, value: str) -> DialogueAct:
+    """``inform_act(**{slot: value})``, the same shared act, with no dict built."""
+    return _inform_act(((slot, value),))
 
 
 @lru_cache(maxsize=SHARED_ACTS)

@@ -111,21 +111,6 @@ class QFunction:
         q = h @ params["w2"].T + params["b2"]
         return q[0] if single else q
 
-    def td_loss_and_grads(self, batch, gamma: float) -> tuple[float, dict[str, np.ndarray]]:
-        """Mean-squared TD loss and its unclipped gradients w.r.t. the online
-        parameters, in fresh arrays. ``batch`` is one minibatch, a replay
-        ``Transition`` of arrays: states [B, input_dim], actions [B], rewards
-        [B], next states [B, input_dim] and terminal flags [B].
-
-        Targets bootstrap from the target copy and are masked on terminal
-        transitions: y = r + gamma * max_a' Q_target(s') * (1 - terminal).
-        """
-        grads = {name: np.empty(self._shapes[name]) for name in GRAD_ORDER}
-        y = self._td_targets(batch, gamma, self._target_w1t())
-        actions = batch.action
-        self._check(len(actions), actions.min(initial=0), actions.max(initial=0))
-        return self._td_backprop(batch.state, actions, y, grads), grads
-
     def _check(self, size: int, low: int, high: int) -> None:
         """Refuse a minibatch of ``size`` transitions, its action indices
         spanning [low, high], when it is empty or an index names no output."""
@@ -143,8 +128,9 @@ class QFunction:
         return np.ascontiguousarray(self.target["w1"].T)
 
     def _td_targets(self, batch, gamma: float, target_w1t: np.ndarray) -> np.ndarray:
-        """The TD targets of a minibatch, or of a block with a leading step
-        axis, from one forward of the target net. Numpy computes a block's
+        """The TD targets y = r + gamma * max_a' Q_target(s') * (1 - terminal)
+        of a minibatch, or of a block with a leading step axis, from one
+        forward of the target net. Numpy computes a block's
         [k, B, input_dim] stack one minibatch at a time, with the matmul a
         lone minibatch takes, so each row equals its minibatch's targets bit
         for bit."""
@@ -179,9 +165,9 @@ class QFunction:
     def td_train_steps(self, blocks, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """One clipped Adam step on the mean-squared TD loss per minibatch of
         ``blocks``, in order, against one copy of the target net. A block is a
-        replay ``Transition`` whose fields have a leading step axis, states
-        [k, B, input_dim] and the rest [k, B]: row i is the minibatch of one
-        step, laid out as in ``td_loss_and_grads``, and a lone minibatch is a
+        replay ``Transition`` whose fields have a leading step axis: states and
+        next states [k, B, input_dim], actions, rewards and terminal flags
+        [k, B]. Row i is the minibatch of one step, and a lone minibatch is a
         block with k = 1. Each block's targets take one stacked target
         forward; each minibatch is checked just before its own step, and one
         that fails raises with the steps before it applied.
@@ -200,7 +186,7 @@ class QFunction:
                 loss = self._td_backprop(s, a, y, self._grad_views)
                 if not math.isfinite(loss):
                     raise NeuralError(f"non-finite TD loss {loss!r}")
-                norms.append(clip_gradients(self._grad_views, self.clip_norm, flat=g))
+                norms.append(clip_gradients(self._grad_views, self.clip_norm, g))
                 losses.append(loss)
                 self._adam_t += 1
                 b1c = 1.0 - 0.9 ** self._adam_t
@@ -291,18 +277,14 @@ def _number(kind, text: str, where: str):
         raise NeuralError(f"{where}: {exc}") from None
 
 
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float,
-                   flat: np.ndarray | None = None) -> float:
-    """Scale gradients in place so their global norm is at most clip_norm;
-    returns the norm measured before scaling. Each array's squares are
-    summed on their own, and the sums added in the order of ``grads``.
-    When every array is a view of ``flat``, as a QFunction's gradients are,
-    the scaling is one pass over flat."""
+def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float, flat: np.ndarray) -> float:
+    """Scale ``flat`` in place so its norm is at most clip_norm; returns the
+    norm measured before scaling. ``grads`` holds flat's values array by
+    array, as a QFunction's gradient views do: each array's squares are
+    summed on their own, and the sums added in the order of ``grads``."""
     total = math.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads.values()))
     if total > clip_norm and total > 0.0:
-        scale = clip_norm / total
-        for g in grads.values() if flat is None else (flat,):
-            g *= scale
+        flat *= clip_norm / total
     return total
 
 

@@ -26,6 +26,10 @@ class ReplayError(Exception):
 
 
 class Transition(NamedTuple):
+    """One transition, typed as annotated, when it is pushed. In a minibatch
+    each field is an array over its B transitions, states [B, dim] and the
+    rest [B]; in a block of k minibatches, [k, B, dim] and [k, B]."""
+
     state: np.ndarray
     action: int
     reward: float

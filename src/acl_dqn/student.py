@@ -9,7 +9,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .domain import (ACT_BLOCK, N_SLOTS, ONTOLOGY, PLAIN_ACTS, ActType, DialogueAct,
-                     UserGoal, inform_act, request_act)
+                     UserGoal, inform_slot_act, request_act)
 from .neural import QFunction, epsilon_greedy
 from .replay import ReplayBuffer, ReplayError, Transition
 from .user_sim import (
@@ -110,7 +110,7 @@ def materialize(action_index: int, ctx: DialogueContext) -> DialogueAct:
     if ctx.kb_row is None:
         return PLAIN_ACTS[ActType.NOT_SURE]
     slot = SYSTEM_ACTIONS[action_index][1]
-    return inform_act(**{slot: ctx.kb_row[slot]})
+    return inform_slot_act(slot, ctx.kb_row[slot])
 
 
 def step_reward(status: str) -> float:

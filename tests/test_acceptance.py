@@ -33,7 +33,7 @@ from acl_dqn.orchestrator import (
 )
 from acl_dqn.student import epsilon_policy, rule_policy, run_episode
 from acl_dqn.neural import QFunction, clip_gradients
-from acl_dqn.replay import Transition
+from td_oracle import fd_gradient, loss_and_grads, random_batch, random_net
 
 REPO = Path(__file__).resolve().parent.parent
 CACHE = REPO / "results" / "acceptance"
@@ -153,36 +153,20 @@ def test_criterion_6_gradient_suite():
     rng = np.random.default_rng(1234)
     worst = 0.0
     for _ in range(100):
-        input_dim = int(rng.integers(2, 8))
-        hidden = int(rng.integers(2, 10))
-        output_dim = int(rng.integers(2, 6))
-        net = QFunction(input_dim, output_dim, hidden_dim=hidden, rng=rng)
-        n = int(rng.integers(1, 8))
-        batch = Transition(
-            state=rng.normal(size=(n, input_dim)),
-            action=rng.integers(0, output_dim, size=n),
-            reward=rng.normal(size=n),
-            next_state=rng.normal(size=(n, input_dim)),
-            terminal=rng.random(n) < 0.3,
-        )
+        net = random_net(rng)
+        batch = random_batch(rng, net)
         gamma = float(rng.uniform(0, 1))
-        _, grads = net.td_loss_and_grads(batch, gamma)
-        eps = 1e-5
+        _, grads = loss_and_grads(net, batch, gamma)
         for name, grad in grads.items():
             flat = grad.reshape(-1)
             for index in rng.choice(flat.size, size=min(3, flat.size),
                                     replace=False):
-                original = net.online[name].flat[index]
-                net.online[name].flat[index] = original + eps
-                up, _ = net.td_loss_and_grads(batch, gamma)
-                net.online[name].flat[index] = original - eps
-                down, _ = net.td_loss_and_grads(batch, gamma)
-                net.online[name].flat[index] = original
-                fd = (up - down) / (2 * eps)
+                fd = fd_gradient(net, batch, gamma, name, index)
                 rel = abs(fd - flat[index]) / max(abs(fd), abs(flat[index]), 1e-8)
                 worst = max(worst, rel)
-        clip_gradients(grads, 1.0)
-        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        clipped = np.concatenate([g.reshape(-1) for g in grads.values()])
+        clip_gradients(grads, 1.0, clipped)
+        norm = np.sqrt(float(np.sum(clipped * clipped)))
         assert norm <= 1.0 + 1e-9
     _report(6, worst < 1e-4, f"max relative error {worst:.2e}")
     assert worst < 1e-4

@@ -17,6 +17,7 @@ from acl_dqn.domain import (
     generate_corpus,
     generate_kb_rows,
     inform_act,
+    inform_slot_act,
     load_corpus,
     load_kb_rows,
     make_goal,
@@ -87,6 +88,20 @@ class TestDialogueAct:
         assert request_act("city") is request_act("city")
         assert inform_act(city="boston", rating="R") is inform_act(rating="R", city="boston")
         assert inform_act(city="boston") is not inform_act(city="austin")
+
+    def test_a_one_pair_inform_is_one_act_in_every_form(self):
+        """A one pair inform skips the sort: its kwargs, dict and slot forms
+        are one shared act. More pairs still take ontology order, and an
+        unknown slot is refused in every form."""
+        assert inform_act(**{"city": "boston"}) is inform_act(city="boston")
+        for slot in ONTOLOGY:
+            assert inform_slot_act(slot, "x") is inform_act(**{slot: "x"})
+        act = inform_act(**{slot: "x" for slot in reversed(ONTOLOGY)})
+        assert act.slots == tuple(ONTOLOGY)
+        for build in (lambda: inform_act(color="red", city="boston"),
+                      lambda: inform_slot_act("color", "red")):
+            with pytest.raises(DomainError, match="slot 'color' not in ontology"):
+                build()
 
     def test_past_the_bound_the_least_recently_used_act_is_dropped(self):
         """Each kind keeps SHARED_ACTS acts; one more drops the least recently

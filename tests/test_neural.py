@@ -11,47 +11,15 @@ from acl_dqn.neural import (
     epsilon_greedy,
 )
 from acl_dqn.replay import Transition
+from td_oracle import (block_of, fd_gradient, loss_and_grads, random_batch, random_net,
+                       reference_step)
 
-FD_EPS = 1e-5
 FD_TOL = 1e-4
-
-
-def _random_net(rng, input_dim=None, hidden_dim=None, output_dim=None):
-    input_dim = input_dim or int(rng.integers(2, 8))
-    hidden_dim = hidden_dim or int(rng.integers(2, 10))
-    output_dim = output_dim or int(rng.integers(2, 6))
-    return QFunction(input_dim, output_dim, hidden_dim=hidden_dim, rng=rng)
-
-
-def _random_batch(rng, net, size=None):
-    size = size or int(rng.integers(1, 8))
-    return Transition(
-        state=rng.normal(size=(size, net.input_dim)),
-        action=rng.integers(0, net.output_dim, size=size),
-        reward=rng.normal(size=size),
-        next_state=rng.normal(size=(size, net.input_dim)),
-        terminal=rng.random(size) < 0.3,
-    )
-
-
-def _block(*minibatches):
-    """The minibatches stacked as one block, a step per row."""
-    return Transition(*map(np.stack, zip(*minibatches)))
-
-
-def _fd_gradient(net, batch, gamma, name, index):
-    original = net.online[name].flat[index]
-    net.online[name].flat[index] = original + FD_EPS
-    loss_plus, _ = net.td_loss_and_grads(batch, gamma)
-    net.online[name].flat[index] = original - FD_EPS
-    loss_minus, _ = net.td_loss_and_grads(batch, gamma)
-    net.online[name].flat[index] = original
-    return (loss_plus - loss_minus) / (2.0 * FD_EPS)
 
 
 class TestForward:
     def test_single_and_batch_agree(self, rng):
-        net = _random_net(rng)
+        net = random_net(rng)
         states = rng.normal(size=(4, net.input_dim))
         batched = net.forward(states)
         assert batched.shape == (4, net.output_dim)
@@ -73,9 +41,9 @@ class TestForward:
             net.forward(np.zeros(5))
 
     def test_target_starts_equal_then_diverges(self, rng):
-        net = _random_net(rng)
+        net = random_net(rng)
         np.testing.assert_array_equal(net.online_flat, net.target_flat)
-        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
+        net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
         assert not np.array_equal(net.online_flat, net.target_flat)
         net.sync_target()
         np.testing.assert_array_equal(net.online_flat, net.target_flat)
@@ -87,28 +55,29 @@ class TestGradients:
         rng = np.random.default_rng(42)
         worst = 0.0
         for _ in range(100):
-            net = _random_net(rng)
-            batch = _random_batch(rng, net)
+            net = random_net(rng)
+            batch = random_batch(rng, net)
             gamma = float(rng.uniform(0.0, 1.0))
-            _, grads = net.td_loss_and_grads(batch, gamma)
+            _, grads = loss_and_grads(net, batch, gamma)
             for name in PARAM_NAMES:
                 flat = grads[name].reshape(-1)
                 for index in rng.choice(flat.size, size=min(4, flat.size),
                                         replace=False):
-                    fd = _fd_gradient(net, batch, gamma, name, index)
+                    fd = fd_gradient(net, batch, gamma, name, index)
                     denom = max(abs(fd), abs(flat[index]), 1e-8)
                     worst = max(worst, abs(fd - flat[index]) / denom)
         assert worst < FD_TOL, worst
 
     def test_clip_leaves_small_gradients_alone(self, rng):
-        grads = {"g": np.array([0.3, 0.4])}
-        norm = clip_gradients(grads, 1.0)
+        flat = np.array([0.3, 0.4])
+        norm = clip_gradients({"g": flat}, 1.0, flat)
         assert norm == pytest.approx(0.5)
-        np.testing.assert_allclose(grads["g"], [0.3, 0.4])
+        np.testing.assert_allclose(flat, [0.3, 0.4])
 
     def test_clip_scales_large_gradients_to_the_bound(self, rng):
-        grads = {"a": np.full(10, 5.0), "b": np.full(7, -3.0)}
-        norm = clip_gradients(grads, 1.0)
+        flat = np.concatenate([np.full(10, 5.0), np.full(7, -3.0)])
+        grads = {"a": flat[:10], "b": flat[10:]}
+        norm = clip_gradients(grads, 1.0, flat)
         assert norm == pytest.approx(np.sqrt(313.0))
         total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert total <= 1.0 + 1e-12
@@ -116,51 +85,52 @@ class TestGradients:
     def test_post_clip_norm_never_exceeds_bound(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            net = _random_net(rng)
-            batch = _random_batch(rng, net)
-            _, grads = net.td_loss_and_grads(batch, float(rng.uniform(0, 1)))
-            clip_gradients(grads, net.clip_norm)
-            total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            net = random_net(rng)
+            batch = random_batch(rng, net)
+            _, grads = loss_and_grads(net, batch, float(rng.uniform(0, 1)))
+            flat = np.concatenate([g.reshape(-1) for g in grads.values()])
+            clip_gradients(grads, net.clip_norm, flat)
+            total = np.sqrt(float(np.sum(flat * flat)))
             assert total <= net.clip_norm + 1e-12
 
 
 class TestTdTargets:
     def test_gamma_zero_targets_are_rewards(self, rng):
-        net = _random_net(rng)
-        batch = _random_batch(rng, net, size=6)
+        net = random_net(rng)
+        batch = random_batch(rng, net, size=6)
         q = net.forward(batch.state)
         q_sel = q[np.arange(6), batch.action]
         expected = float(np.mean((q_sel - batch.reward) ** 2))
-        [loss], _ = net.td_train_steps([_block(batch)], 0.0)
+        [loss], _ = net.td_train_steps([block_of(batch)], 0.0)
         assert loss == pytest.approx(expected)
 
     def test_terminal_transitions_ignore_bootstrap(self, rng):
-        net = _random_net(rng)
-        batch = _random_batch(rng, net, size=5)
+        net = random_net(rng)
+        batch = random_batch(rng, net, size=5)
         batch.terminal[:] = True
-        l1, g1 = net.td_loss_and_grads(batch, 0.9)
-        l2, g2 = net.td_loss_and_grads(batch, 0.0)
+        l1, g1 = loss_and_grads(net, batch, 0.9)
+        l2, g2 = loss_and_grads(net, batch, 0.0)
         assert l1 == l2
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(g1[name], g2[name])
 
     def test_nonterminal_bootstrap_uses_target_max(self, rng):
-        net = _random_net(rng)
+        net = random_net(rng)
         target = pickle.loads(pickle.dumps(net))  # fresh: its online weights are net's target
-        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
-        batch = _random_batch(rng, net, size=4)
+        net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
+        batch = random_batch(rng, net, size=4)
         batch.terminal[:] = False
         gamma = 0.9
         y = batch.reward + gamma * target.forward(batch.next_state).max(axis=1)
         q_sel = net.forward(batch.state)[np.arange(4), batch.action]
         expected = float(np.mean((q_sel - y) ** 2))
-        loss, _ = net.td_loss_and_grads(batch, gamma)
+        [loss], _ = net.td_train_steps([block_of(batch)], gamma)
         assert loss == pytest.approx(expected)
 
     def test_training_reduces_loss_on_a_fixed_batch(self, rng):
-        net = _random_net(rng)
-        batch = _random_batch(rng, net, size=8)
-        losses, _ = net.td_train_steps([_block(batch)] * 201, 0.9)
+        net = random_net(rng)
+        batch = random_batch(rng, net, size=8)
+        losses, _ = net.td_train_steps([block_of(batch)] * 201, 0.9)
         assert losses[-1] < losses[0]
 
     def test_empty_batch_rejected(self, rng):
@@ -168,41 +138,41 @@ class TestTdTargets:
         empty = Transition(np.zeros((0, 3)), np.zeros(0, dtype=int),
                            np.zeros(0), np.zeros((0, 3)), np.zeros(0, dtype=bool))
         with pytest.raises(NeuralError):
-            net.td_train_steps([_block(empty)], 0.9)
+            net.td_train_steps([block_of(empty)], 0.9)
 
     def test_bad_gamma_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
         with pytest.raises(NeuralError):
-            net.td_train_steps([_block(_random_batch(rng, net, size=2))], 1.5)
+            net.td_train_steps([block_of(random_batch(rng, net, size=2))], 1.5)
 
     def test_out_of_range_action_rejected(self, rng):
         net = QFunction(3, 2, rng=rng)
-        batch = _random_batch(rng, net, size=2)
+        batch = random_batch(rng, net, size=2)
         batch.action[0] = 2
         with pytest.raises(NeuralError):
-            net.td_train_steps([_block(batch)], 0.9)
+            net.td_train_steps([block_of(batch)], 0.9)
 
     def test_a_refused_minibatch_keeps_the_steps_before_it(self, rng):
         """Each minibatch is checked before its own step: the first step of
         three stays applied when the second is refused, and the third never runs."""
-        net = _random_net(rng)
+        net = random_net(rng)
         twin = pickle.loads(pickle.dumps(net))
-        first, bad, third = (_random_batch(rng, net, size=4) for _ in range(3))
+        first, bad, third = (random_batch(rng, net, size=4) for _ in range(3))
         bad.action[0] = net.output_dim
         with pytest.raises(NeuralError, match="action index out of range"):
-            net.td_train_steps([_block(first, bad, third)], 0.9)
-        twin.td_train_steps([_block(first)], 0.9)
+            net.td_train_steps([block_of(first, bad, third)], 0.9)
+        twin.td_train_steps([block_of(first)], 0.9)
         assert not np.array_equal(net.online_flat, net.target_flat)
         for name in ("online_flat", "_adam_m", "_adam_v"):
             np.testing.assert_array_equal(getattr(net, name), getattr(twin, name))
         assert net._adam_t == twin._adam_t == 1
 
     def test_nan_parameter_makes_the_step_raise(self, rng):
-        net = _random_net(rng)
+        net = random_net(rng)
         net.online["w2"][0, 0] = np.nan
         before = net.online_flat.copy()
         with pytest.raises(NeuralError, match="non-finite TD loss"):
-            net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
+            net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
         np.testing.assert_array_equal(net.online_flat, before)
 
     def test_a_negative_action_is_refused_after_the_steps_before_it(self, rng):
@@ -210,20 +180,20 @@ class TestTdTargets:
         minibatch is refused, naming the fault, with the first step applied."""
         net = QFunction(3, 2, rng=rng)
         twin = pickle.loads(pickle.dumps(net))
-        first, bad = (_random_batch(rng, net, size=2) for _ in range(2))
+        first, bad = (random_batch(rng, net, size=2) for _ in range(2))
         bad.action[:] = [-1, 0]
         with pytest.raises(NeuralError, match="action index out of range: -1 is negative"):
-            net.td_train_steps([_block(first), _block(bad)], 0.9)
-        twin.td_train_steps([_block(first)], 0.9)
+            net.td_train_steps([block_of(first), block_of(bad)], 0.9)
+        twin.td_train_steps([block_of(first)], 0.9)
         for name in ("online_flat", "_adam_m", "_adam_v"):
             np.testing.assert_array_equal(getattr(net, name), getattr(twin, name))
         assert net._adam_t == twin._adam_t == 1
 
     def test_nan_in_the_target_weights_alone_makes_the_first_step_raise(self, rng):
-        net = _random_net(rng)
+        net = random_net(rng)
         net.target["w2"][0, 0] = np.nan
         before = [getattr(net, name).copy() for name in ("online_flat", "_adam_m", "_adam_v")]
-        block = _block(*(_random_batch(rng, net, size=4) for _ in range(3)))
+        block = block_of(*(random_batch(rng, net, size=4) for _ in range(3)))
         with pytest.raises(NeuralError, match="non-finite TD loss"):
             net.td_train_steps([block], 0.9)
         for name, then in zip(("online_flat", "_adam_m", "_adam_v"), before):
@@ -236,33 +206,17 @@ class TestTdTargets:
         net = QFunction(112, 23, rng=rng)  # the student's shape
         net.online_flat += rng.normal(scale=0.1, size=net.online_flat.size)
         net.sync_target()
-        minibatches = [_random_batch(rng, net, size=16) for _ in range(steps)]
+        minibatches = [random_batch(rng, net, size=16) for _ in range(steps)]
         w1t = net._target_w1t()
-        stacked = net._td_targets(_block(*minibatches), 0.9, w1t)
+        stacked = net._td_targets(block_of(*minibatches), 0.9, w1t)
         assert stacked.shape == (steps, 16)
         for row, minibatch in zip(stacked, minibatches):
             assert row.tobytes() == net._td_targets(minibatch, 0.9, w1t).tobytes()
 
 
-def _per_array_step(net, params, adam_m, adam_v, t, batch, gamma):
-    """The TD step as separate per-array updates: the flat step's oracle."""
-    loss, grads = net.td_loss_and_grads(batch, gamma)
-    clip_gradients(grads, net.clip_norm)
-    b1c = 1.0 - 0.9 ** t
-    b2c = 1.0 - 0.999 ** t
-    for name in PARAM_NAMES:
-        g, m, v = grads[name], adam_m[name], adam_v[name]
-        m *= 0.9
-        m += 0.1 * g
-        v *= 0.999
-        v += 0.001 * g * g
-        params[name] -= net.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + 1e-8)
-    return loss
-
-
 class TestFlatLayout:
     def test_views_tile_the_flat_buffer_in_param_order(self, rng):
-        net = _random_net(rng)
+        net = random_net(rng)
         joined = np.concatenate([net.online[name].reshape(-1) for name in PARAM_NAMES])
         np.testing.assert_array_equal(joined, net.online_flat)
         for name in PARAM_NAMES:
@@ -270,7 +224,7 @@ class TestFlatLayout:
             assert np.shares_memory(net.target[name], net.target_flat)
 
     def test_writing_through_a_view_reaches_the_flat_buffer(self, rng):
-        net = _random_net(rng)
+        net = random_net(rng)
         offset = net.online["w1"].size + net.online["b1"].size + net.hidden_dim
         net.online["w2"][1, 0] = 7.5
         assert net.online_flat[offset] == 7.5
@@ -280,28 +234,28 @@ class TestFlatLayout:
                                    h @ net.online["w2"][1] + net.online["b2"][1])
 
     def test_sync_target_copies_rather_than_aliases(self, rng):
-        net = _random_net(rng)
-        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
+        net = random_net(rng)
+        net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
         net.sync_target()
         synced = net.target_flat.copy()
         np.testing.assert_array_equal(synced, net.online_flat)
         assert not np.shares_memory(net.target_flat, net.online_flat)
-        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
+        net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
         net.online["b2"][0] += 1.0
         np.testing.assert_array_equal(net.target_flat, synced)
 
     def test_pickled_net_keeps_its_views_and_trains_bit_for_bit(self, rng):
-        net = _random_net(rng)
+        net = random_net(rng)
         for _ in range(3):
-            net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
+            net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
         copy = pickle.loads(pickle.dumps(net))
         for views, flat in ((copy.online, copy.online_flat), (copy.target, copy.target_flat),
                             (copy._grad_views, copy._grad)):
             for name in PARAM_NAMES:
                 assert np.shares_memory(views[name], flat)
-        batch = _random_batch(rng, net)
-        [copy_loss], _ = copy.td_train_steps([_block(batch)], 0.9)
-        [loss], _ = net.td_train_steps([_block(batch)], 0.9)
+        batch = random_batch(rng, net)
+        [copy_loss], _ = copy.td_train_steps([block_of(batch)], 0.9)
+        [loss], _ = net.td_train_steps([block_of(batch)], 0.9)
         assert copy_loss == loss
         for name in ("online_flat", "target_flat", "_adam_m", "_adam_v"):
             np.testing.assert_array_equal(getattr(copy, name), getattr(net, name))
@@ -312,27 +266,25 @@ class TestFlatLayout:
     def test_flat_step_matches_per_array_updates_bit_for_bit(self):
         rng = np.random.default_rng(21)
         for trial in range(20):
-            net = _random_net(rng)
+            net = random_net(rng)
             if trial % 2:
                 net.clip_norm = 1e-3  # every step clips
-            params = {k: v.copy() for k, v in net.online.items()}
-            adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-            adam_v = {k: np.zeros_like(v) for k, v in params.items()}
-            for t in range(1, 6):
-                batch = _random_batch(rng, net)
-                expected = _per_array_step(net, params, adam_m, adam_v, t, batch, 0.9)
-                [loss], _ = net.td_train_steps([_block(batch)], 0.9)
+            ref = pickle.loads(pickle.dumps(net))
+            for _ in range(5):
+                batch = random_batch(rng, net)
+                expected, _ = reference_step(ref, batch, 0.9)
+                [loss], _ = net.td_train_steps([block_of(batch)], 0.9)
                 assert loss == expected
                 for name in PARAM_NAMES:
-                    np.testing.assert_array_equal(net.online[name], params[name])
+                    np.testing.assert_array_equal(net.online[name], ref.online[name])
 
 
 class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, rng, tmp_path):
-        net = _random_net(rng)
-        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
+        net = random_net(rng)
+        net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
         net.sync_target()
-        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
+        net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
         path = tmp_path / "net.qfn"
         net.save(path)
         loaded = QFunction.load(path)
@@ -343,8 +295,8 @@ class TestCheckpoint:
             assert np.shares_memory(loaded.target[name], loaded.target_flat)
 
     def test_round_trip_is_exact(self, rng, tmp_path):
-        net = _random_net(rng)
-        net.td_train_steps([_block(_random_batch(rng, net))], 0.9)
+        net = random_net(rng)
+        net.td_train_steps([block_of(random_batch(rng, net))], 0.9)
         path = tmp_path / "net.qfn"
         net.save(path)
         loaded = QFunction.load(path)
@@ -370,7 +322,7 @@ class TestCheckpoint:
 
     def test_long_dims_line_rejected(self, rng, tmp_path):
         path = tmp_path / "net.qfn"
-        _random_net(rng).save(path)
+        random_net(rng).save(path)
         lines = path.read_text().splitlines(keepends=True)
         lines[1] = lines[1].rstrip("\n") + " 7\n"
         path.write_text("".join(lines))
@@ -379,7 +331,7 @@ class TestCheckpoint:
         assert str(err.value) == f"{path} line 2: 6 fields, expected 5"
 
     def test_truncated_file_rejected(self, rng, tmp_path):
-        net = _random_net(rng)
+        net = random_net(rng)
         path = tmp_path / "net.qfn"
         net.save(path)
         lines = path.read_text().splitlines(keepends=True)
@@ -390,7 +342,7 @@ class TestCheckpoint:
             f"{path} line 9: target w2 holds 0 values, expected {net.online['w2'].size}"
 
     def test_parameter_line_with_a_value_too_many_rejected(self, rng, tmp_path):
-        net = _random_net(rng)
+        net = random_net(rng)
         path = tmp_path / "net.qfn"
         net.save(path)
         lines = path.read_text().splitlines(keepends=True)
@@ -418,7 +370,7 @@ class TestCheckpoint:
 
     def test_line_after_the_last_parameter_line_rejected(self, rng, tmp_path):
         path = tmp_path / "net.qfn"
-        _random_net(rng).save(path)
+        random_net(rng).save(path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("0.5\n")
         with pytest.raises(NeuralError) as err:
@@ -428,7 +380,7 @@ class TestCheckpoint:
 
     def test_dims_below_one_rejected_by_name(self, rng, tmp_path):
         path = tmp_path / "net.qfn"
-        _random_net(rng, input_dim=4, hidden_dim=5, output_dim=3).save(path)
+        random_net(rng, input_dim=4, hidden_dim=5, output_dim=3).save(path)
         lines = path.read_text().splitlines(keepends=True)
         for i, dim in enumerate(("input_dim", "hidden_dim", "output_dim")):
             dims = lines[1].split()
@@ -440,7 +392,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected_by_name(self, rng, tmp_path, value):
-        net = _random_net(rng)
+        net = random_net(rng)
         path = tmp_path / "net.qfn"
         net.save(path)
         lines = path.read_text().splitlines(keepends=True)
@@ -462,7 +414,7 @@ class TestCheckpoint:
     def test_malformed_number_names_file_line_and_field(self, rng, tmp_path, line,
                                                         column, field, text, message):
         path = tmp_path / "net.qfn"
-        _random_net(rng).save(path)
+        random_net(rng).save(path)
         lines = path.read_text().splitlines(keepends=True)
         values = lines[line - 1].split()
         values[column] = text

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from acl_dqn.neural import PARAM_NAMES, QFunction, clip_gradients
+from acl_dqn.neural import QFunction
 from acl_dqn.replay import (
     BATCH_SIZE,
     BLOCK_STEPS,
@@ -21,6 +21,7 @@ from acl_dqn.replay import (
 )
 from acl_dqn.orchestrator import default_environment
 from acl_dqn.student import N_ACTIONS, STATE_DIM, rbs_prefill
+from td_oracle import reference_step
 
 
 def _transition(tag, dim=3, terminal=False, reward=0.0):
@@ -233,37 +234,16 @@ def _random_buffer(capacity, pushes, seed=0):
     return buf
 
 
-def _reference_steps(q, buf, rng, steps):
-    """``steps`` TD steps on a copy of q, each drawing its 16 ages on its own:
-    td_loss_and_grads, clip_gradients and Adam written out per array, both
-    bias corrections divided at every t. Returns the copy, losses and norms."""
-    ref = pickle.loads(pickle.dumps(q))
-    m, v = ref._views(ref._adam_m), ref._views(ref._adam_v)
-    losses, norms = [], []
-    for _ in range(steps):
-        batch = buf.rows(rng.integers(0, len(buf), size=BATCH_SIZE))
-        loss, grads = ref.td_loss_and_grads(batch, GAMMA)
-        norms.append(clip_gradients(grads, ref.clip_norm))
-        losses.append(loss)
-        ref._adam_t += 1
-        t = ref._adam_t
-        b1c, b2c = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
-        for name in PARAM_NAMES:
-            g = grads[name]
-            m[name][...] = m[name] * 0.9 + 0.1 * g
-            v[name][...] = v[name] * 0.999 + 0.001 * g * g
-            ref.online[name][...] -= (ref.learning_rate * (m[name] / b1c)
-                                      / (np.sqrt(v[name] / b2c) + 1e-8))
-    return ref, losses, norms
-
-
 def _assert_trains_as_the_reference(q, buf, steps):
-    """train_step(steps) on q equals ``steps`` reference steps bit for bit."""
+    """train_step(steps) on q equals, bit for bit, ``steps`` reference steps
+    on a copy of q, each drawing its 16 ages on its own."""
     ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
-    ref, ref_losses, ref_norms = _reference_steps(q, buf, ref_rng, steps)
+    ref = pickle.loads(pickle.dumps(q))
+    expected = [reference_step(ref, buf.rows(ref_rng.integers(0, len(buf), size=BATCH_SIZE)),
+                               GAMMA) for _ in range(steps)]
     losses, norms = train_step(q, buf, rng, steps=steps)
-    assert losses.tolist() == ref_losses
-    assert norms.tolist() == ref_norms
+    assert losses.tolist() == [loss for loss, _ in expected]
+    assert norms.tolist() == [norm for _, norm in expected]
     for name in ("online_flat", "target_flat", "_adam_m", "_adam_v"):
         assert getattr(q, name).tobytes() == getattr(ref, name).tobytes(), name
     assert q._adam_t == ref._adam_t

@@ -5,6 +5,7 @@ from acl_dqn import orchestrator
 from acl_dqn.neural import QFunction, epsilon_greedy
 from acl_dqn.replay import TEACHER_CAPACITY, ReplayBuffer, Transition, train_step
 from acl_dqn.teacher import TEACHER_STATE_DIM, TeacherStateBuilder
+from td_oracle import block_of
 
 
 class TestTeacherStateBuilder:
@@ -70,7 +71,7 @@ class TestTeacherTraining:
         )
         q_sel = q.forward(batch.state)[np.arange(4), batch.action]
         expected = float(np.mean((q_sel - batch.reward) ** 2))
-        loss, _ = q.td_loss_and_grads(batch, 0.0)
+        [loss], _ = q.td_train_steps([block_of(batch)], 0.0)
         assert loss == pytest.approx(expected, abs=1e-6)
 
     def test_lr_zero_leaves_parameters_bit_identical(self, rng, corpus):

@@ -2,8 +2,13 @@
 
 Every import in ``src/acl_dqn/*.py`` and ``scripts/verify_cache.py`` is
 read somewhere in its file, and so is every module-level private name (a
-function, class or assigned name starting with one underscore). A name
-left behind by a deletion fails here, naming its file and line.
+function, class or assigned name starting with one underscore). Every
+public name of the package, a module-level function, class or assigned
+name or a class's method, is read by the package, ``scripts/verify_cache.py``
+or ``perfbench/*.py``: code that only tests read does not belong in the
+package. A string constant equal to the name counts as a read, since
+perfbench patches attributes by name. A name left behind by a deletion
+fails here, naming its file and line.
 """
 
 import ast
@@ -12,7 +17,9 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-FILES = [*sorted((REPO / "src" / "acl_dqn").glob("*.py")), REPO / "scripts" / "verify_cache.py"]
+PACKAGE = sorted((REPO / "src" / "acl_dqn").glob("*.py"))
+FILES = [*PACKAGE, REPO / "scripts" / "verify_cache.py"]
+READERS = [*FILES, *sorted((REPO / "perfbench").glob("*.py"))]
 
 
 def _private(name: str) -> bool:
@@ -66,3 +73,68 @@ def test_the_scan_names_each_unused_import_and_private_name():
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(REPO)) for p in FILES])
 def test_no_unused_import_or_private_name(path):
     assert unused(path.read_text(encoding="utf-8"), str(path.relative_to(REPO))) == []
+
+
+def public_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each public module-level function, class and assigned
+    name, and of each public method, as ``Class.method``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found += [(item.lineno, f"{node.name}.{item.name}") for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    return sorted((line, name) for line, name in found
+                  if not name.rpartition(".")[2].startswith("_"))
+
+
+def reads(tree: ast.Module) -> set[str]:
+    """The names a tree reads: loaded names and attributes, imported names
+    and string constants."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def unread(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """One line per public name of the modules (where -> source) that no reader source reads."""
+    read = set().union(*(reads(ast.parse(source)) for source in readers))
+    return [f"{where}:{line}: public name {name!r} is read only by tests"
+            for where, source in modules.items()
+            for line, name in public_names(ast.parse(source, filename=where))
+            if name.rpartition(".")[2] not in read]
+
+
+def test_the_scan_names_each_public_name_no_reader_reads():
+    module = ("import numpy as np\n\nLIMIT = 3\nDEAD: int = 4\n\n\n"
+              "def used():\n    return LIMIT\n\n\n"
+              "def dead():\n    return np.zeros(LIMIT)\n\n\n"
+              "class Net:\n    def forward(self):\n        return used()\n\n"
+              "    def only_tested(self):\n        return self._helper()\n\n"
+              "    def _helper(self):\n        return 1\n\n"
+              "    def patched(self):\n        return 2\n")
+    reader = "from module import Net\n\nNet().forward()\nsetattr(Net, 'patched', None)\n"
+    assert unread({"module.py": module}, [module, reader]) == [
+        "module.py:4: public name 'DEAD' is read only by tests",
+        "module.py:11: public name 'dead' is read only by tests",
+        "module.py:19: public name 'Net.only_tested' is read only by tests",
+    ]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    assert unread({str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
+                   for path in PACKAGE},
+                  [path.read_text(encoding="utf-8") for path in READERS]) == []
