@@ -170,15 +170,15 @@ def cmd_compare(args) -> int:
     configs = [_config_from_args(args, a) for a in _distinct("--agents", args.agents.split(","))]
     report, corpus, out = _compare(args, configs, lambda config: config.agent_kind)
     # The last curve row's mean and variance of the success rate over the seeds.
-    orchestrator._write_csv(out / "stability.csv",
-                            ["agent", "final_mean_success", "final_var_success"],
-                            ([config.agent_kind, *report.curve(config)[-1][1:3]]
-                             for config in configs))
-    orchestrator._write_csv(out / "selection_counts.csv",
-                            ["agent", "seed", *(f"g{g}" for g in corpus.all_ids())],
-                            ([run.config.agent_kind, run.seed,
-                              *orchestrator.selection_counts(run.metrics, len(corpus))]
-                             for run in report.runs))
+    orchestrator.write_csv(out / "stability.csv",
+                           ["agent", "final_mean_success", "final_var_success"],
+                           ([config.agent_kind, *report.curve(config)[-1][1:3]]
+                            for config in configs))
+    orchestrator.write_csv(out / "selection_counts.csv",
+                           ["agent", "seed", *(f"g{g}" for g in corpus.all_ids())],
+                           ([run.config.agent_kind, run.seed,
+                             *orchestrator.selection_counts(run.metrics, len(corpus))]
+                            for run in report.runs))
     return 0
 
 

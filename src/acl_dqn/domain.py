@@ -290,6 +290,16 @@ def generate_corpus(seed: int, kb_rows: Sequence[Mapping[str, str]],
     return GoalCorpus(tuple(goals))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's pairs as a dict, refusing a key given twice."""
+    record = {}
+    for key, value in pairs:
+        if key in record:
+            raise CorpusFormatError(f"repeated key {key!r}")
+        record[key] = value
+    return record
+
+
 def _read_records(path) -> Iterator[tuple[int, Any]]:
     """(line number, decoded record) for each non-blank line of a JSON-lines file."""
     with open(path, encoding="utf-8") as fh:
@@ -297,9 +307,11 @@ def _read_records(path) -> Iterator[tuple[int, Any]]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid record: {exc.msg}", lineno) from exc
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(str(exc), lineno) from None
             yield lineno, record
 
 
@@ -330,12 +342,15 @@ def load_corpus(path) -> GoalCorpus:
     for lineno, record in _read_records(path):
         try:
             goal_id = record["id"]
-            # values read as load_kb_rows reads them, so they can match a row
-            informs = {s: _slot_value(v, f"inform slot {s!r}", lineno)
-                       for s, v in dict(record["inform_slots"]).items()}
+            slots = record["inform_slots"]
             requests = record["request_slots"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise CorpusFormatError(f"missing or malformed field: {exc}", lineno) from exc
+        if not isinstance(slots, dict):
+            raise CorpusFormatError(
+                f"inform_slots holds {json.dumps(slots)}, not a JSON object", lineno)
+        # values read as load_kb_rows reads them, so they can match a row
+        informs = {s: _slot_value(v, f"inform slot {s!r}", lineno) for s, v in slots.items()}
         if not isinstance(requests, list) or not all(isinstance(s, str) for s in requests):
             raise CorpusFormatError(
                 f"request_slots holds {json.dumps(requests)}, not a list of strings", lineno)

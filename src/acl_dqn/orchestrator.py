@@ -344,7 +344,7 @@ def run_training(config: TrainConfig, seed: int, corpus: GoalCorpus,
     return RunResult(config, seed, metrics, student_q)
 
 
-def _write_csv(path, header, rows) -> None:
+def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -352,15 +352,15 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_metrics_csv(metrics: MetricsSeries, path) -> None:
-    _write_csv(path, ["epoch", "success", "reward", "turns"], metrics.eval_rows)
+    write_csv(path, ["epoch", "success", "reward", "turns"], metrics.eval_rows)
 
 
 def write_teacher_log_csv(metrics: MetricsSeries, path) -> None:
-    _write_csv(path, TeacherLogRow._fields, metrics.teacher_log)
+    write_csv(path, TeacherLogRow._fields, metrics.teacher_log)
 
 
 def write_phase_log_csv(metrics: MetricsSeries, path) -> None:
-    _write_csv(path, ["epoch", "from", "to", "trigger"], metrics.phase_log)
+    write_csv(path, ["epoch", "from", "to", "trigger"], metrics.phase_log)
 
 
 def write_run_logs(metrics: MetricsSeries, out_dir, suffix: str = "") -> dict[str, Path]:
@@ -500,5 +500,5 @@ def run_comparison(configs, seeds, corpus: GoalCorpus,
 
 
 def write_curve_csv(report: ComparisonReport, config: TrainConfig, path) -> None:
-    _write_csv(path, ["epoch", "mean_success", "var_success", "mean_reward", "mean_turns"],
-               report.curve(config))
+    write_csv(path, ["epoch", "mean_success", "var_success", "mean_reward", "mean_turns"],
+              report.curve(config))

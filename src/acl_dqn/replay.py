@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -13,9 +14,6 @@ STUDENT_CAPACITY = 5000
 TEACHER_CAPACITY = 2000
 GAMMA = 0.9
 BATCH_SIZE = 16
-# The ring grows by this many rows at a time up to its capacity, so a
-# buffer that never fills never holds the memory of a full one.
-GROW_ROWS = 512
 # Steps per block of a replay draw. A block's two state stacks are
 # [8, 16, dim], 115 KB each for the student, gathered when it is read.
 BLOCK_STEPS = 8
@@ -37,38 +35,37 @@ class Transition(NamedTuple):
     terminal: bool
 
 
+def _ring_array(*shape: int, dtype=float) -> np.ndarray:
+    """A zeroed array on an anonymous mmap, committed 4 KiB at a time as rows are first
+    written, where numpy advises huge pages for 4 MiB and up. The mapping is shared on
+    POSIX: a forked child that never touches it costs the parent no copy-on-write faults."""
+    nbytes = np.prod(shape) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype).reshape(shape)
+
+
 class ReplayBuffer:
     """FIFO store with uniform with-replacement sampling.
 
     Transitions live in a ring of per-field arrays, one row each. Until the
     ring is full row i is the i-th oldest transition; after that each push
-    overwrites the oldest row, at ``head``.
+    overwrites the oldest row, at ``head``. The arrays never move.
     """
 
     def __init__(self, capacity: int, dim: int):
-        if capacity < 1:
-            raise ReplayError("capacity must be >= 1")
+        if capacity < 1 or dim < 1:
+            raise ReplayError("capacity and dim must be >= 1")
         self.capacity = capacity
         self.dim = dim
-        self.states = np.empty((0, dim))
-        self.next_states = np.empty((0, dim))
-        self.actions = np.empty(0, dtype=int)
-        self.rewards = np.empty(0)
-        self.terminal = np.empty(0, dtype=bool)
+        self.states = _ring_array(capacity, dim)
+        self.next_states = _ring_array(capacity, dim)
+        self.actions = _ring_array(capacity, dtype=int)
+        self.rewards = _ring_array(capacity)
+        self.terminal = _ring_array(capacity, dtype=bool)
         self.head = 0
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
-
-    def _grow(self) -> None:
-        rows = min(self.capacity, len(self.rewards) + GROW_ROWS)
-        # In place: the arrays never hand out views, and a resize does not
-        # hold the old and the new block at once as a copy would.
-        for matrix in (self.states, self.next_states):
-            matrix.resize((rows, self.dim), refcheck=False)
-        for column in (self.actions, self.rewards, self.terminal):
-            column.resize(rows, refcheck=False)
 
     def push(self, t: Transition) -> None:
         """Store a copy of t, over the oldest row once the ring is full."""
@@ -77,8 +74,6 @@ class ReplayBuffer:
                 f"transition dim {len(t.state)} != buffer dim {self.dim}")
         if self._size < self.capacity:
             row = self._size
-            if row == len(self.rewards):
-                self._grow()
             self._size += 1
         else:
             row = self.head

@@ -25,10 +25,13 @@ from acl_dqn.orchestrator import (
     ACCEPTANCE_ENV_SEED,
     ACCEPTANCE_PROFILE,
     ACCEPTANCE_SEEDS,
+    MetricsSeries,
+    TeacherLogRow,
     TrainConfig,
     default_environment,
     iter_runs,
     run_training,
+    selection_counts,
     write_metrics_csv,
 )
 from acl_dqn.student import epsilon_policy, rule_policy, run_episode
@@ -43,21 +46,16 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
 
 
-def _load_cached_run(agent: str, seed: int):
+def _load_cached_run(agent: str, seed: int) -> MetricsSeries:
     tag = f"{agent}_seed{seed}"
     with open(CACHE / f"metrics_{tag}.csv", newline="") as fh:
         eval_rows = [(int(r["epoch"]), float(r["success"]), float(r["reward"]),
                       float(r["turns"])) for r in csv.DictReader(fh)]
     with open(CACHE / f"teacher_log_{tag}.csv", newline="") as fh:
-        teacher_log = [{k: (int(v) if k in ("epoch", "goal_id", "og")
-                            else float(v)) for k, v in r.items()}
+        teacher_log = [TeacherLogRow(**{k: (int(v) if k in ("epoch", "goal_id", "og")
+                                            else float(v)) for k, v in r.items()})
                        for r in csv.DictReader(fh)]
-    return {"eval_rows": eval_rows, "teacher_log": teacher_log}
-
-
-def _fresh_run(result):
-    teacher_log = [r._asdict() for r in result.metrics.teacher_log]
-    return {"eval_rows": result.metrics.eval_rows, "teacher_log": teacher_log}
+    return MetricsSeries(eval_rows, teacher_log)
 
 
 @pytest.fixture(scope="module")
@@ -67,19 +65,19 @@ def comparison():
                 for agent in ACCEPTANCE_AGENTS for seed in ACCEPTANCE_SEEDS}
     configs = [TrainConfig(agent_kind=a, **ACCEPTANCE_PROFILE) for a in ACCEPTANCE_AGENTS]
     runs = iter_runs(configs, ACCEPTANCE_SEEDS, *default_environment(ACCEPTANCE_ENV_SEED))
-    return {(run.config.agent_kind, run.seed): _fresh_run(run) for run in runs}
+    return {(run.config.agent_kind, run.seed): run.metrics for run in runs}
 
 
 def _success_at(runs, agent, epoch):
     out = []
     for seed in ACCEPTANCE_SEEDS:
-        rows = runs[agent, seed]["eval_rows"]
+        rows = runs[agent, seed].eval_rows
         out.append(next(r[1] for r in rows if r[0] == epoch))
     return np.array(out)
 
 
 def _final_success(runs, agent):
-    return np.array([runs[agent, seed]["eval_rows"][-1][1] for seed in ACCEPTANCE_SEEDS])
+    return np.array([runs[agent, seed].eval_rows[-1][1] for seed in ACCEPTANCE_SEEDS])
 
 
 def test_criterion_1_exact_reproduction_not_required():
@@ -123,28 +121,20 @@ def test_criterion_3_stability_claim(comparison):
     assert var_c < var_dqn
 
 
-def test_criterion_4_orp_ablation(comparison):
-    wins = 0
-    details = []
-    for seed in ACCEPTANCE_SEEDS:
-        counts = {}
-        for agent in ("acl-a", "acl-a-noorp"):
-            per_goal = {}
-            for row in comparison[agent, seed]["teacher_log"]:
-                per_goal[row["goal_id"]] = per_goal.get(row["goal_id"], 0) + 1
-            counts[agent] = max(per_goal.values())
-        details.append((seed, counts["acl-a"], counts["acl-a-noorp"]))
-        wins += counts["acl-a-noorp"] > counts["acl-a"]
+def test_criterion_4_orp_ablation(comparison, corpus):
+    details = [(seed, *(int(selection_counts(comparison[agent, seed], len(corpus)).max())
+                        for agent in ("acl-a", "acl-a-noorp")))
+               for seed in ACCEPTANCE_SEEDS]
+    wins = sum(noorp > acl_a for _, acl_a, noorp in details)
     _report(4, wins >= 4, f"noorp more concentrated on {wins}/5 seeds {details}")
     assert wins >= 4
 
 
 def test_criterion_5_reward_identity_audit(comparison):
     checked = 0
-    for (agent, seed), run in comparison.items():
-        for row in run["teacher_log"]:
-            assert row["r"] == row["r_or"] + row["x_now"] - row["x_prev"], (
-                agent, seed, row)
+    for (agent, seed), metrics in comparison.items():
+        for row in metrics.teacher_log:
+            assert row.r == row.r_or + row.x_now - row.x_prev, (agent, seed, row)
             checked += 1
     _report(5, True, f"identity bitwise-exact on {checked} logged transitions")
 

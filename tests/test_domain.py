@@ -344,6 +344,30 @@ class TestCorpusIO:
         assert str(err.value) == (f"line 1: request_slots holds {json.dumps(requests)}, "
                                   "not a list of strings")
 
+    @pytest.mark.parametrize("slots", [[["price", "$8"], ["price", "zzz"]], [], "city", None])
+    def test_inform_slots_not_an_object_names_value_and_line(self, tmp_path, slots):
+        path = tmp_path / "goals.jsonl"
+        record = json.dumps({"id": 0, "inform_slots": {}, "request_slots": ["city"]})
+        path.write_text(record + "\n" + json.dumps(
+            {"id": 1, "inform_slots": slots, "request_slots": ["date"]}) + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert str(err.value) == (f"line 2: inform_slots holds {json.dumps(slots)}, "
+                                  "not a JSON object")
+
+    @pytest.mark.parametrize("line, key", [
+        ('{"id": 0, "inform_slots": {}, "request_slots": ["city"], "request_slots": ["date"]}',
+         "request_slots"),
+        ('{"id": 0, "inform_slots": {"price": "$8", "price": "zzz"}, "request_slots": ["city"]}',
+         "price"),
+    ], ids=["record", "inform_slots"])
+    def test_repeated_goal_key_names_key_and_line(self, tmp_path, line, key):
+        path = tmp_path / "goals.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(path)
+        assert str(err.value) == f"line 2: repeated key {key!r}"
+
     def test_file_with_an_empty_tier_refused(self, tmp_path):
         path = tmp_path / "goals.jsonl"
         save_corpus(GoalCorpus((_goal(0, 1, 1), _goal(1, 6, 3))), path)
@@ -381,6 +405,14 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError,
                            match="line 2: slot 'city' holds the reserved value 'UNK'"):
             load_kb_rows(path)
+
+    def test_kb_repeated_key_names_key_and_line(self, kb_rows, tmp_path):
+        path = tmp_path / "kb.jsonl"
+        path.write_text(json.dumps(kb_rows[0]) + "\n"
+                        + json.dumps(kb_rows[1])[:-1] + ', "city": "nowhere"}\n')
+        with pytest.raises(CorpusFormatError) as err:
+            load_kb_rows(path)
+        assert str(err.value) == "line 2: repeated key 'city'"
 
     @pytest.mark.parametrize("record", ["5", "[]", '"movie_name"'])
     def test_kb_non_object_record_names_line(self, tmp_path, record):

@@ -11,7 +11,6 @@ from acl_dqn.replay import (
     BATCH_SIZE,
     BLOCK_STEPS,
     GAMMA,
-    GROW_ROWS,
     STUDENT_CAPACITY,
     TEACHER_CAPACITY,
     ReplayBuffer,
@@ -101,15 +100,14 @@ class TestReplayBuffer:
             buf.push(Transition(np.zeros(3), 0, 0.0, np.zeros(4), False))
         assert len(buf) == 0
 
-    @pytest.mark.parametrize("capacity", [1, 2, 7, GROW_ROWS, GROW_ROWS + 3,
-                                          2 * GROW_ROWS + 5])
+    @pytest.mark.parametrize("capacity", [1, 2, 7, 512, 515, 1029])
     def test_sample_matches_deque_oracle_through_growth_and_eviction(self, capacity):
         """Same rng, same rows as the deque the ring replaced, at every size."""
         dim = 3
         buf = ReplayBuffer(capacity=capacity, dim=dim)
         oracle: deque[Transition] = deque(maxlen=capacity)
         data_rng = np.random.default_rng(11)
-        checkpoints = {1, 2, 15, 16, GROW_ROWS - 1, GROW_ROWS, GROW_ROWS + 1,
+        checkpoints = {1, 2, 15, 16, 511, 512, 513,
                        capacity - 1, capacity, capacity + 1, 2 * capacity + 3,
                        3 * capacity + 16}
         state = data_rng.normal(size=dim)
@@ -169,21 +167,26 @@ class TestReplayBuffer:
         np.testing.assert_array_equal(held.next_state[0], np.ones(3))
         np.testing.assert_array_equal(held.state[1], np.full(3, 7.0))
 
-    def test_ring_grows_in_chunks_up_to_capacity(self):
-        capacity = GROW_ROWS + 10
-        buf = ReplayBuffer(capacity=capacity, dim=2)
-        assert len(buf.rewards) == 0
-        buf.push(_transition(0, dim=2))
-        assert len(buf.rewards) == GROW_ROWS
-        assert buf.states.shape == buf.next_states.shape == (GROW_ROWS, 2)
-        for tag in range(1, 3 * capacity):
+    def test_the_ring_holds_capacity_rows_from_the_start_and_never_moves(self):
+        buf = ReplayBuffer(capacity=515, dim=2)
+
+        def fields():
+            return buf.states, buf.next_states, buf.actions, buf.rewards, buf.terminal
+
+        assert [f.shape for f in fields()] == [(515, 2), (515, 2), (515,), (515,), (515,)]
+        addresses = [f.ctypes.data for f in fields()]
+        for tag in range(3 * 515 + 7):
             buf.push(_transition(tag, dim=2))
-        assert buf.states.shape == buf.next_states.shape == (capacity, 2)
-        assert len(buf) == capacity
+        assert buf.head == 7 and buf.states[6, 0] == 3 * 515 + 6
+        assert [f.ctypes.data for f in fields()] == addresses
 
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ReplayError):
             ReplayBuffer(capacity=0, dim=3)
+
+    def test_nonpositive_dim_rejected(self):
+        with pytest.raises(ReplayError):
+            ReplayBuffer(capacity=10, dim=0)
 
 
 class TestRbsPrefill:

@@ -8,7 +8,8 @@ name or a class's method, is read by the package, ``scripts/verify_cache.py``
 or ``perfbench/*.py``: code that only tests read does not belong in the
 package. A string constant equal to the name counts as a read, since
 perfbench patches attributes by name. A name left behind by a deletion
-fails here, naming its file and line.
+fails here, naming its file and line. No package module reads another
+package module's private name: a name that crosses modules is public.
 """
 
 import ast
@@ -138,3 +139,49 @@ def test_every_public_name_is_read_outside_the_tests():
     assert unread({str(path.relative_to(REPO)): path.read_text(encoding="utf-8")
                    for path in PACKAGE},
                   [path.read_text(encoding="utf-8") for path in READERS]) == []
+
+
+
+def _source_module(node: ast.ImportFrom) -> str | None:
+    """The package module a ``from`` import takes its names from: "" for the
+    package itself, None for anything outside the package."""
+    if node.level:
+        return node.module or ""
+    if node.module and (node.module + ".").startswith("acl_dqn."):
+        return node.module.removeprefix("acl_dqn").lstrip(".")
+    return None
+
+
+def foreign_private_reads(source: str, where: str) -> list[str]:
+    """One line per read of another package module's private name, as
+    ``module._name`` or ``from .module import _name``."""
+    tree = ast.parse(source, filename=where)
+    imports = [(node, _source_module(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    modules = {alias.asname or alias.name for node, module in imports if module == ""
+               for alias in node.names}
+    found = [(node.lineno, f"{node.value.id}.{node.attr}") for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules and _private(node.attr)]
+    found += [(node.lineno, f"{module}.{alias.name}") for node, module in imports if module
+              for alias in node.names if _private(alias.name)]
+    return [f"{where}:{line}: reads private name {name!r}" for line, name in sorted(found)]
+
+
+def test_the_scan_names_each_read_of_another_modules_private_name():
+    source = ("import os\nfrom . import orchestrator, domain as d\n"
+              "from .replay import _ring_array, ReplayBuffer\n"
+              "from acl_dqn.neural import _td_targets\nfrom json import _default_decoder\n\n"
+              "orchestrator._write_csv(d.TIERS, os._exit, ReplayBuffer._fields)\n"
+              "d._read_records(orchestrator.write_csv)\n")
+    assert foreign_private_reads(source, "module.py") == [
+        "module.py:3: reads private name 'replay._ring_array'",
+        "module.py:4: reads private name 'neural._td_targets'",
+        "module.py:7: reads private name 'orchestrator._write_csv'",
+        "module.py:8: reads private name 'd._read_records'",
+    ]
+
+
+def test_no_module_reads_another_modules_private_name():
+    assert [line for path in PACKAGE for line in foreign_private_reads(
+        path.read_text(encoding="utf-8"), str(path.relative_to(REPO)))] == []
