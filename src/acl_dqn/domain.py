@@ -300,8 +300,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return record
 
 
-def _read_records(path) -> Iterator[tuple[int, Any]]:
-    """(line number, decoded record) for each non-blank line of a JSON-lines file."""
+def _read_records(path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """(line number, JSON object) for each non-blank line of a JSON-lines file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -312,6 +312,8 @@ def _read_records(path) -> Iterator[tuple[int, Any]]:
                 raise CorpusFormatError(f"invalid record: {exc.msg}", lineno) from exc
             except CorpusFormatError as exc:
                 raise CorpusFormatError(str(exc), lineno) from None
+            if not isinstance(record, dict):
+                raise CorpusFormatError("record is not a JSON object", lineno)
             yield lineno, record
 
 
@@ -344,7 +346,7 @@ def load_corpus(path) -> GoalCorpus:
             goal_id = record["id"]
             slots = record["inform_slots"]
             requests = record["request_slots"]
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise CorpusFormatError(f"missing or malformed field: {exc}", lineno) from exc
         if not isinstance(slots, dict):
             raise CorpusFormatError(
@@ -379,8 +381,6 @@ def save_kb_rows(rows: Sequence[Mapping[str, str]], path) -> None:
 def load_kb_rows(path) -> tuple[dict[str, str], ...]:
     rows = []
     for lineno, record in _read_records(path):
-        if not isinstance(record, dict):
-            raise CorpusFormatError("record is not a JSON object", lineno)
         for slot in record:
             if slot not in SLOT_INDEX:
                 raise CorpusFormatError(f"unknown slot {slot!r}", lineno)

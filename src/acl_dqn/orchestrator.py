@@ -414,21 +414,25 @@ def selection_counts(metrics: MetricsSeries, n_goals: int) -> np.ndarray:
     return np.bincount([row.goal_id for row in metrics.teacher_log], minlength=n_goals)
 
 
+def curve(series: list[MetricsSeries]) -> list[tuple[int, float, float, float, float]]:
+    """Per-epoch (epoch, mean success, var success, mean reward, mean turns)
+    over the runs' evaluation rows, in the order given; the variance is the
+    population one (ddof 0). The one statistic over seeds."""
+    out = []
+    for i, (epoch, *_) in enumerate(series[0].eval_rows):
+        sr, rew, trn = (np.array([m.eval_rows[i][k] for m in series]) for k in (1, 2, 3))
+        out.append((epoch, float(sr.mean()), float(sr.var()),
+                    float(rew.mean()), float(trn.mean())))
+    return out
+
+
 @dataclass
 class ComparisonReport:
     runs: list[RunResult]
 
     def curve(self, config: TrainConfig) -> list[tuple[int, float, float, float, float]]:
-        """Per-epoch (epoch, mean success, var success, mean reward, mean turns)
-        over the seeds of the runs trained under ``config``."""
-        runs = [run for run in self.runs if run.config == config]
-        epochs = [row[0] for row in runs[0].metrics.eval_rows]
-        out = []
-        for i, epoch in enumerate(epochs):
-            sr, rew, trn = (np.array([r.metrics.eval_rows[i][k] for r in runs]) for k in (1, 2, 3))
-            out.append((epoch, float(sr.mean()), float(sr.var()),
-                        float(rew.mean()), float(trn.mean())))
-        return out
+        """``curve`` over the seeds of the runs trained under ``config``."""
+        return curve([run.metrics for run in self.runs if run.config == config])
 
 
 # A pool worker's corpus and KB, set once by the pool's initializer.

@@ -421,6 +421,15 @@ class TestCorpusIO:
         with pytest.raises(CorpusFormatError, match="line 1: record is not a JSON object"):
             load_kb_rows(path)
 
+    @pytest.mark.parametrize("record", ["[1]", "5", '"x"', "null"])
+    @pytest.mark.parametrize("load", [load_corpus, load_kb_rows])
+    def test_non_object_record_refused_by_both_loaders(self, tmp_path, load, record):
+        path = tmp_path / "records.jsonl"
+        path.write_text(record + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load(path)
+        assert str(err.value) == "line 1: record is not a JSON object"
+
     @pytest.mark.parametrize("value", [None, True, {"a": 1}, [1]])
     def test_kb_non_scalar_value_names_slot_and_line(self, kb_rows, tmp_path, value):
         path = tmp_path / "kb.jsonl"

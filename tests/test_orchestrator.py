@@ -28,6 +28,7 @@ from acl_dqn.orchestrator import (
     TeacherLogRow,
     TrainConfig,
     cache_difference,
+    curve,
     default_environment,
     evaluate_policy,
     iter_runs,
@@ -355,6 +356,25 @@ class TestComparisonAndSweep:
                                                 in run.metrics.eval_rows]
         config = small_runs["dqn"].config
         assert [row[0] for row in report.curve(config)] == list(range(5, 31, 5))
+        # Three seeds worked by hand, on binary-exact values: per epoch the mean
+        # and the population variance (ddof 0; ddof 1 gives 0.1875 and 0.25).
+        series = [MetricsSeries([(5, s5, reward, turns), (10, s10, reward, turns)])
+                  for s5, s10, reward, turns in [(0.0, 0.0, -10.0, 10.0),
+                                                 (0.0, 0.5, 20.0, 12.0),
+                                                 (0.75, 1.0, 50.0, 20.0)]]
+        expected = [(5, 0.25, 0.125, 20.0, 14.0), (10, 0.5, 1 / 6, 20.0, 14.0)]
+        assert curve(series) == expected
+        # A report's curve is ``curve`` of that config's runs, in run order,
+        # with another config's run between them.
+        runs = [dataclasses.replace(small_runs["dqn"], seed=seed, metrics=metrics)
+                for seed, metrics in enumerate(series, 1)]
+        runs.insert(1, small_runs["acl-c"])
+        mixed = ComparisonReport(runs)
+        for kind in ("dqn", "acl-c"):
+            kind_config = small_runs[kind].config
+            assert mixed.curve(kind_config) == \
+                curve([run.metrics for run in runs if run.config == kind_config])
+        assert mixed.curve(config) == expected
         write_curve_csv(report, config, tmp_path / "c.csv")
         assert (tmp_path / "c.csv").read_text().splitlines()[0] == \
             "epoch,mean_success,var_success,mean_reward,mean_turns"

@@ -10,9 +10,12 @@ package. A string constant equal to the name counts as a read, since
 perfbench patches attributes by name. A name left behind by a deletion
 fails here, naming its file and line. No package module reads another
 package module's private name: a name that crosses modules is public.
+Every source file parses under the grammar of the oldest Python that
+``pyproject.toml`` declares.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -185,3 +188,24 @@ def test_the_scan_names_each_read_of_another_modules_private_name():
 def test_no_module_reads_another_modules_private_name():
     assert [line for path in PACKAGE for line in foreign_private_reads(
         path.read_text(encoding="utf-8"), str(path.relative_to(REPO)))] == []
+
+
+# The oldest Python pyproject.toml's requires-python admits, as (major, minor).
+FLOOR = tuple(int(part) for part in re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (REPO / "pyproject.toml").read_text()).groups())
+SOURCES = sorted(path for folder in ("src", "scripts", "perfbench", "tests")
+                 for path in (REPO / folder).rglob("*.py"))
+
+
+def test_the_floor_grammar_refuses_newer_syntax():
+    assert FLOOR == (3, 10)
+    for source in ("try:\n    pass\nexcept* ValueError:\n    pass\n", "def f[T](x): ...\n"):
+        with pytest.raises(SyntaxError):
+            ast.parse(source, feature_version=FLOOR)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(REPO)) for p in SOURCES])
+def test_every_source_parses_at_the_declared_floor(path):
+    """Syntax only: a call to a library function newer than the floor, such
+    as ``logging.getLevelNamesMapping`` (3.11), parses and is not caught."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
