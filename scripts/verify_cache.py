@@ -21,7 +21,10 @@ weights (student_q.online_flat), and the total wall time and the number of
 workers at the end. The CSVs cannot show a last-bit change to the weights,
 so compare these digests to check that a change keeps the weights bit for
 bit: run two checkouts on one machine and diff their output. The digests
-are not cached, because they differ between BLAS kernels.
+are not cached, because they differ between BLAS kernels. Before the runs,
+one line gives the sha256 of the acceptance environment's KB and corpus
+files (as save_kb_rows and save_corpus write them), so a mismatch on
+another numpy says whether the environment or the training moved.
 
     python3 scripts/verify_cache.py
     python3 scripts/verify_cache.py --agent acl-c --seed 3 --epochs 50
@@ -35,12 +38,14 @@ import contextlib
 import hashlib
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from acl_dqn.domain import save_corpus, save_kb_rows  # noqa: E402
 from acl_dqn.orchestrator import (  # noqa: E402
     ACCEPTANCE_AGENTS,
     ACCEPTANCE_ENV_SEED,
@@ -55,6 +60,14 @@ from acl_dqn.orchestrator import (  # noqa: E402
 )
 
 CACHE = ROOT / "results" / "acceptance"
+
+
+def _file_sha256(save, data) -> str:
+    """sha256 of the file that save(data, path) writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.jsonl"
+        save(data, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -79,7 +92,11 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     CACHE.mkdir(parents=True, exist_ok=True)
-    runs = iter_runs(configs, seeds, *default_environment(ACCEPTANCE_ENV_SEED))
+    corpus, kb = default_environment(ACCEPTANCE_ENV_SEED)
+    print(f"environment seed {ACCEPTANCE_ENV_SEED}: "
+          f"kb sha256 {_file_sha256(save_kb_rows, kb.rows)}, "
+          f"corpus sha256 {_file_sha256(save_corpus, corpus)}", flush=True)
+    runs = iter_runs(configs, seeds, corpus, kb)
     with contextlib.closing(runs):
         for run in runs:
             if writing:

@@ -252,11 +252,11 @@ class GoalCorpus:
 
 def generate_kb_rows(seed: int, n_rows: int = KB_ROWS) -> tuple[dict[str, str], ...]:
     """Synthetic movie/showtime table; deterministic in seed."""
+    # One bounded call makes the same draws as a scalar call per value, row by row.
     rng = np.random.default_rng([seed, 101])
-    rows = []
-    for _ in range(n_rows):
-        rows.append({s: VALUE_POOLS[s][int(rng.integers(len(VALUE_POOLS[s])))] for s in ONTOLOGY})
-    return tuple(rows)
+    highs = np.tile([len(VALUE_POOLS[s]) for s in ONTOLOGY], n_rows)
+    picks = rng.integers(highs).reshape(-1, N_SLOTS).tolist()
+    return tuple({s: VALUE_POOLS[s][i] for s, i in zip(ONTOLOGY, row)} for row in picks)
 
 
 def generate_corpus(seed: int, kb_rows: Sequence[Mapping[str, str]],

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from acl_dqn.domain import (
     ONTOLOGY,
     PLAIN_ACTS,
     TIER_BANDS,
+    VALUE_POOLS,
     ActType,
     CorpusFormatError,
     DialogueAct,
@@ -244,6 +246,17 @@ class TestGeneration:
         assert len(rows) == 200
         for row in rows:
             assert set(row) == set(ONTOLOGY)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+    def test_kb_rows_equal_one_draw_per_value(self, seed, n_rows):
+        """The one bounded call equals a scalar draw per value, row by row;
+        a numpy whose bounded draws stop sharing one stream fails here. No
+        rows is the empty table."""
+        rng = np.random.default_rng([seed, 101])
+        oracle = tuple({s: VALUE_POOLS[s][int(rng.integers(len(VALUE_POOLS[s])))]
+                        for s in ONTOLOGY} for _ in range(n_rows))
+        assert generate_kb_rows(seed, n_rows) == oracle
 
     def test_sorted_output_has_nondecreasing_difficulty(self, kb_rows):
         c = generate_corpus(7, kb_rows, (30, 72, 26))

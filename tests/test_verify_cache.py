@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from acl_dqn.orchestrator import ACCEPTANCE_PROFILE
+from acl_dqn.domain import save_corpus, save_kb_rows
+from acl_dqn.orchestrator import ACCEPTANCE_PROFILE, default_environment
 
 REPO = Path(__file__).resolve().parent.parent
 CACHE = REPO / "results" / "acceptance"
@@ -43,8 +44,9 @@ def _snapshot(cache: Path) -> dict:
             for path in cache.iterdir()}
 
 
-def test_a_prefix_of_the_committed_cache_matches(script, capsys):
-    """Each run's line gives the sha256 of its final student weights."""
+def test_a_prefix_of_the_committed_cache_matches(script, capsys, tmp_path):
+    """A first line gives the sha256 of the environment's KB and corpus files,
+    then each run's line gives the sha256 of its final student weights."""
     _copy_committed_run(script.CACHE)
     runs = []
     iter_runs = script.iter_runs
@@ -58,8 +60,14 @@ def test_a_prefix_of_the_committed_cache_matches(script, capsys):
     assert script.main([]) == 0
     [run] = runs
     digest = hashlib.sha256(run.student_q.online_flat.tobytes()).hexdigest()
+    corpus, kb = default_environment(1)
+    save_kb_rows(kb.rows, tmp_path / "kb.jsonl")
+    save_corpus(corpus, tmp_path / "goals.jsonl")
+    kb_digest, corpus_digest = (hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                                for name in ("kb.jsonl", "goals.jsonl"))
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == f"dqn_seed1: ok, final weights sha256 {digest}"
+    assert lines[0] == f"environment seed 1: kb sha256 {kb_digest}, corpus sha256 {corpus_digest}"
+    assert lines[1] == f"dqn_seed1: ok, final weights sha256 {digest}"
 
 
 def test_without_a_manifest_it_writes_the_cache_then_checks_it(script, capsys):
